@@ -2,14 +2,12 @@
 learning with feature drift compensation."""
 
 from .backbone import BACKBONE_KINDS, BackboneSpec, build_backbone
-from .clustering import (Assignment, CentroidBank, assign, assign_batch,
-                         lloyd_kmeans, seed_kmeanspp, update_centroid)
+from .clustering import CentroidBank, assign_batch, lloyd_kmeans, seed_kmeanspp, update_centroid
 from .dataio import (Checkpoint, Dataset, gen_blobs, load_checkpoint, load_csv,
                      load_idx, load_labels, save_checkpoint, save_labels)
 from .head import FeatureHead, ForwardTrace, NoHistoryError, init_head, one_hot, sse_loss
 from .metrics import ContingencyTable, build_contingency, entropy, mutual_information, nmi
-from .tensor import DimensionError, SeededRng, argmin, matvec, sq_euclidean
-from .trainer import (DivergenceError, JointTrainer, RunResult, TrainerConfig,
-                      TrainerHooks, run_baseline, run_full, select_top_km)
+from .tensor import DimensionError, SeededRng
+from .trainer import DivergenceError, JointTrainer, RunResult, TrainerConfig, TrainerHooks
 
 __version__ = "0.1.0"

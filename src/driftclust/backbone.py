@@ -90,20 +90,14 @@ def _unit_rows(rows: int, cols: int, rng: SeededRng) -> np.ndarray:
 
 
 class Backbone:
-    """Base class; concrete kinds implement _transform on a float sample."""
+    """Base class; a kind either overrides extract_batch or defines
+    _transform(x), the features of one float sample, for extract_batch to call."""
 
     def __init__(self, spec: BackboneSpec):
         self.spec = spec
 
-    def extract(self, sample: np.ndarray) -> np.ndarray:
-        if tuple(sample.shape) != tuple(self.spec.input_shape):
-            raise ValueError(
-                f"sample shape {sample.shape} does not match backbone input {self.spec.input_shape}"
-            )
-        return self._transform(to_float(sample))
-
     def extract_batch(self, samples: np.ndarray) -> np.ndarray:
-        """Stacked extract over the leading axis."""
+        """Features of every sample along the leading axis, one row each."""
         self._check_batch(samples)
         out = np.empty((samples.shape[0], self.spec.output_dim))
         for i in range(samples.shape[0]):
@@ -116,14 +110,8 @@ class Backbone:
                 f"sample shape {samples.shape[1:]} does not match backbone input {self.spec.input_shape}"
             )
 
-    def _transform(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
 
 class FlattenBackbone(Backbone):
-    def _transform(self, x):
-        return x.reshape(-1)
-
     def extract_batch(self, samples):
         self._check_batch(samples)
         return to_float(samples).reshape(samples.shape[0], -1)
@@ -136,9 +124,6 @@ class RandomProjectionBackbone(Backbone):
         super().__init__(spec)
         rng = SeededRng(spec.seed)
         self.projection = _unit_rows(spec.output_dim, spec.flat_dim, rng)
-
-    def _transform(self, x):
-        return self.projection @ x.reshape(-1)
 
     def extract_batch(self, samples):
         self._check_batch(samples)

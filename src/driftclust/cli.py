@@ -194,6 +194,7 @@ def cmd_cluster(ns) -> int:
     config = build_trainer_config(settings)
     canon = canonical_config_text(settings, dataset)
 
+    ckpt = None
     if settings["resume"]:
         if config.mode == "baseline3":
             raise ConfigError("resume is not supported for baseline3 (single-shot mode)")
@@ -201,13 +202,7 @@ def cmd_cluster(ns) -> int:
         if ckpt.config_text != canon:
             raise ConfigError("checkpoint was produced by a different configuration; "
                               "only the epoch budget may change on resume")
-        trainer = JointTrainer.from_checkpoint(ckpt, dataset, spec, config,
-                                               ground_truth=dataset.labels)
-    else:
-        try:
-            trainer = JointTrainer(dataset, spec, config, ground_truth=dataset.labels)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+    trainer = JointTrainer(dataset, spec, config, ground_truth=dataset.labels, resume=ckpt)
 
     callback = None
     if settings["checkpoint"] and config.mode != "baseline3":

@@ -7,8 +7,6 @@ points p_1..p_n into one centroid initialised at p_1 telescopes to their
 exact running mean.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .tensor import DimensionError, SeededRng
@@ -36,16 +34,6 @@ class CentroidBank:
     @property
     def dim(self):
         return self.centroids.shape[1]
-
-    def copy(self):
-        return CentroidBank(self.centroids.copy(), self.counts.copy())
-
-
-@dataclass(frozen=True)
-class Assignment:
-    label: int
-    distance: float
-    gamma: float
 
 
 def _as_feature_array(features) -> np.ndarray:
@@ -79,23 +67,10 @@ def seed_kmeanspp(features, k: int, rng: SeededRng) -> CentroidBank:
     return CentroidBank(x[chosen].copy(), np.ones(k, dtype=np.int64))
 
 
-def assign(bank: CentroidBank, h: np.ndarray) -> Assignment:
-    """Nearest centroid by squared Euclidean distance; ties go to the lowest
-    index. The bank is not modified; gamma reflects the count at call time."""
-    h = np.asarray(h, dtype=np.float64)
-    if h.ndim != 1 or h.shape[0] != bank.dim:
-        raise DimensionError(f"feature dim {h.shape} does not match bank dim {bank.dim}")
-    diff = bank.centroids - h
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    label = int(np.argmin(d2))
-    count = int(bank.counts[label])
-    gamma = 1.0 / count if count > 0 else 1.0
-    return Assignment(label=label, distance=float(d2[label]), gamma=gamma)
-
-
 def assign_batch(bank: CentroidBank, feats: np.ndarray, chunk: int = 4096):
-    """Labels and squared distances for many rows at once (same arithmetic as
-    assign, chunked to bound memory)."""
+    """Nearest centroid and its squared Euclidean distance for every feature
+    row; ties go to the lowest centroid index. Rows are processed in chunks to
+    bound memory, and the bank is not modified."""
     x = _as_feature_array(feats)
     if x.shape[1] != bank.dim:
         raise DimensionError(f"feature dim {x.shape[1]} does not match bank dim {bank.dim}")

@@ -252,7 +252,6 @@ class Checkpoint:
     iterations: int = 0
     buffer: list = field(default_factory=list)  # (sample index, label) pairs
     nmi_history: list = field(default_factory=list)
-    format_version: int = CHECKPOINT_VERSION
 
 
 def _section(body: bytes) -> bytes:
@@ -300,6 +299,18 @@ def _parse_matrix(body: bytes) -> Optional[np.ndarray]:
     return np.frombuffer(body, dtype="<f8", offset=8).reshape(rows, cols).copy()
 
 
+def _count(body: bytes, what: str, item_size: int) -> int:
+    """Item count of a section laid out as u32 count, then that many items of
+    item_size bytes; the body length must match the count exactly."""
+    if len(body) < 4:
+        raise CheckpointError(f"{what} section shorter than its count header")
+    (count,) = struct.unpack_from("<I", body, 0)
+    if len(body) != 4 + count * item_size:
+        raise CheckpointError(f"{what} section holds {len(body) - 4} bytes after its header, "
+                              f"expected {count} x {item_size}")
+    return count
+
+
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     parts = [_section(ckpt.config_text.encode("utf-8"))]
     for m in (ckpt.w_hidden, ckpt.w_out, ckpt.last_delta_hidden, ckpt.last_delta_out,
@@ -336,7 +347,10 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError("checkpoint payload fails its CRC-32 check")
 
     r = _Reader(payload)
-    config_text = r.section().decode("utf-8")
+    try:
+        config_text = r.section().decode("utf-8")
+    except UnicodeDecodeError:
+        raise CheckpointError("config text section is not valid UTF-8") from None
     w_hidden = _parse_matrix(r.section())
     w_out = _parse_matrix(r.section())
     ld_hidden = _parse_matrix(r.section())
@@ -348,27 +362,22 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError("required matrix section is empty")
 
     body = r.section()
-    (ccount,) = struct.unpack_from("<I", body, 0)
-    counts = np.frombuffer(body, dtype="<u8", offset=4, count=ccount).astype(np.int64)
+    counts = np.frombuffer(body, dtype="<u8", offset=4,
+                           count=_count(body, "counts", 8)).astype(np.int64)
 
     body = r.section()
-    (wcount,) = struct.unpack_from("<I", body, 0)
-    rng_state = struct.unpack_from(f"<{wcount}Q", body, 4)
-
-    epochs_done, finetunes, iterations = struct.unpack("<QQQ", r.section())
+    rng_state = struct.unpack_from(f"<{_count(body, 'rng state', 8)}Q", body, 4)
 
     body = r.section()
-    (m,) = struct.unpack_from("<I", body, 0)
-    buffer = []
-    off = 4
-    for _ in range(m):
-        idx, lab = struct.unpack_from("<QI", body, off)
-        buffer.append((idx, lab))
-        off += 12
+    if len(body) != 24:
+        raise CheckpointError(f"progress section holds {len(body)} bytes, expected 24")
+    epochs_done, finetunes, iterations = struct.unpack("<QQQ", body)
 
     body = r.section()
-    (m,) = struct.unpack_from("<I", body, 0)
-    history = list(np.frombuffer(body, dtype="<f8", offset=4, count=m))
+    buffer = [struct.unpack_from("<QI", body, 4 + 12 * i) for i in range(_count(body, "buffer", 12))]
+
+    body = r.section()
+    history = list(np.frombuffer(body, dtype="<f8", offset=4, count=_count(body, "nmi history", 8)))
     r.done()
 
     return Checkpoint(
@@ -377,5 +386,5 @@ def load_checkpoint(path) -> Checkpoint:
         centroids=centroids, counts=counts, rng_state=rng_state,
         snap_w_hidden=snap_w_hidden, snap_w_out=snap_w_out,
         epochs_done=int(epochs_done), finetunes=int(finetunes), iterations=int(iterations),
-        buffer=buffer, nmi_history=history, format_version=version,
+        buffer=buffer, nmi_history=history,
     )

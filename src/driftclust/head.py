@@ -143,36 +143,17 @@ class FeatureHead:
         self.last_delta_hidden = np.array(grad_hidden, dtype=np.float64)
         self.last_delta_out = np.array(grad_out, dtype=np.float64)
 
-    def rollback_features(self, x: np.ndarray) -> np.ndarray:
-        """Hidden feature under the pre-step weights W + eta * last_delta.
+    def rollback_hidden_batch(self, xs: np.ndarray) -> np.ndarray:
+        """Hidden features of a stack of inputs (rows) under the pre-step
+        weights W + eta * last_delta.
 
         Only the first layer enters h, but the rollback is defined on both
         layers; the head itself is left untouched.
         """
         if self.last_delta_hidden is None or self.last_delta_out is None:
             raise NoHistoryError("no SGD step recorded yet, nothing to roll back")
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 1 or x.shape[0] != self.input_dim:
-            raise DimensionError(f"input shape {x.shape} does not match head input dim {self.input_dim}")
-        w_prev = self.w_hidden + self.eta * self.last_delta_hidden
-        return np.maximum(w_prev @ x, 0.0)
-
-    def rollback_hidden_batch(self, xs: np.ndarray) -> np.ndarray:
-        if self.last_delta_hidden is None or self.last_delta_out is None:
-            raise NoHistoryError("no SGD step recorded yet, nothing to roll back")
         w_prev = self.w_hidden + self.eta * self.last_delta_hidden
         return np.maximum(xs @ w_prev.T, 0.0)
-
-
-def predicted_distribution(trace: ForwardTrace) -> np.ndarray:
-    """Read-only probability view of the output scores, for reporting only.
-
-    Never used in gradients; a dead (all-zero) output maps to uniform.
-    """
-    total = float(trace.y.sum())
-    if total <= 0.0:
-        return np.full(trace.y.shape[0], 1.0 / trace.y.shape[0])
-    return trace.y / total
 
 
 def init_head(input_dim: int, hidden_dim: int, k: int, eta: float, rng: SeededRng) -> FeatureHead:

@@ -1,8 +1,8 @@
-"""Dense float64 containers, tiny linear-algebra ops, and a portable seeded RNG.
+"""Validated dense float64 matrices and a portable seeded RNG.
 
-Vectors are 1-D and matrices 2-D row-major numpy float64 arrays; the
-constructors below validate shape and finiteness so the rest of the package
-can assume well-formed inputs.
+Matrices are 2-D row-major numpy float64 arrays; the constructor below
+validates shape and finiteness so the rest of the package can assume
+well-formed inputs.
 """
 
 import math
@@ -21,15 +21,6 @@ def _check_finite(arr, what):
         raise ValueError(f"{what} contains non-finite entries")
 
 
-def vector(data) -> np.ndarray:
-    """Validated dense vector: 1-D, non-empty, finite, float64."""
-    v = np.asarray(data, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise DimensionError(f"expected a non-empty 1-D vector, got shape {v.shape}")
-    _check_finite(v, "vector")
-    return v
-
-
 def matrix(data) -> np.ndarray:
     """Validated dense matrix: 2-D, positive dims, finite, float64, row-major."""
     m = np.ascontiguousarray(data, dtype=np.float64)
@@ -37,32 +28,6 @@ def matrix(data) -> np.ndarray:
         raise DimensionError(f"expected a 2-D matrix with positive dims, got shape {m.shape}")
     _check_finite(m, "matrix")
     return m
-
-
-def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Matrix-vector product, out[r] = sum_c m[r, c] * v[c]."""
-    if m.ndim != 2 or v.ndim != 1:
-        raise DimensionError(f"matvec needs a 2-D matrix and 1-D vector, got {m.shape} and {v.shape}")
-    if m.shape[1] != v.shape[0]:
-        raise DimensionError(f"matvec dimension mismatch: {m.shape} @ {v.shape}")
-    return m @ v
-
-
-def sq_euclidean(a: np.ndarray, b: np.ndarray) -> float:
-    """Squared Euclidean distance sum_i (a_i - b_i)^2."""
-    if a.shape != b.shape:
-        raise DimensionError(f"sq_euclidean dimension mismatch: {a.shape} vs {b.shape}")
-    d = a - b
-    return float(np.dot(d, d))
-
-
-def argmin(values) -> int:
-    """Index of the smallest value; ties break to the lowest index."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("argmin needs a non-empty 1-D sequence")
-    _check_finite(v, "argmin input")
-    return int(np.argmin(v))
 
 
 def _splitmix64(x: int) -> int:

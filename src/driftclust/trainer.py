@@ -19,14 +19,14 @@ fine-tune pass with drift_rollback="snapshot"). Modes:
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .backbone import BackboneSpec, build_backbone
 from .clustering import CentroidBank, assign_batch, lloyd_kmeans, seed_kmeanspp, update_centroid
-from .dataio import Checkpoint, Dataset
+from .dataio import Checkpoint, CheckpointError, Dataset
 from .head import FeatureHead, init_head, one_hot, sse_loss
 from .metrics import nmi
 from .tensor import SeededRng
@@ -77,22 +77,6 @@ class TrainerConfig:
 
 
 @dataclass
-class FineTuneBuffer:
-    capacity: int
-    items: list = field(default_factory=list)  # (sample index, pseudo-label)
-
-    def extend(self, pairs):
-        self.items.extend(pairs)
-
-    def ready(self):
-        return len(self.items) >= self.capacity
-
-    def take(self):
-        batch, self.items = self.items[:self.capacity], self.items[self.capacity:]
-        return batch
-
-
-@dataclass
 class RunResult:
     labels: np.ndarray
     nmi_history: list
@@ -103,18 +87,9 @@ class RunResult:
     wall_ms: int = 0
 
 
-def select_top_km(assignments, k_m: int):
-    """Indices of the k_m assignments with the smallest distances, returned in
-    ascending index order; distance ties resolve to the lower index."""
-    if k_m < 1:
-        raise ValueError("k_m must be at least 1")
-    if len(assignments) < k_m:
-        raise ValueError(f"k_m={k_m} exceeds batch size {len(assignments)}")
-    dists = np.asarray([a.distance for a in assignments])
-    return _top_indices(dists, k_m)
-
-
 def _top_indices(dists: np.ndarray, k_m: int):
+    """Batch positions of the k_m smallest distances, in ascending position
+    order; distance ties resolve to the lower position."""
     picked = np.argsort(dists, kind="stable")[:k_m]
     return sorted(int(i) for i in picked)
 
@@ -131,10 +106,17 @@ class TrainerHooks:
 
 
 class JointTrainer:
-    """Holds the full training state so runs can be checkpointed and resumed."""
+    """Holds the full training state so runs can be checkpointed and resumed.
+
+    Without `resume` the head and the k-means++ seeds are drawn fresh from the
+    config seed. With a Checkpoint the trainer continues from the state
+    to_checkpoint wrote; with the stored RNG state this makes a resumed run
+    indistinguishable from an unbroken one.
+    """
 
     def __init__(self, dataset: Dataset, backbone_spec: BackboneSpec, config: TrainerConfig,
-                 ground_truth=None, hooks: Optional[TrainerHooks] = None):
+                 ground_truth=None, hooks: Optional[TrainerHooks] = None,
+                 resume: Optional[Checkpoint] = None):
         config.validate()
         if dataset.n < config.k:
             raise ValueError(f"dataset has {dataset.n} samples, fewer than k={config.k}")
@@ -149,54 +131,64 @@ class JointTrainer:
         self.extractor = build_backbone(backbone_spec)
         # the backbone is frozen, so extract every sample once up front
         self.inputs = self.extractor.extract_batch(dataset.samples)
-
         self.rng = SeededRng(config.seed)
+        self.buffer = []  # (sample index, pseudo-label) pairs awaiting a fine-tune pass
+        if resume is not None:
+            self._restore(resume)
+            return
+
         self.head = init_head(backbone_spec.output_dim, config.hidden_dim, config.k,
                               config.eta, self.rng)
-        self.buffer = FineTuneBuffer(capacity=config.n_m)
         self.snapshot_head = None
         self.epochs_done = 0
         self.finetunes = 0
         self.iterations = 0
         self.nmi_history = []
-        self.final_labels = None
-
         if config.mode == "baseline3":
             self.bank = None  # produced by the Lloyd pass in run()
         else:
             features = self.head.hidden_batch(self.inputs)
             self.bank = seed_kmeanspp(features, config.k, self.rng)
 
-    @classmethod
-    def from_checkpoint(cls, ckpt: Checkpoint, dataset: Dataset, backbone_spec: BackboneSpec,
-                        config: TrainerConfig, ground_truth=None, hooks=None):
-        """Rebuild a trainer mid-run; together with the stored RNG state this
-        makes a resumed run indistinguishable from an unbroken one."""
-        trainer = cls.__new__(cls)
-        config.validate()
-        trainer.dataset = dataset
-        trainer.config = config
-        trainer.truth = None if ground_truth is None else np.asarray(ground_truth)
-        trainer.hooks = hooks
-        trainer.extractor = build_backbone(backbone_spec)
-        trainer.inputs = trainer.extractor.extract_batch(dataset.samples)
-        trainer.rng = SeededRng(config.seed)
-        trainer.rng.set_state(ckpt.rng_state)
-        trainer.head = FeatureHead(ckpt.w_hidden, ckpt.w_out, config.eta,
-                                   ckpt.last_delta_hidden, ckpt.last_delta_out)
-        trainer.buffer = FineTuneBuffer(capacity=config.n_m,
-                                        items=[(int(i), int(l)) for i, l in ckpt.buffer])
-        if ckpt.snap_w_hidden is not None and ckpt.snap_w_out is not None:
-            trainer.snapshot_head = FeatureHead(ckpt.snap_w_hidden, ckpt.snap_w_out, config.eta)
-        else:
-            trainer.snapshot_head = None
-        trainer.bank = CentroidBank(ckpt.centroids, ckpt.counts)
-        trainer.epochs_done = ckpt.epochs_done
-        trainer.finetunes = ckpt.finetunes
-        trainer.iterations = ckpt.iterations
-        trainer.nmi_history = list(ckpt.nmi_history)
-        trainer.final_labels = None
-        return trainer
+    def _restore(self, ckpt: Checkpoint):
+        """Inverse of to_checkpoint. A checkpoint that does not fit this run's
+        config and dataset raises CheckpointError."""
+        cfg, n = self.config, self.dataset.n
+        hidden_shape = (cfg.hidden_dim, self.inputs.shape[1])
+        out_shape = (cfg.k, cfg.hidden_dim)
+        shapes = {"w_hidden": hidden_shape, "w_out": out_shape,
+                  "last_delta_hidden": hidden_shape, "last_delta_out": out_shape,
+                  "snap_w_hidden": hidden_shape, "snap_w_out": out_shape,
+                  "centroids": out_shape}
+        for name, shape in shapes.items():
+            m = getattr(ckpt, name)
+            if m is not None and (m.shape != shape or not np.all(np.isfinite(m))):
+                raise CheckpointError(f"checkpoint {name} has shape {m.shape} or non-finite "
+                                      f"entries; this run needs a finite {shape[0]}x{shape[1]} matrix")
+        for pair in (("last_delta_hidden", "last_delta_out"), ("snap_w_hidden", "snap_w_out")):
+            if (getattr(ckpt, pair[0]) is None) != (getattr(ckpt, pair[1]) is None):
+                raise CheckpointError(f"checkpoint holds one of {pair[0]} and {pair[1]} but not both")
+        counts = np.asarray(ckpt.counts)
+        if counts.shape != (cfg.k,) or np.any(counts < 0):
+            raise CheckpointError(f"checkpoint must hold {cfg.k} nonnegative centroid counts")
+        if len(ckpt.rng_state) != 4:
+            raise CheckpointError(f"checkpoint RNG state has {len(ckpt.rng_state)} words, expected 4")
+        if len(ckpt.buffer) >= cfg.n_m or \
+                not all(0 <= idx < n and 0 <= lab < cfg.k for idx, lab in ckpt.buffer):
+            raise CheckpointError(f"checkpoint buffer must hold fewer than n_m={cfg.n_m} pairs "
+                                  f"with sample index < {n} and label < k={cfg.k}")
+
+        self.rng.set_state(ckpt.rng_state)
+        self.head = FeatureHead(ckpt.w_hidden, ckpt.w_out, cfg.eta,
+                                ckpt.last_delta_hidden, ckpt.last_delta_out)
+        self.snapshot_head = None if ckpt.snap_w_hidden is None else \
+            FeatureHead(ckpt.snap_w_hidden, ckpt.snap_w_out, cfg.eta)
+        self.bank = CentroidBank(ckpt.centroids, counts)
+        self.buffer = [(int(idx), int(lab)) for idx, lab in ckpt.buffer]
+        self.epochs_done = ckpt.epochs_done
+        self.finetunes = ckpt.finetunes
+        self.iterations = ckpt.iterations
+        self.nmi_history = list(ckpt.nmi_history)
 
     def to_checkpoint(self, config_text: str) -> Checkpoint:
         return Checkpoint(
@@ -209,7 +201,7 @@ class JointTrainer:
             snap_w_hidden=None if self.snapshot_head is None else self.snapshot_head.w_hidden.copy(),
             snap_w_out=None if self.snapshot_head is None else self.snapshot_head.w_out.copy(),
             epochs_done=self.epochs_done, finetunes=self.finetunes, iterations=self.iterations,
-            buffer=list(self.buffer.items), nmi_history=list(self.nmi_history),
+            buffer=list(self.buffer), nmi_history=list(self.nmi_history),
         )
 
     def _capped(self):
@@ -226,7 +218,6 @@ class JointTrainer:
             labels, self.bank = lloyd_kmeans(features, self.config.k, self.rng,
                                              max_iters=self.config.lloyd_iters,
                                              tol=self.config.lloyd_tol)
-            self.final_labels = labels
             if self.truth is not None:
                 self.nmi_history = [nmi(self.truth, labels)]
         else:
@@ -239,9 +230,9 @@ class JointTrainer:
                     self.nmi_history.append(nmi(self.truth, self.assign_all()))
                 if epoch_callback is not None:
                     epoch_callback(self)
-            self.final_labels = self.assign_all()
+            labels = self.assign_all()
         wall_ms = int(round((time.perf_counter() - started) * 1000))
-        return RunResult(labels=self.final_labels, nmi_history=list(self.nmi_history),
+        return RunResult(labels=labels, nmi_history=list(self.nmi_history),
                          centroid_bank=self.bank, head=self.head,
                          finetunes=self.finetunes, iterations=self.iterations,
                          wall_ms=wall_ms)
@@ -261,9 +252,10 @@ class JointTrainer:
             if cfg.mode in ("full", "baseline1"):
                 k_m = min(cfg.k_m, len(batch))
                 top = _top_indices(dists, k_m)
-                self.buffer.extend([(batch[pos], int(labels[pos])) for pos in top])
-                while self.buffer.ready():
-                    self._finetune_pass(self.buffer.take())
+                self.buffer.extend((batch[pos], int(labels[pos])) for pos in top)
+                while len(self.buffer) >= cfg.n_m:
+                    pairs, self.buffer = self.buffer[:cfg.n_m], self.buffer[cfg.n_m:]
+                    self._finetune_pass(pairs)
 
             feats = self._update_features(xs, hidden, cfg.mode)
             for pos in range(len(batch)):
@@ -309,26 +301,3 @@ class JointTrainer:
         self.finetunes += 1
         if self.hooks is not None:
             self.hooks.after_finetune(self, pre_pass_head, pre_step_head)
-
-
-def run_full(dataset, backbone_spec, config, ground_truth=None, hooks=None,
-             epoch_callback=None) -> RunResult:
-    """Run the complete drift-compensated method (config.mode must be "full")."""
-    if config.mode != "full":
-        raise ValueError(f"run_full requires mode 'full', got {config.mode!r}")
-    return JointTrainer(dataset, backbone_spec, config, ground_truth, hooks).run(epoch_callback)
-
-
-def run_baseline(dataset, backbone_spec, config, ground_truth=None, hooks=None,
-                 epoch_callback=None) -> RunResult:
-    """Run one of the baseline modes (baseline1, baseline2, baseline3)."""
-    if config.mode not in ("baseline1", "baseline2", "baseline3"):
-        raise ValueError(f"run_baseline requires a baseline mode, got {config.mode!r}")
-    return JointTrainer(dataset, backbone_spec, config, ground_truth, hooks).run(epoch_callback)
-
-
-def run_any(dataset, backbone_spec, config, ground_truth=None, hooks=None,
-            epoch_callback=None) -> RunResult:
-    if config.mode == "full":
-        return run_full(dataset, backbone_spec, config, ground_truth, hooks, epoch_callback)
-    return run_baseline(dataset, backbone_spec, config, ground_truth, hooks, epoch_callback)

@@ -19,7 +19,7 @@ from driftclust.dataio import load_idx
 from driftclust.head import FeatureHead, init_head, one_hot, sse_loss
 from driftclust.metrics import nmi
 from driftclust.tensor import SeededRng
-from driftclust.trainer import TrainerConfig, run_baseline, run_full
+from driftclust.trainer import JointTrainer, TrainerConfig
 
 
 def report(number, name, started, limit):
@@ -72,7 +72,7 @@ def test_criterion_2_drift_rollback_identity():
         trace = head.forward(x)
         head.sgd_step(*head.backward(trace, t))
         x_probe = np.array([rng.gauss() for _ in range(input_dim)])
-        rolled = head.rollback_features(x_probe)
+        rolled = head.rollback_hidden_batch(x_probe[None])[0]
         reference = prev.forward(x_probe).h
         assert np.max(np.abs(rolled - reference)) < 1e-9
     report(2, "single-step rollback reproduces previous features", started, 5.0)
@@ -154,7 +154,7 @@ def test_criterion_5_mnist_raw_pixel_kmeans_anchor():
     from driftclust.backbone import BackboneSpec
     spec = BackboneSpec("flatten", dataset.shape, 28 * 28, seed=1)
     config = TrainerConfig(k=10, mode="baseline3", seed=0)
-    result = run_baseline(dataset, spec, config, ground_truth=dataset.labels)
+    result = JointTrainer(dataset, spec, config, ground_truth=dataset.labels).run()
     value = result.nmi_history[-1]
     assert 0.40 <= value <= 0.60, f"MNIST k-means NMI {value:.4f} outside [0.40, 0.60]"
     report(5, f"MNIST full-set k-means anchor (nmi={value:.3f})", started, 600.0)
@@ -165,7 +165,7 @@ def test_criterion_6_joint_training_sanity():
     finals = []
     for seed in range(10):
         dataset, spec, config = acceptance_blob_setup(seed)
-        result = run_full(dataset, spec, config, ground_truth=dataset.labels)
+        result = JointTrainer(dataset, spec, config, ground_truth=dataset.labels).run()
         finals.append(result.nmi_history[-1])
     passing = sum(v >= 0.95 for v in finals)
     assert passing >= 8, f"only {passing}/10 seeds reached NMI 0.95: " \
@@ -178,11 +178,11 @@ def test_criterion_7_ablation_direction():
     full_scores, base_scores = [], []
     for seed in range(10):
         dataset, spec, config = acceptance_blob_setup(seed, eta=0.5)
-        full_scores.append(run_full(dataset, spec, config,
-                                    ground_truth=dataset.labels).nmi_history[-1])
+        full_scores.append(JointTrainer(dataset, spec, config,
+                                        ground_truth=dataset.labels).run().nmi_history[-1])
         dataset, spec, config = acceptance_blob_setup(seed, eta=0.5, mode="baseline1")
-        base_scores.append(run_baseline(dataset, spec, config,
-                                        ground_truth=dataset.labels).nmi_history[-1])
+        base_scores.append(JointTrainer(dataset, spec, config,
+                                        ground_truth=dataset.labels).run().nmi_history[-1])
     mean_full, mean_base = np.mean(full_scores), np.mean(base_scores)
     assert mean_full >= mean_base, \
         f"drift compensation should not hurt: full={mean_full:.4f} < baseline1={mean_base:.4f}"
@@ -195,7 +195,7 @@ def test_criterion_8_cadence_and_determinism(tmp_path):
     # exact fine-tune cadence, divisible and non-divisible k_m
     for k_m in (5, 7):
         dataset, spec, config = small_blob_setup(points=55, n_m=20, k_m=k_m, epochs=3)
-        result = run_full(dataset, spec, config)
+        result = JointTrainer(dataset, spec, config).run()
         assert result.finetunes == (result.iterations * k_m) // config.n_m
 
     base = ["--data", "blobs", "--k", "4", "--blob-points", "55", "--blob-dim", "8",
@@ -233,8 +233,7 @@ def test_criterion_9_mode_collapse_at_eta_zero():
     for mode in ("full", "baseline1", "baseline2"):
         dataset, spec, config = small_blob_setup(seed=5, points=100, eta=0.0, mode=mode,
                                                  epochs=3)
-        runner = run_full if mode == "full" else run_baseline
-        streams[mode] = runner(dataset, spec, config, ground_truth=dataset.labels)
+        streams[mode] = JointTrainer(dataset, spec, config, ground_truth=dataset.labels).run()
     assert np.array_equal(streams["full"].labels, streams["baseline1"].labels)
     assert np.array_equal(streams["full"].labels, streams["baseline2"].labels)
     assert streams["full"].nmi_history == streams["baseline1"].nmi_history \

@@ -1,9 +1,14 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import write_idx_fixture
 from driftclust.cli import main
-from driftclust.dataio import load_labels, save_labels
+from driftclust.dataio import load_checkpoint, load_labels, save_labels
 from driftclust.metrics import nmi
 
 
@@ -187,10 +192,16 @@ def test_sweep_parallel_matches_sequential(tmp_path):
     assert strip_wall(seq.read_text()) == strip_wall(par.read_text())
 
 
+# 4 blobs of 55 points: k_m=7 with n_m=20 leaves pairs in the fine-tune
+# buffer at every epoch boundary, so checkpoints carry a non-empty buffer
+RESUME_BASE = ["--data", "blobs", "--k", "4", "--blob-points", "55", "--blob-dim", "8",
+               "--blob-separation", "25.0", "--eta", "0.001", "--nm", "20", "--km", "7",
+               "--seed", "11", "--hidden-dim", "16"]
+RESUME_N, RESUME_K = 220, 4
+
+
 def test_cli_checkpoint_resume_reproduces_unbroken(tmp_path):
-    base = ["--data", "blobs", "--k", "4", "--blob-points", "55", "--blob-dim", "8",
-            "--blob-separation", "25.0", "--eta", "0.001", "--nm", "20", "--km", "7",
-            "--seed", "11", "--hidden-dim", "16"]
+    base = RESUME_BASE
     full_labels = tmp_path / "full.csv"
     assert main(["cluster"] + base + ["--epochs", "4",
                                       "--out-labels", str(full_labels),
@@ -207,6 +218,118 @@ def test_cli_checkpoint_resume_reproduces_unbroken(tmp_path):
                                       "--out-metrics", str(tmp_path / "resumed.txt")]) == 0
     assert full_labels.read_bytes() == resumed_labels.read_bytes()
     assert (tmp_path / "full.txt").read_bytes() == (tmp_path / "resumed.txt").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def epoch2_checkpoint(tmp_path_factory):
+    """(work directory, bytes of the checkpoint written after epoch 2)."""
+    work = tmp_path_factory.mktemp("resume")
+    ckpt = work / "epoch2.ckpt"
+    assert main(["cluster"] + RESUME_BASE + ["--epochs", "2", "--checkpoint", str(ckpt),
+                                             "--out-labels", str(work / "l.csv"),
+                                             "--out-metrics", str(work / "m.txt")]) == 0
+    return work, ckpt.read_bytes()
+
+
+def split_sections(blob):
+    """Section bodies of a checkpoint file, in file order: config text, six
+    head matrices, centroids, counts, rng state, progress, buffer, nmi history."""
+    payload, sections, pos = blob[12:-4], [], 0
+    while pos < len(payload):
+        (length,) = struct.unpack_from("<Q", payload, pos)
+        sections.append(payload[pos + 8:pos + 8 + length])
+        pos += 8 + length
+    return sections
+
+
+def join_sections(blob, sections):
+    """Checkpoint bytes with the given section bodies, a valid CRC and the
+    original magic and version."""
+    payload = b"".join(struct.pack("<Q", len(body)) + body for body in sections)
+    return blob[:12] + payload + struct.pack("<I", zlib.crc32(payload))
+
+
+def resume_with(work, blob):
+    path = work / "mutated.ckpt"
+    path.write_bytes(blob)
+    return main(["cluster"] + RESUME_BASE + ["--epochs", "3", "--resume", str(path),
+                                             "--out-labels", str(work / "r.csv"),
+                                             "--out-metrics", str(work / "r.txt")])
+
+
+def overwrite(body, offset, fmt, value):
+    return body[:offset] + struct.pack(fmt, value) + body[offset + struct.calcsize(fmt):]
+
+
+COUNTS, RNG, BUFFER = 8, 9, 11
+
+
+@pytest.mark.parametrize("section,mutate", [
+    (COUNTS, lambda body: body[:-8]),  # one count short of its header
+    (RNG, lambda body: struct.pack("<I", 3) + body[4:-8]),  # 3 RNG words
+    (BUFFER, lambda body: overwrite(body, 4, "<Q", 10 ** 6)),  # sample index 10^6
+    (BUFFER, lambda body: overwrite(body, 12, "<I", 99)),  # label 99 at k=4
+    (1, lambda body: struct.pack("<II", 2, 2) + bytes(32)),  # 2x2 w_hidden
+], ids=["short-counts", "three-rng-words", "buffer-index", "buffer-label", "w-hidden-2x2"])
+def test_malformed_checkpoint_gives_io_exit(epoch2_checkpoint, section, mutate, capsys):
+    work, blob = epoch2_checkpoint
+    sections = split_sections(blob)
+    sections[section] = mutate(sections[section])
+    assert resume_with(work, join_sections(blob, sections)) == 4
+    assert "I/O error" in capsys.readouterr().err
+
+
+HEADERED = (1, 2, 3, 4, 5, 6, 7, COUNTS, RNG, BUFFER, 12)  # sections led by u32 dims or a count
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_resume_from_mutated_section_is_exact_or_io_error(epoch2_checkpoint, data):
+    work, blob = epoch2_checkpoint
+    sections = split_sections(blob)
+    kind = data.draw(st.sampled_from(["truncate", "extend", "header", "pair"]), label="kind")
+    sections_for = {"header": st.sampled_from(HEADERED), "pair": st.just(BUFFER)}
+    index = data.draw(sections_for.get(kind, st.integers(0, len(sections) - 1)), label="section")
+    body = sections[index]
+    expected = {2, 4} if index == 0 else {4}  # only the config text may differ as a config error
+    if kind == "truncate":
+        body = body[:-data.draw(st.integers(1, len(body)), label="cut")]
+    elif kind == "extend":
+        body += data.draw(st.binary(min_size=1, max_size=24), label="extra")
+    elif kind == "header":
+        offset = data.draw(st.sampled_from([0, 4] if index < COUNTS else [0]), label="offset")
+        (old,) = struct.unpack_from("<I", body, offset)
+        new = data.draw(st.integers(0, 2 ** 32 - 1).filter(lambda v: v != old), label="value")
+        body = overwrite(body, offset, "<I", new)
+    else:
+        (pairs,) = struct.unpack_from("<I", body, 0)
+        at = 4 + 12 * data.draw(st.integers(0, pairs - 1), label="pair")
+        if data.draw(st.booleans(), label="overwrite the label, not the index"):
+            value = data.draw(st.integers(0, 2 ** 32 - 1), label="label")
+            body = overwrite(body, at + 8, "<I", value)
+            expected = {0} if value < RESUME_K else {4}
+        else:
+            value = data.draw(st.integers(0, 2 ** 64 - 1), label="index")
+            body = overwrite(body, at, "<Q", value)
+            expected = {0} if value < RESUME_N else {4}
+    sections[index] = body
+    assert resume_with(work, join_sections(blob, sections)) in expected
+
+
+def test_baseline3_checkpoint_is_final_state_and_not_resumable(tmp_path, capsys):
+    rng = np.random.RandomState(2)
+    pixels = rng.randint(0, 255, size=(20, 5, 5)).astype(np.uint8)
+    img, _ = write_idx_fixture(tmp_path, pixels)
+    args = ["cluster", "--data", "mnist", "--images", str(img), "--k", "2",
+            "--mode", "baseline3", "--hidden-dim", "8",
+            "--out-labels", str(tmp_path / "l.csv"), "--out-metrics", str(tmp_path / "m.txt")]
+    ckpt = tmp_path / "b3.ckpt"
+    assert main(args + ["--checkpoint", str(ckpt)]) == 0
+    state = load_checkpoint(ckpt)
+    assert state.epochs_done == 0 and state.centroids.shape == (2, 8)
+    capsys.readouterr()
+    assert main(args + ["--resume", str(ckpt)]) == 2
+    assert "baseline3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("backbone", ["randproj", "tinyconv"])

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from driftclust.clustering import (Assignment, CentroidBank, assign, assign_batch,
-                                   lloyd_kmeans, seed_kmeanspp, update_centroid)
+from driftclust.clustering import (CentroidBank, assign_batch, lloyd_kmeans, seed_kmeanspp,
+                                   update_centroid)
 from driftclust.metrics import build_contingency
 from driftclust.tensor import DimensionError, SeededRng
 
@@ -59,46 +59,47 @@ def test_seed_covers_separated_blobs():
 def test_assign_exact_and_tiebreak():
     bank = CentroidBank(np.array([[0.0, 1.0], [1.0, 0.0], [5.0, 5.0]]),
                         np.array([1, 1, 4]))
-    hit = assign(bank, np.array([5.0, 5.0]))
-    assert hit.label == 2 and hit.distance == 0.0 and hit.gamma == 0.25
-    tie = assign(bank, np.array([0.0, 0.0]))  # equidistant from 0 and 1
-    assert tie.label == 0
+    # second row is equidistant from centroids 0 and 1
+    labels, dists = assign_batch(bank, np.array([[5.0, 5.0], [0.0, 0.0]]))
+    assert labels[0] == 2 and dists[0] == 0.0
+    assert labels[1] == 0
 
 
 def test_assign_matches_bruteforce_scan():
     rng = SeededRng(9)
     cents = np.array([[rng.gauss() for _ in range(4)] for _ in range(5)])
     bank = CentroidBank(cents, np.ones(5, dtype=np.int64))
-    for _ in range(50):
-        h = np.array([rng.gauss() for _ in range(4)])
+    feats = np.array([[rng.gauss() for _ in range(4)] for _ in range(50)])
+    labels, dists = assign_batch(bank, feats)
+    for h, label, dist in zip(feats, labels, dists):
         best, best_d = 0, float("inf")
         for i in range(5):
             d = float(((cents[i] - h) ** 2).sum())
             if d < best_d:
                 best, best_d = i, d
-        got = assign(bank, h)
-        assert got.label == best
-        assert got.distance == pytest.approx(best_d, rel=1e-12)
+        assert label == best
+        assert dist == pytest.approx(best_d, rel=1e-12)
 
 
 def test_assign_leaves_bank_untouched():
     cents = np.array([[1.0, 2.0], [3.0, 4.0]])
     bank = CentroidBank(cents.copy(), np.array([2, 3]))
-    assign(bank, np.array([0.0, 0.0]))
+    assign_batch(bank, np.array([[0.0, 0.0]]))
     assert np.array_equal(bank.centroids, cents)
     assert bank.counts.tolist() == [2, 3]
 
 
 def test_assign_batch_matches_assign():
+    # chunked batches give the same answer as one-row batches
     rng = SeededRng(14)
     cents = np.array([[rng.gauss() for _ in range(6)] for _ in range(4)])
     bank = CentroidBank(cents, np.ones(4, dtype=np.int64))
     feats = np.array([[rng.gauss() for _ in range(6)] for _ in range(33)])
     labels, dists = assign_batch(bank, feats, chunk=7)
     for i in range(33):
-        single = assign(bank, feats[i])
-        assert labels[i] == single.label
-        assert dists[i] == pytest.approx(single.distance, rel=1e-12)
+        single_label, single_dist = assign_batch(bank, feats[i:i + 1])
+        assert labels[i] == single_label[0]
+        assert dists[i] == pytest.approx(single_dist[0], rel=1e-12)
 
 
 def test_update_centroid_midpoint_then_tenth():
@@ -214,11 +215,6 @@ def test_lloyd_survives_forced_empty_cluster():
         assert np.all(np.isfinite(bank.centroids))
         assert labels.shape == (4,)
         assert set(labels.tolist()) <= {0, 1, 2}
-
-
-def test_assignment_dataclass_fields():
-    a = Assignment(label=2, distance=0.5, gamma=0.25)
-    assert (a.label, a.distance, a.gamma) == (2, 0.5, 0.25)
 
 
 def test_bank_rejects_bad_shapes():

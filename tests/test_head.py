@@ -162,7 +162,7 @@ def test_rollback_reproduces_previous_hidden_feature():
         prev_w1 = head.w_hidden.copy()
         trace = head.forward(x)
         head.sgd_step(*head.backward(trace, t))
-        rolled = head.rollback_features(x)
+        rolled = head.rollback_hidden_batch(x[None])[0]
         expected = np.maximum(prev_w1 @ x, 0.0)
         assert np.max(np.abs(rolled - expected)) < 1e-9
 
@@ -172,7 +172,7 @@ def test_rollback_with_zero_delta_equals_current():
     head = random_head(rng)
     x = np.array([rng.gauss() for _ in range(5)])
     head.sgd_step(np.zeros_like(head.w_hidden), np.zeros_like(head.w_out))
-    assert np.array_equal(head.rollback_features(x), head.forward(x).h)
+    assert np.array_equal(head.rollback_hidden_batch(x[None])[0], head.hidden_batch(x[None])[0])
 
 
 def test_rollback_with_zero_eta_equals_current():
@@ -181,13 +181,13 @@ def test_rollback_with_zero_eta_equals_current():
     x = np.array([rng.gauss() for _ in range(5)])
     trace = head.forward(x)
     head.sgd_step(*head.backward(trace, one_hot(3, 1)))
-    assert np.array_equal(head.rollback_features(x), head.forward(x).h)
+    assert np.array_equal(head.rollback_hidden_batch(x[None])[0], head.hidden_batch(x[None])[0])
 
 
 def test_rollback_requires_history():
     head = random_head(SeededRng(34))
     with pytest.raises(NoHistoryError):
-        head.rollback_features(np.ones(5))
+        head.rollback_hidden_batch(np.ones((1, 5)))
 
 
 def test_single_step_descends_loss():
@@ -225,19 +225,6 @@ def test_init_head_weight_mean_near_zero():
     s = np.sqrt(6.0 / (320 + 310))
     sigma_mean = (s / np.sqrt(3.0)) / np.sqrt(w.size)
     assert abs(w.mean()) < 3.0 * sigma_mean
-
-
-def test_predicted_distribution_is_reporting_only():
-    from driftclust.head import predicted_distribution
-    rng = SeededRng(85)
-    head = random_head(rng)
-    x = np.array([abs(rng.gauss()) + 0.5 for _ in range(5)])
-    dist = predicted_distribution(head.forward(x))
-    assert dist.sum() == pytest.approx(1.0, abs=1e-12)
-    assert np.all(dist >= 0.0)
-    dead = FeatureHead(np.eye(5), -np.eye(5), eta=0.1)  # all outputs clipped
-    uniform = predicted_distribution(dead.forward(x))
-    assert np.allclose(uniform, 1.0 / 5.0)
 
 
 def test_hidden_batch_matches_forward():

@@ -3,94 +3,12 @@ import hashlib
 import numpy as np
 import pytest
 
-from driftclust.tensor import (DimensionError, SeededRng, argmin, matrix, matvec,
-                               sq_euclidean, vector)
-
-
-def test_matvec_identity():
-    m = np.eye(2)
-    v = np.array([3.0, 5.0])
-    assert np.array_equal(matvec(m, v), v)
-
-
-def test_matvec_zero_matrix():
-    m = np.zeros((3, 2))
-    assert np.array_equal(matvec(m, np.array([7.0, -2.0])), np.zeros(3))
-
-
-def test_matvec_hand_arithmetic():
-    m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(matvec(m, np.array([1.0, 1.0])), np.array([3.0, 7.0]))
-
-
-def test_matvec_dimension_mismatch():
-    with pytest.raises(DimensionError):
-        matvec(np.ones((2, 3)), np.ones(2))
-
-
-def test_matvec_linearity():
-    rng = np.random.RandomState(11)
-    for _ in range(20):
-        m = rng.randn(5, 7)
-        a, b = rng.randn(7), rng.randn(7)
-        alpha, beta = rng.randn(), rng.randn()
-        lhs = matvec(m, alpha * a + beta * b)
-        rhs = alpha * matvec(m, a) + beta * matvec(m, b)
-        assert np.allclose(lhs, rhs, rtol=1e-9, atol=1e-12)
-
-
-def test_sq_euclidean_identity_and_pythagorean():
-    v = np.array([1.0, 2.0, 3.0])
-    assert sq_euclidean(v, v) == 0.0
-    assert sq_euclidean(np.array([0.0, 0.0]), np.array([3.0, 4.0])) == 25.0
-
-
-def test_sq_euclidean_matches_loop_oracle():
-    rng = np.random.RandomState(5)
-    a, b = rng.randn(10), rng.randn(10)
-    expected = 0.0
-    for i in range(10):
-        expected += (a[i] - b[i]) ** 2
-    assert sq_euclidean(a, b) == pytest.approx(expected, rel=1e-12)
-
-
-def test_sq_euclidean_symmetry_exact():
-    rng = np.random.RandomState(6)
-    for _ in range(50):
-        a, b = rng.randn(8), rng.randn(8)
-        assert sq_euclidean(a, b) == sq_euclidean(b, a)
-
-
-def test_sq_euclidean_dimension_mismatch():
-    with pytest.raises(DimensionError):
-        sq_euclidean(np.ones(3), np.ones(4))
-
-
-def test_argmin_basics():
-    assert argmin([3.0, 1.0, 2.0]) == 1
-    assert argmin([5.0, 5.0, 5.0]) == 0  # tie goes to the lowest index
-
-
-def test_argmin_matches_linear_scan():
-    rng = np.random.RandomState(9)
-    values = list(rng.randn(100))
-    best = 0
-    for i, v in enumerate(values):
-        if v < values[best]:
-            best = i
-    assert argmin(values) == best
-
-
-def test_argmin_rejects_empty():
-    with pytest.raises(ValueError):
-        argmin([])
+from driftclust.tensor import DimensionError, SeededRng, matrix
 
 
 def test_vector_and_matrix_validation():
     with pytest.raises(DimensionError):
-        vector([[1.0, 2.0]])
-    with pytest.raises(ValueError):
-        vector([1.0, float("nan")])
+        matrix([1.0, 2.0])
     m = matrix([[1.0, 2.0], [3.0, 4.0]])
     assert m.flags["C_CONTIGUOUS"] and m.dtype == np.float64
     with pytest.raises(ValueError):

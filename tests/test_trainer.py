@@ -5,34 +5,26 @@ import pytest
 
 from conftest import small_blob_setup
 from driftclust.backbone import build_backbone
-from driftclust.clustering import Assignment, assign, lloyd_kmeans
+from driftclust.clustering import CentroidBank, assign_batch, lloyd_kmeans
 from driftclust.dataio import gen_blobs, load_checkpoint, save_checkpoint
 from driftclust.head import init_head
 from driftclust.tensor import SeededRng
 from driftclust.trainer import (DivergenceError, JointTrainer, TrainerConfig, TrainerHooks,
-                                run_baseline, run_full, select_top_km)
-
-
-def as_assignments(distances):
-    return [Assignment(label=0, distance=float(d), gamma=1.0) for d in distances]
+                                _top_indices)
 
 
 def test_select_top_km_examples():
-    assert select_top_km(as_assignments([0.5, 0.1, 0.9, 0.3]), 2) == [1, 3]
-    assert select_top_km(as_assignments([0.4, 0.2, 0.7]), 3) == [0, 1, 2]
+    assert _top_indices(np.array([0.5, 0.1, 0.9, 0.3]), 2) == [1, 3]
+    assert _top_indices(np.array([0.4, 0.2, 0.7]), 3) == [0, 1, 2]
+    assert _top_indices(np.array([0.3, 0.1, 0.3, 0.3]), 2) == [0, 1]  # ties go low
 
 
 def test_select_top_km_matches_sort_oracle():
     rng = SeededRng(44)
     dists = [rng.random() for _ in range(50)]
-    got = select_top_km(as_assignments(dists), 10)
+    got = _top_indices(np.array(dists), 10)
     oracle = sorted(sorted(range(50), key=lambda i: (dists[i], i))[:10])
     assert got == oracle
-
-
-def test_select_top_km_rejects_oversized():
-    with pytest.raises(ValueError):
-        select_top_km(as_assignments([1.0]), 2)
 
 
 def test_config_validation():
@@ -56,31 +48,22 @@ def test_dataset_smaller_than_k_rejected():
         JointTrainer(dataset, spec, tiny)
 
 
-def test_mode_dispatch_guards():
-    dataset, spec, config = small_blob_setup()
-    with pytest.raises(ValueError):
-        run_baseline(dataset, spec, config)  # mode is "full"
-    b3 = dataclasses.replace(config, mode="baseline3")
-    with pytest.raises(ValueError):
-        run_full(dataset, spec, b3)
-
-
 def test_epochs_zero_is_seeding_plus_assignment():
     dataset, spec, config = small_blob_setup(epochs=0)
     trainer = JointTrainer(dataset, spec, config, ground_truth=dataset.labels)
-    seeded = trainer.bank.copy()
+    seeded = CentroidBank(trainer.bank.centroids.copy(), trainer.bank.counts.copy())
     result = trainer.run()
     assert result.iterations == 0 and result.finetunes == 0
     feats = trainer.head.hidden_batch(trainer.inputs)
     for i in range(dataset.n):
-        assert result.labels[i] == assign(seeded, feats[i]).label
+        assert result.labels[i] == assign_batch(seeded, feats[i:i + 1])[0][0]
 
 
 def test_finetune_cadence_divisible():
     # 600 samples, n_m=20 -> 30 batches per epoch; k_m=5 fills the buffer
     # every 4 batches
     dataset, spec, config = small_blob_setup(points=150, n_m=20, k_m=5, epochs=2)
-    result = run_full(dataset, spec, config)
+    result = JointTrainer(dataset, spec, config).run()
     total_batches = result.iterations
     assert total_batches == 60
     assert result.finetunes == (total_batches * config.k_m) // config.n_m
@@ -89,13 +72,13 @@ def test_finetune_cadence_divisible():
 def test_finetune_cadence_non_divisible():
     # k_m=7 does not divide n_m=20; the floor formula must still hold exactly
     dataset, spec, config = small_blob_setup(points=150, n_m=20, k_m=7, epochs=3)
-    result = run_full(dataset, spec, config)
+    result = JointTrainer(dataset, spec, config).run()
     assert result.finetunes == (result.iterations * 7) // 20
 
 
 def test_labels_complete_and_in_range():
     dataset, spec, config = small_blob_setup()
-    result = run_full(dataset, spec, config, ground_truth=dataset.labels)
+    result = JointTrainer(dataset, spec, config, ground_truth=dataset.labels).run()
     assert result.labels.shape == (dataset.n,)
     assert result.labels.min() >= 0 and result.labels.max() < config.k
     assert len(result.nmi_history) == config.epochs
@@ -103,8 +86,8 @@ def test_labels_complete_and_in_range():
 
 def test_run_deterministic():
     dataset, spec, config = small_blob_setup(eta=0.001)
-    r1 = run_full(dataset, spec, config, ground_truth=dataset.labels)
-    r2 = run_full(dataset, spec, config, ground_truth=dataset.labels)
+    r1 = JointTrainer(dataset, spec, config, ground_truth=dataset.labels).run()
+    r2 = JointTrainer(dataset, spec, config, ground_truth=dataset.labels).run()
     assert np.array_equal(r1.labels, r2.labels)
     assert r1.nmi_history == r2.nmi_history
     assert np.array_equal(r1.head.w_hidden, r2.head.w_hidden)
@@ -115,8 +98,7 @@ def test_eta_zero_collapses_modes():
     outputs = {}
     for mode in ("full", "baseline1", "baseline2"):
         dataset, spec, config = small_blob_setup(eta=0.0, mode=mode)
-        outputs[mode] = run_full(dataset, spec, config, ground_truth=dataset.labels) \
-            if mode == "full" else run_baseline(dataset, spec, config, ground_truth=dataset.labels)
+        outputs[mode] = JointTrainer(dataset, spec, config, ground_truth=dataset.labels).run()
     assert np.array_equal(outputs["full"].labels, outputs["baseline2"].labels)
     assert np.array_equal(outputs["baseline1"].labels, outputs["baseline2"].labels)
     assert outputs["full"].nmi_history == outputs["baseline2"].nmi_history
@@ -127,7 +109,7 @@ def test_eta_zero_collapses_modes():
 
 def test_baseline2_never_touches_head():
     dataset, spec, config = small_blob_setup(mode="baseline2")
-    result = run_baseline(dataset, spec, config)
+    result = JointTrainer(dataset, spec, config).run()
     expected = init_head(spec.output_dim, config.hidden_dim, config.k, config.eta,
                          SeededRng(config.seed))
     assert np.array_equal(result.head.w_hidden, expected.w_hidden)
@@ -143,7 +125,7 @@ def test_baseline2_two_points_keep_their_seeds():
     spec = BackboneSpec("flatten", dataset.shape, 4, seed=7)
     config = TrainerConfig(k=2, n_m=2, k_m=1, epochs=1, mode="baseline2",
                            seed=6, hidden_dim=8)
-    result = run_baseline(dataset, spec, config)
+    result = JointTrainer(dataset, spec, config).run()
     # both points were picked as seeds, so each keeps the label of its own
     # centroid and the centroids never move off the points
     assert sorted(result.labels.tolist()) == [0, 1]
@@ -155,7 +137,7 @@ def test_baseline2_two_points_keep_their_seeds():
 
 def test_baseline3_is_lloyd_on_frozen_features():
     dataset, spec, config = small_blob_setup(mode="baseline3")
-    result = run_baseline(dataset, spec, config, ground_truth=dataset.labels)
+    result = JointTrainer(dataset, spec, config, ground_truth=dataset.labels).run()
     # oracle replays the trainer's documented RNG consumption order:
     # head init first, then Lloyd's seeding from the same stream
     rng = SeededRng(config.seed)
@@ -193,7 +175,7 @@ class RollbackRecorder(TrainerHooks):
 def test_full_mode_update_features_are_rolled_back(rollback):
     dataset, spec, config = small_blob_setup(eta=0.001, epochs=2, drift_rollback=rollback)
     hooks = RollbackRecorder()
-    result = run_full(dataset, spec, config, ground_truth=dataset.labels, hooks=hooks)
+    result = JointTrainer(dataset, spec, config, ground_truth=dataset.labels, hooks=hooks).run()
     assert result.finetunes > 0
     assert hooks.checked > 100
 
@@ -226,7 +208,7 @@ def test_baseline1_uses_post_finetune_features():
 
     dataset, spec, config = small_blob_setup(eta=0.001, epochs=2, mode="baseline1")
     hooks = Catcher()
-    run_baseline(dataset, spec, config, hooks=hooks)
+    JointTrainer(dataset, spec, config, hooks=hooks).run()
     assert hooks.checked > 100
 
 
@@ -234,12 +216,12 @@ def test_divergence_guard_names_iteration():
     dataset, spec, config = small_blob_setup(separation=2e4, sigma=0.0, eta=5.0,
                                              epochs=1)
     with pytest.raises(DivergenceError, match="iteration"):
-        run_full(dataset, spec, config)
+        JointTrainer(dataset, spec, config).run()
 
 
 def test_max_iters_caps_minibatches():
     dataset, spec, config = small_blob_setup(epochs=10, max_iters=3)
-    result = run_full(dataset, spec, config)
+    result = JointTrainer(dataset, spec, config).run()
     assert result.iterations == 3
     assert result.labels.shape == (dataset.n,)
 
@@ -248,19 +230,17 @@ def test_checkpoint_resume_reproduces_unbroken_run(tmp_path):
     # k_m=7 with n_m=20 keeps pairs waiting in the buffer across epoch
     # boundaries, so the checkpoint must carry them
     dataset, spec, config = small_blob_setup(eta=0.001, epochs=4, points=55, n_m=20, k_m=7)
-    unbroken = run_full(dataset, spec, config, ground_truth=dataset.labels)
+    unbroken = JointTrainer(dataset, spec, config, ground_truth=dataset.labels).run()
 
     dataset2, spec2, half_config = small_blob_setup(eta=0.001, epochs=2, points=55, n_m=20, k_m=7)
     half = JointTrainer(dataset2, spec2, half_config, ground_truth=dataset2.labels)
     half.run()
-    assert half.buffer.items  # the interesting case: pending pairs persisted
+    assert half.buffer  # the interesting case: pending pairs persisted
     path = tmp_path / "mid.ckpt"
     save_checkpoint(path, half.to_checkpoint("cfg"))
 
-    restored = JointTrainer.from_checkpoint(
-        load_checkpoint(path), dataset2, spec2,
-        dataclasses.replace(half_config, epochs=4), ground_truth=dataset2.labels)
-    resumed = restored.run()
+    resumed = JointTrainer(dataset2, spec2, dataclasses.replace(half_config, epochs=4),
+                           ground_truth=dataset2.labels, resume=load_checkpoint(path)).run()
     assert np.array_equal(resumed.labels, unbroken.labels)
     assert resumed.nmi_history == unbroken.nmi_history
     assert resumed.finetunes == unbroken.finetunes
@@ -271,12 +251,12 @@ def test_checkpoint_resume_reproduces_unbroken_run(tmp_path):
 
 def test_joint_training_beats_chance_on_easy_blobs():
     dataset, spec, config = small_blob_setup(epochs=5)
-    result = run_full(dataset, spec, config, ground_truth=dataset.labels)
+    result = JointTrainer(dataset, spec, config, ground_truth=dataset.labels).run()
     assert result.nmi_history[-1] >= 0.95
 
 
 def test_counts_accumulate_across_epochs():
     dataset, spec, config = small_blob_setup(epochs=3)
-    result = run_full(dataset, spec, config)
+    result = JointTrainer(dataset, spec, config).run()
     # seeds start at 1 and every sample visit adds 1 per epoch
     assert result.centroid_bank.counts.sum() == config.k + 3 * dataset.n
