@@ -9,6 +9,7 @@ Parameters are drawn once from the spec seed and never trained.
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import SeededRng
 
@@ -16,6 +17,7 @@ BACKBONE_KINDS = ("flatten", "randproj", "tinyconv")
 
 _CONV1_CHANNELS = 8
 _CONV2_CHANNELS = 16
+_EXTRACT_CHUNK = 32  # samples per _transform call; keeps im2col temporaries at a few MB
 
 
 @dataclass(frozen=True)
@@ -55,19 +57,6 @@ def _conv_stack_dim(h, w):
     return h * w * _CONV2_CHANNELS
 
 
-def _mean_pool2(x):
-    """2x2 stride-2 mean pooling, per axis; axes shorter than 2 pass through."""
-    h, w, c = x.shape
-    if h >= 2:
-        ph = h // 2
-        x = x[: ph * 2].reshape(ph, 2, w, c).mean(axis=1)
-        h = ph
-    if w >= 2:
-        pw = w // 2
-        x = x[:, : pw * 2].reshape(h, pw, 2, c).mean(axis=2)
-    return x
-
-
 def to_float(sample: np.ndarray) -> np.ndarray:
     """Image bytes scaled to [0, 1]; float inputs pass through as float64."""
     if sample.dtype == np.uint8:
@@ -91,7 +80,8 @@ def _unit_rows(rows: int, cols: int, rng: SeededRng) -> np.ndarray:
 
 class Backbone:
     """Base class; a kind either overrides extract_batch or defines
-    _transform(x), the features of one float sample, for extract_batch to call."""
+    _transform(x), the features of a float batch (b, h, w, c), one row per
+    sample, for extract_batch to call on chunks of _EXTRACT_CHUNK samples."""
 
     def __init__(self, spec: BackboneSpec):
         self.spec = spec
@@ -100,8 +90,9 @@ class Backbone:
         """Features of every sample along the leading axis, one row each."""
         self._check_batch(samples)
         out = np.empty((samples.shape[0], self.spec.output_dim))
-        for i in range(samples.shape[0]):
-            out[i] = self._transform(to_float(samples[i]))
+        for start in range(0, samples.shape[0], _EXTRACT_CHUNK):
+            stop = start + _EXTRACT_CHUNK
+            out[start:stop] = self._transform(to_float(samples[start:stop]))
         return out
 
     def _check_batch(self, samples):
@@ -153,19 +144,29 @@ class TinyConvBackbone(Backbone):
 
     @staticmethod
     def _conv_relu_pool(x, w):
-        h, wd, c_in = x.shape
+        """Valid 3x3 conv of a batch (b, h, w, c_in) as one im2col GEMM, then
+        ReLU and 2x2 stride-2 mean pooling; an odd axis drops its last row or
+        column and an axis shorter than 2 passes through."""
+        b, h, wd, c_in = x.shape
         c_out = w.shape[0]
-        out = np.zeros((h - 2, wd - 2, c_out))
-        for dy in range(3):
-            for dx in range(3):
-                patch = x[dy:h - 2 + dy, dx:wd - 2 + dx, :]
-                out += patch @ w[:, :, dy, dx].T
-        return _mean_pool2(np.maximum(out, 0.0))
+        # Patch columns run (dy, dx, c_in), so each copied run of c_in values is
+        # contiguous; the kernel is laid out to match.
+        windows = sliding_window_view(x, (3, 3), axis=(1, 2))  # (b, h-2, w-2, c_in, 3, 3)
+        patches = windows.transpose(0, 1, 2, 4, 5, 3).reshape(-1, 9 * c_in)
+        kernel = w.transpose(2, 3, 1, 0).reshape(9 * c_in, c_out)
+        y = np.maximum(patches @ kernel, 0.0).reshape(b, h - 2, wd - 2, c_out)
+        if y.shape[1] >= 2:
+            end = y.shape[1] // 2 * 2
+            y = (y[:, 0:end:2] + y[:, 1:end:2]) * 0.5
+        if y.shape[2] >= 2:
+            end = y.shape[2] // 2 * 2
+            y = (y[:, :, 0:end:2] + y[:, :, 1:end:2]) * 0.5
+        return y
 
     def _transform(self, x):
         y = self._conv_relu_pool(x, self.w1)
         y = self._conv_relu_pool(y, self.w2)
-        return self.projection @ y.reshape(-1)
+        return y.reshape(y.shape[0], -1) @ self.projection.T
 
 
 def build_backbone(spec: BackboneSpec) -> Backbone:

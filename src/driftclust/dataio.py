@@ -26,6 +26,7 @@ temp-file-and-rename so readers never see partial state.
 """
 
 import gzip
+import math
 import os
 import struct
 import tempfile
@@ -155,7 +156,9 @@ def load_csv(path) -> Dataset:
 
     A non-numeric first row is treated as a header; if its last column is
     named "label" the final column holds integer ground-truth labels,
-    otherwise every column is a feature. Rows must all have the same width.
+    otherwise every column is a feature. Rows must all have the same width,
+    every value must be finite and every label a 64-bit integer; a violation
+    raises CsvFormatError naming the row and the column (both 1-based).
     """
     with open(path, "r", encoding="utf-8") as f:
         lines = [ln.rstrip("\n") for ln in f if ln.strip() != ""]
@@ -186,7 +189,12 @@ def load_csv(path) -> Dataset:
             values = [float(v) for v in parts]
         except ValueError as exc:
             raise CsvFormatError(f"row {rownum}: {exc}") from None
+        for col, v in enumerate(values):
+            if not math.isfinite(v):
+                raise CsvFormatError(f"row {rownum}, column {col + 1}: non-finite value {parts[col]!r}")
         if labeled:
+            if not (values[-1].is_integer() and abs(values[-1]) < 2.0 ** 63):
+                raise CsvFormatError(f"row {rownum}, column {width}: label {parts[-1]!r} is not a 64-bit integer")
             feats[i] = values[:-1]
             labels[i] = int(values[-1])
         else:

@@ -83,6 +83,21 @@ def test_bad_idx_file_gives_io_exit(tmp_path, capsys):
     assert "magic" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad_row,where", [
+    ("nan,0.5,1", "row 3, column 1"),    # non-finite feature
+    ("0.5,0.25,inf", "row 3, column 3"),  # non-finite label
+    ("0.5,0.25,1.7", "row 3, column 3"),  # fractional label
+    ("0.5,0.25,1e300", "row 3, column 3"),  # label beyond int64
+])
+def test_bad_csv_value_gives_io_exit(tmp_path, capsys, bad_row, where):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"f0,f1,label\n0.0,1.0,0\n{bad_row}\n1.0,0.0,1\n")
+    rc = main(["cluster", "--data", "csv", "--csv", str(path), "--mode", "baseline2", "--k", "2",
+               "--out-labels", str(tmp_path / "l.csv"), "--out-metrics", str(tmp_path / "m.txt")])
+    assert rc == 4
+    assert where in capsys.readouterr().err
+
+
 def test_divergence_exit_code(tmp_path, capsys):
     rc = main(blob_args(tmp_path, sep=20000.0, blob_sigma=0.0, eta=5.0, epochs=1))
     assert rc == 3
