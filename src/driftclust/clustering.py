@@ -79,24 +79,27 @@ def assign_batch(bank: CentroidBank, feats: np.ndarray, chunk: int = 4096):
     dists = np.empty(n)
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
-        diff = x[lo:hi, None, :] - bank.centroids[None, :, :]
-        d2 = np.einsum("nkj,nkj->nk", diff, diff)
+        d2 = _sq_dists_to_centroids(x[lo:hi], bank.centroids)
         labels[lo:hi] = np.argmin(d2, axis=1)
         dists[lo:hi] = d2[np.arange(hi - lo), labels[lo:hi]]
     return labels, dists
 
 
-def update_centroid(bank: CentroidBank, label: int, h_update: np.ndarray) -> None:
-    """Streaming mean step: count += 1 first, then
-    c <- (1 - gamma) * c + gamma * h with gamma = 1/count."""
-    if not 0 <= label < bank.k:
-        raise ValueError(f"label {label} out of range for k={bank.k}")
-    h = np.asarray(h_update, dtype=np.float64)
-    if h.ndim != 1 or h.shape[0] != bank.dim:
-        raise DimensionError(f"update dim {h.shape} does not match bank dim {bank.dim}")
-    bank.counts[label] += 1
-    gamma = 1.0 / float(bank.counts[label])
-    bank.centroids[label] = (1.0 - gamma) * bank.centroids[label] + gamma * h
+def update_centroid(bank: CentroidBank, labels, feats) -> None:
+    """Streaming mean step for each row of a mini-batch, in row order: count += 1
+    first, then c <- (1 - gamma) * c + gamma * h with gamma = 1/count."""
+    labs = np.asarray(labels)
+    h = np.asarray(feats, dtype=np.float64)
+    if labs.ndim != 1 or h.shape != (labs.shape[0], bank.dim):
+        raise DimensionError(f"updates of shape {h.shape} do not match {labs.shape[0:1]} labels "
+                             f"and bank dim {bank.dim}")
+    if labs.size and not (np.issubdtype(labs.dtype, np.integer) and 0 <= labs.min() <= labs.max() < bank.k):
+        raise ValueError(f"labels must be integers in [0, {bank.k}), got {labs.tolist()}")
+    counts, centroids = bank.counts, bank.centroids
+    for label, row in zip(labs.tolist(), h):
+        counts[label] += 1
+        gamma = 1.0 / float(counts[label])
+        centroids[label] = (1.0 - gamma) * centroids[label] + gamma * row
 
 
 def _sq_dists_to_centroids(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:

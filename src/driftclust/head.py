@@ -5,7 +5,7 @@ feature h) and an output layer scored against one-hot pseudo-labels:
 
     u_hidden = W1 @ x        h = relu(u_hidden)
     u_out    = W2 @ h        y = relu(u_out)
-    loss     = 1/2 * sum_j (y_j - t_j)^2
+    loss     = 1/2 * sum_j (y_j - t_j)^2,   t = one_hot(label)
 
 Gradients are hand-derived with the ReLU derivative taken as the indicator
 1[u > 0] (zero at u == 0). Each SGD step records the raw gradients it
@@ -43,20 +43,18 @@ def one_hot(k: int, label: int) -> np.ndarray:
     return t
 
 
-def _check_one_hot(t: np.ndarray):
-    if t.ndim != 1:
-        raise ValueError("target must be a 1-D one-hot vector")
-    ones = np.count_nonzero(t == 1.0)
-    if ones != 1 or np.count_nonzero(t) != ones:
-        raise ValueError("target must be one-hot (exactly one 1, rest 0)")
+def _residual(y: np.ndarray, label: int) -> np.ndarray:
+    """y - one_hot(label), bit for bit, without building the target."""
+    if not 0 <= label < y.shape[0]:
+        raise ValueError(f"label {label} out of range for {y.shape[0]} classes")
+    d = y.copy()
+    d[label] -= 1.0
+    return d
 
 
-def sse_loss(y: np.ndarray, t: np.ndarray) -> float:
-    """Half the sum of squared errors between prediction and one-hot target."""
-    if y.shape != t.shape:
-        raise DimensionError(f"loss dimension mismatch: {y.shape} vs {t.shape}")
-    _check_one_hot(t)
-    d = y - t
+def sse_loss(y: np.ndarray, label: int) -> float:
+    """Half the sum of squared errors between prediction and one_hot(label)."""
+    d = _residual(y, label)
     return 0.5 * float(np.dot(d, d))
 
 
@@ -112,8 +110,8 @@ class FeatureHead:
         """Hidden features for a stack of inputs (rows), read-only weights."""
         return np.maximum(xs @ self.w_hidden.T, 0.0)
 
-    def backward(self, trace: ForwardTrace, t: np.ndarray):
-        """Loss gradients w.r.t. both weight matrices for one sample.
+    def backward(self, trace: ForwardTrace, label: int):
+        """Loss gradients w.r.t. both weight matrices for one sample, t = one_hot(label).
 
         grad_out[j, i]  = (y_j - t_j) * 1[u_out_j > 0] * h_i
         grad_hidden[i, m]  = sum_j[(y_j - t_j) * 1[u_out_j > 0] * w_out[j, i]]
@@ -122,26 +120,21 @@ class FeatureHead:
         if trace.x.shape[0] != self.input_dim or trace.h.shape[0] != self.hidden_dim \
                 or trace.y.shape[0] != self.k:
             raise DimensionError("trace does not match this head's shapes")
-        if t.shape != trace.y.shape:
-            raise DimensionError(f"target shape {t.shape} does not match output dim {self.k}")
-        _check_one_hot(t)
-        delta_out = (trace.y - t) * (trace.u_out > 0.0)
-        grad_out = np.outer(delta_out, trace.h)
+        delta_out = _residual(trace.y, label) * (trace.u_out > 0.0)
+        grad_out = delta_out[:, None] * trace.h
         delta_hidden = (self.w_out.T @ delta_out) * (trace.u_hidden > 0.0)
-        grad_hidden = np.outer(delta_hidden, trace.x)
+        grad_hidden = delta_hidden[:, None] * trace.x
         return grad_hidden, grad_out
 
     def sgd_step(self, grad_hidden: np.ndarray, grad_out: np.ndarray) -> None:
-        """w <- w - eta * grad on both layers; the raw gradients are kept as
-        the rollback deltas for the next step."""
+        """w <- w - eta * grad on both layers. The gradient arrays themselves are
+        kept, uncopied, as the rollback deltas; weight finiteness is the caller's."""
         if grad_hidden.shape != self.w_hidden.shape or grad_out.shape != self.w_out.shape:
             raise DimensionError("gradient shapes do not match weights")
         self.w_hidden -= self.eta * grad_hidden
         self.w_out -= self.eta * grad_out
-        if not (np.all(np.isfinite(self.w_hidden)) and np.all(np.isfinite(self.w_out))):
-            raise FloatingPointError("weights became non-finite during SGD step")
-        self.last_delta_hidden = np.array(grad_hidden, dtype=np.float64)
-        self.last_delta_out = np.array(grad_out, dtype=np.float64)
+        self.last_delta_hidden = grad_hidden
+        self.last_delta_out = grad_out
 
     def rollback_hidden_batch(self, xs: np.ndarray) -> np.ndarray:
         """Hidden features of a stack of inputs (rows) under the pre-step

@@ -4,8 +4,8 @@ One epoch shuffles the dataset and walks it in mini-batches. Per batch:
 every sample is assigned to its nearest centroid; the k_m samples closest to
 their centroids are buffered as (sample, pseudo-label) pairs; whenever the
 buffer holds a full batch worth of pairs, the head is fine-tuned on them by
-per-sample SGD; finally every sample in the batch updates its assigned
-centroid with a streaming-mean step.
+per-sample SGD; finally the batch updates its assigned centroids with one
+streaming-mean call, row by row in batch order.
 
 Once any fine-tune has happened, "full" mode compensates feature drift by
 updating centroids with features reconstructed under rolled-back weights
@@ -18,6 +18,7 @@ fine-tune pass with drift_rollback="snapshot"). Modes:
     baseline3  frozen head, full-set Lloyd k-means
 """
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -27,7 +28,7 @@ import numpy as np
 from .backbone import BackboneSpec, build_backbone
 from .clustering import CentroidBank, assign_batch, lloyd_kmeans, seed_kmeanspp, update_centroid
 from .dataio import Checkpoint, CheckpointError, Dataset
-from .head import FeatureHead, init_head, one_hot, sse_loss
+from .head import FeatureHead, init_head, sse_loss
 from .metrics import nmi
 from .tensor import SeededRng
 
@@ -101,8 +102,9 @@ class TrainerHooks:
         """Called after each fine-tune pass with copies of the head as it was
         before the pass and before the pass's final SGD step."""
 
-    def on_centroid_update(self, trainer, sample_index, feature):
-        """Called with the exact feature vector used for one centroid update."""
+    def on_centroid_update(self, trainer, sample_indices, features):
+        """Called once per mini-batch, after its centroid update, with the sample
+        indices and the exact feature rows (same order) that updated the centroids."""
 
 
 class JointTrainer:
@@ -258,10 +260,9 @@ class JointTrainer:
                     self._finetune_pass(pairs)
 
             feats = self._update_features(xs, hidden, cfg.mode)
-            for pos in range(len(batch)):
-                update_centroid(self.bank, int(labels[pos]), feats[pos])
-                if self.hooks is not None:
-                    self.hooks.on_centroid_update(self, batch[pos], feats[pos])
+            update_centroid(self.bank, labels, feats)
+            if self.hooks is not None:
+                self.hooks.on_centroid_update(self, batch, feats)
             self.iterations += 1
         return True
 
@@ -279,24 +280,23 @@ class JointTrainer:
         return assigned_hidden
 
     def _finetune_pass(self, pairs):
-        pre_pass_head = self.head.copy()
+        """Per-sample SGD on the pairs. The loss is checked every step, the weights
+        once after the pass: before any centroid update reads them."""
+        head = self.head
+        pre_pass_head = head.copy()
         pre_step_head = None
-        k = self.config.k
         for i, (sample_idx, label) in enumerate(pairs):
-            trace = self.head.forward(self.inputs[sample_idx])
-            target = one_hot(k, label)
-            loss = sse_loss(trace.y, target)
-            if not np.isfinite(loss) or loss > LOSS_LIMIT:
+            trace = head.forward(self.inputs[sample_idx])
+            loss = sse_loss(trace.y, label)
+            if not math.isfinite(loss) or loss > LOSS_LIMIT:
                 raise DivergenceError(
                     f"fine-tune loss {loss} exceeded {LOSS_LIMIT:g} at iteration {self.iterations}"
                 )
-            if i == len(pairs) - 1:
-                pre_step_head = self.head.copy()
-            grad_hidden, grad_out = self.head.backward(trace, target)
-            try:
-                self.head.sgd_step(grad_hidden, grad_out)
-            except FloatingPointError as exc:
-                raise DivergenceError(f"{exc} at iteration {self.iterations}") from None
+            if i == len(pairs) - 1 and self.hooks is not None:
+                pre_step_head = head.copy()
+            head.sgd_step(*head.backward(trace, label))
+        if not (np.isfinite(head.w_hidden).all() and np.isfinite(head.w_out).all()):
+            raise DivergenceError(f"non-finite weights after SGD at iteration {self.iterations}")
         self.snapshot_head = pre_pass_head
         self.finetunes += 1
         if self.hooks is not None:

@@ -16,7 +16,7 @@ from conftest import acceptance_blob_setup, small_blob_setup
 from driftclust.cli import main
 from driftclust.clustering import CentroidBank, update_centroid
 from driftclust.dataio import load_idx
-from driftclust.head import FeatureHead, init_head, one_hot, sse_loss
+from driftclust.head import FeatureHead, init_head, sse_loss
 from driftclust.metrics import nmi
 from driftclust.tensor import SeededRng
 from driftclust.trainer import JointTrainer, TrainerConfig
@@ -38,16 +38,16 @@ def test_criterion_1_gradient_correctness():
         k = 2 + rng.randint(7)
         head = init_head(input_dim, hidden_dim, k, eta=0.1, rng=rng)
         x = np.array([rng.gauss() for _ in range(input_dim)])
-        t = one_hot(k, rng.randint(k))
+        label = rng.randint(k)
         trace = head.forward(x)
-        grads = dict(zip(("hidden", "out"), head.backward(trace, t)))
+        grads = dict(zip(("hidden", "out"), head.backward(trace, label)))
         for name, w in (("hidden", head.w_hidden), ("out", head.w_out)):
             for idx in np.ndindex(w.shape):
                 orig = w[idx]
                 w[idx] = orig + step
-                up = sse_loss(head.forward(x).y, t)
+                up = sse_loss(head.forward(x).y, label)
                 w[idx] = orig - step
-                down = sse_loss(head.forward(x).y, t)
+                down = sse_loss(head.forward(x).y, label)
                 w[idx] = orig
                 fd = (up - down) / (2.0 * step)
                 analytic = grads[name][idx]
@@ -68,9 +68,9 @@ def test_criterion_2_drift_rollback_identity():
         head = init_head(input_dim, hidden_dim, k, eta=eta, rng=rng)
         prev = head.copy()
         x = np.array([rng.gauss() for _ in range(input_dim)])
-        t = one_hot(k, rng.randint(k))
+        label = rng.randint(k)
         trace = head.forward(x)
-        head.sgd_step(*head.backward(trace, t))
+        head.sgd_step(*head.backward(trace, label))
         x_probe = np.array([rng.gauss() for _ in range(input_dim)])
         rolled = head.rollback_hidden_batch(x_probe[None])[0]
         reference = prev.forward(x_probe).h
@@ -84,8 +84,7 @@ def test_criterion_3_streaming_mean_telescoping():
     for n in (2, 17, 1000):
         points = np.array([[rng.gauss() * 5 for _ in range(8)] for _ in range(n)])
         bank = CentroidBank(points[:1].copy(), np.array([1]))
-        for p in points[1:]:
-            update_centroid(bank, 0, p)
+        update_centroid(bank, np.zeros(n - 1, dtype=np.int64), points[1:])
         assert np.max(np.abs(bank.centroids[0] - points.mean(axis=0))) < 1e-9
         assert bank.counts[0] == n
     report(3, "per-centroid rates telescope to the exact mean", started, 1.0)

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from driftclust.clustering import (CentroidBank, assign_batch, lloyd_kmeans, seed_kmeanspp,
                                    update_centroid)
@@ -102,14 +106,69 @@ def test_assign_batch_matches_assign():
         assert dists[i] == pytest.approx(single_dist[0], rel=1e-12)
 
 
+def test_assign_batch_memory_stays_bounded():
+    # a chunk x k x dim broadcast temporary would need ~420 MB here; the
+    # distance matrix of one chunk is 4096 x 100 doubles (3.3 MB)
+    rng = np.random.default_rng(0)
+    feats = rng.normal(size=(4096, 128))
+    bank = CentroidBank(rng.normal(size=(100, 128)), np.ones(100, dtype=np.int64))
+    tracemalloc.start()
+    try:
+        assign_batch(bank, feats)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def per_row_update(centroids, counts, labels, feats):
+    """The streaming-mean oracle: one update per row, in row order."""
+    for label, h in zip(labels, feats):
+        counts[label] += 1
+        gamma = 1.0 / float(counts[label])
+        centroids[label] = (1.0 - gamma) * centroids[label] + gamma * h
+
+
+@st.composite
+def update_batches(draw):
+    k = draw(st.integers(1, 6))
+    dim = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 30))
+    value = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    centroids = np.array(draw(st.lists(st.lists(value, min_size=dim, max_size=dim),
+                                       min_size=k, max_size=k)))
+    counts = np.array(draw(st.lists(st.integers(1, 100), min_size=k, max_size=k)))
+    labels = np.array(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+    feats = np.array(draw(st.lists(st.lists(value, min_size=dim, max_size=dim),
+                                   min_size=n, max_size=n)))
+    return centroids, counts, labels, feats
+
+
+@settings(max_examples=200, deadline=None)
+@given(update_batches())
+@example((np.array([[0.0, 1.0]]), np.array([3]), np.array([0]), np.array([[4.0, -2.0]])))
+@example((np.array([[0.0], [5.0], [9.0]]), np.array([1, 2, 1]), np.array([2, 0, 2, 2, 0]),
+          np.array([[1.0], [2.0], [3.0], [-4.0], [0.5]])))
+def test_update_centroid_batch_matches_per_row_oracle(batch):
+    centroids, counts, labels, feats = batch
+    bank = CentroidBank(centroids.copy(), counts.copy())
+    update_centroid(bank, labels, feats)
+    want_c, want_n = centroids.copy(), counts.astype(np.int64)
+    per_row_update(want_c, want_n, labels.tolist(), feats)
+    assert np.array_equal(bank.centroids, want_c)
+    assert np.array_equal(bank.counts, want_n)
+    untouched = np.setdiff1d(np.arange(len(counts)), labels)
+    assert np.array_equal(bank.centroids[untouched], centroids[untouched])
+
+
 def test_update_centroid_midpoint_then_tenth():
     bank = CentroidBank(np.array([[1.0, 1.0]]), np.array([1]))
-    update_centroid(bank, 0, np.array([3.0, 3.0]))
+    update_centroid(bank, [0], np.array([[3.0, 3.0]]))
     assert bank.counts.tolist() == [2]
     assert np.allclose(bank.centroids[0], [2.0, 2.0])
 
     bank2 = CentroidBank(np.array([[0.0, 0.0]]), np.array([9]))
-    update_centroid(bank2, 0, np.array([1.0, 0.0]))
+    update_centroid(bank2, [0], np.array([[1.0, 0.0]]))
     assert bank2.counts.tolist() == [10]
     assert np.allclose(bank2.centroids[0], [0.1, 0.0])
 
@@ -118,18 +177,19 @@ def test_update_centroid_telescopes_to_running_mean():
     rng = SeededRng(100)
     points = np.array([[rng.gauss() for _ in range(3)] for _ in range(200)])
     bank = CentroidBank(points[:1].copy(), np.array([1]))
-    for p in points[1:]:
-        update_centroid(bank, 0, p)
+    update_centroid(bank, np.zeros(199, dtype=np.int64), points[1:])
     assert np.max(np.abs(bank.centroids[0] - points.mean(axis=0))) < 1e-9
 
 
 def test_update_centroid_only_touches_target():
     bank = CentroidBank(np.array([[0.0], [5.0], [9.0]]), np.array([1, 1, 1]))
-    update_centroid(bank, 1, np.array([7.0]))
+    update_centroid(bank, [1], np.array([[7.0]]))
     assert bank.centroids[:, 0].tolist() == [0.0, 6.0, 9.0]
     assert bank.counts.tolist() == [1, 2, 1]
-    with pytest.raises(ValueError):
-        update_centroid(bank, 3, np.array([0.0]))
+    for bad in ([3], [0, -1]):
+        with pytest.raises(ValueError):
+            update_centroid(bank, bad, np.zeros((len(bad), 1)))
+    assert bank.centroids[:, 0].tolist() == [0.0, 6.0, 9.0]  # a rejected batch moves nothing
 
 
 def test_lloyd_two_points_two_clusters():

@@ -56,9 +56,8 @@ def test_forward_rejects_bad_dim():
 
 
 def test_sse_loss_examples():
-    t = np.array([1.0, 0.0])
-    assert sse_loss(t, t) == 0.0
-    assert sse_loss(np.array([0.0, 0.0]), t) == 0.5
+    assert sse_loss(np.array([1.0, 0.0]), 0) == 0.0
+    assert sse_loss(np.array([0.0, 0.0]), 0) == 0.5
 
 
 def test_sse_loss_matches_direct_sum():
@@ -66,22 +65,25 @@ def test_sse_loss_matches_direct_sum():
     y = np.array([rng.gauss() for _ in range(4)])
     t = one_hot(4, 2)
     expected = 0.5 * sum((y[i] - t[i]) ** 2 for i in range(4))
-    assert sse_loss(y, t) == pytest.approx(expected, rel=1e-12)
+    assert sse_loss(y, 2) == pytest.approx(expected, rel=1e-12)
 
 
 def test_sse_loss_rejects_non_one_hot():
-    with pytest.raises(ValueError):
-        sse_loss(np.ones(3), np.array([0.5, 0.5, 0.0]))
-    with pytest.raises(ValueError):
-        sse_loss(np.ones(3), np.array([1.0, 1.0, 0.0]))
+    # an integer label names a one-hot target only when it is in [0, k)
+    head = FeatureHead(np.eye(3), np.eye(3), eta=0.1)
+    trace = head.forward(np.ones(3))
+    for label in (3, -1):
+        with pytest.raises(ValueError):
+            sse_loss(np.ones(3), label)
+        with pytest.raises(ValueError):
+            head.backward(trace, label)
 
 
 def test_backward_zero_when_prediction_matches_target():
     # an identity-ish head that reproduces a one-hot exactly
     head = FeatureHead(np.eye(3), np.eye(3), eta=0.1)
-    t = one_hot(3, 0)
     trace = head.forward(np.array([1.0, 0.0, 0.0]))
-    g1, g2 = head.backward(trace, t)
+    g1, g2 = head.backward(trace, 0)
     assert np.all(g1 == 0.0) and np.all(g2 == 0.0)
 
 
@@ -90,21 +92,21 @@ def test_backward_zero_in_relu_dead_zone():
     head = FeatureHead(np.eye(2), -np.eye(2), eta=0.1)
     trace = head.forward(np.array([1.0, 1.0]))
     assert np.all(trace.u_out < 0.0)
-    g1, g2 = head.backward(trace, one_hot(2, 0))
+    g1, g2 = head.backward(trace, 0)
     assert np.all(g1 == 0.0) and np.all(g2 == 0.0)
 
 
-def finite_difference_check(head, x, t, step=1e-5, rel_tol=1e-4):
+def finite_difference_check(head, x, label, step=1e-5, rel_tol=1e-4):
     """Compare backward() against central differences of the scalar loss."""
     trace = head.forward(x)
-    g_hidden, g_out = head.backward(trace, t)
+    g_hidden, g_out = head.backward(trace, label)
     for w, grad in ((head.w_hidden, g_hidden), (head.w_out, g_out)):
         for idx in np.ndindex(w.shape):
             orig = w[idx]
             w[idx] = orig + step
-            up = sse_loss(head.forward(x).y, t)
+            up = sse_loss(head.forward(x).y, label)
             w[idx] = orig - step
-            down = sse_loss(head.forward(x).y, t)
+            down = sse_loss(head.forward(x).y, label)
             w[idx] = orig
             fd = (up - down) / (2.0 * step)
             denom = max(abs(fd), abs(grad[idx]), 1e-8)
@@ -118,8 +120,7 @@ def test_backward_matches_finite_differences():
         dims = [2 + rng.randint(7) for _ in range(3)]  # dims <= 8
         head = init_head(dims[0], dims[1], dims[2], eta=0.1, rng=rng)
         x = np.array([rng.gauss() for _ in range(dims[0])])
-        t = one_hot(dims[2], rng.randint(dims[2]))
-        finite_difference_check(head, x, t)
+        finite_difference_check(head, x, rng.randint(dims[2]))
 
 
 def test_backward_rejects_stale_trace():
@@ -128,7 +129,7 @@ def test_backward_rejects_stale_trace():
     other = init_head(6, 4, 3, eta=0.1, rng=rng)  # different input dim
     trace = other.forward(np.ones(6))
     with pytest.raises(DimensionError):
-        head.backward(trace, one_hot(3, 0))
+        head.backward(trace, 0)
 
 
 def test_sgd_step_scalar_arithmetic():
@@ -158,10 +159,10 @@ def test_rollback_reproduces_previous_hidden_feature():
     for _ in range(20):
         head = random_head(rng, eta=0.05)
         x = np.array([rng.gauss() for _ in range(5)])
-        t = one_hot(3, rng.randint(3))
+        label = rng.randint(3)
         prev_w1 = head.w_hidden.copy()
         trace = head.forward(x)
-        head.sgd_step(*head.backward(trace, t))
+        head.sgd_step(*head.backward(trace, label))
         rolled = head.rollback_hidden_batch(x[None])[0]
         expected = np.maximum(prev_w1 @ x, 0.0)
         assert np.max(np.abs(rolled - expected)) < 1e-9
@@ -180,7 +181,7 @@ def test_rollback_with_zero_eta_equals_current():
     head = random_head(rng, eta=0.0)
     x = np.array([rng.gauss() for _ in range(5)])
     trace = head.forward(x)
-    head.sgd_step(*head.backward(trace, one_hot(3, 1)))
+    head.sgd_step(*head.backward(trace, 1))
     assert np.array_equal(head.rollback_hidden_batch(x[None])[0], head.hidden_batch(x[None])[0])
 
 
@@ -196,14 +197,14 @@ def test_single_step_descends_loss():
     for _ in range(30):
         head = random_head(rng, eta=1e-4)
         x = np.array([rng.gauss() for _ in range(5)])
-        t = one_hot(3, rng.randint(3))
+        label = rng.randint(3)
         trace = head.forward(x)
-        before = sse_loss(trace.y, t)
-        g1, g2 = head.backward(trace, t)
+        before = sse_loss(trace.y, label)
+        g1, g2 = head.backward(trace, label)
         if np.all(g1 == 0.0) and np.all(g2 == 0.0):
             continue
         head.sgd_step(g1, g2)
-        after = sse_loss(head.forward(x).y, t)
+        after = sse_loss(head.forward(x).y, label)
         assert after < before
         checked += 1
     assert checked >= 10
