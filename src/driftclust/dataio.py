@@ -4,25 +4,19 @@ Supported inputs: IDX image/label files (big-endian headers, magics
 0x00000803 / 0x00000801, gzip accepted transparently), CSV feature tables
 with an optional trailing "label" column, and synthetic Gaussian blobs.
 
-Checkpoint layout (all multi-byte integers little-endian unless noted):
+Checkpoint layout (all multi-byte integers little-endian):
 
     8 bytes   magic "DRIFTCLU"
     u32       format version (currently 1)
-    payload   u64-length-prefixed sections, in order:
-                config text (utf-8 key=value lines)
-                w_hidden, w_out, last_delta_hidden, last_delta_out  (matrices)
-                snapshot w_hidden, snapshot w_out                (matrices)
-                centroids                                     (matrix)
-                counts        u32 k, then k x u64
-                rng state     u32 word count, then u64 words
-                progress      u64 epochs_done, u64 finetunes, u64 iterations
-                buffer        u32 m, then m x (u64 sample index, u32 label)
-                nmi history   u32 m, then m x f64
+    payload   u64-length-prefixed sections
     u32       CRC-32 of the payload bytes
 
-A matrix section body is u32 rows, u32 cols, then rows*cols f64 row-major;
-an absent delta is stored as a 0 x 0 matrix. File writes go through a
-temp-file-and-rename so readers never see partial state.
+The field declaration of TrainerState is the payload layout: its fields are
+in file order and each names the codec of its section, so save_checkpoint and
+load_checkpoint only walk that declaration. Matrices are u32 rows, u32 cols,
+then f64 row-major (0 x 0 when absent); vectors are a u32 count, then the
+items; the three progress counters share one section of three u64. File
+writes go through a temp-file-and-rename so readers never see partial state.
 """
 
 import gzip
@@ -31,8 +25,8 @@ import os
 import struct
 import tempfile
 import zlib
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, fields
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -243,106 +237,140 @@ def load_labels(path) -> np.ndarray:
     return np.asarray(out, dtype=np.int64)
 
 
-@dataclass
-class Checkpoint:
-    config_text: str
-    w_hidden: np.ndarray
-    w_out: np.ndarray
-    last_delta_hidden: Optional[np.ndarray]
-    last_delta_out: Optional[np.ndarray]
-    centroids: np.ndarray
-    counts: np.ndarray
-    rng_state: tuple
-    snap_w_hidden: Optional[np.ndarray] = None  # pre-pass weights for snapshot rollback
-    snap_w_out: Optional[np.ndarray] = None
-    epochs_done: int = 0
-    finetunes: int = 0
-    iterations: int = 0
-    buffer: list = field(default_factory=list)  # (sample index, label) pairs
-    nmi_history: list = field(default_factory=list)
 
 
-def _section(body: bytes) -> bytes:
-    return struct.pack("<Q", len(body)) + body
+class _Codec(NamedTuple):
+    """How one checkpoint section stores `arity` consecutive TrainerState fields."""
+    encode: Callable  # field values -> section body
+    decode: Callable  # (section body, name of its first field) -> tuple of field values
+    arity: int = 1
 
 
-def _matrix_bytes(m: Optional[np.ndarray]) -> bytes:
+def _decode_text(body: bytes, what: str):
+    try:
+        return (body.decode("utf-8"),)
+    except UnicodeDecodeError:
+        raise CheckpointError(f"{what} section is not valid UTF-8") from None
+
+
+def _encode_matrix(m: Optional[np.ndarray]) -> bytes:
     if m is None:
         return struct.pack("<II", 0, 0)
     a = np.ascontiguousarray(m, dtype="<f8")
     return struct.pack("<II", a.shape[0], a.shape[1]) + a.tobytes(order="C")
 
 
-class _Reader:
-    def __init__(self, payload: bytes):
-        self.buf = payload
-        self.pos = 0
-
-    def section(self) -> bytes:
-        if self.pos + 8 > len(self.buf):
-            raise CheckpointError("payload ends inside a section length prefix")
-        (length,) = struct.unpack_from("<Q", self.buf, self.pos)
-        self.pos += 8
-        if self.pos + length > len(self.buf):
-            raise CheckpointError("section length exceeds remaining payload")
-        body = self.buf[self.pos:self.pos + length]
-        self.pos += length
-        return body
-
-    def done(self):
-        if self.pos != len(self.buf):
-            raise CheckpointError("unexpected trailing bytes in payload")
-
-
-def _parse_matrix(body: bytes) -> Optional[np.ndarray]:
+def _decode_matrix(body: bytes, what: str):
+    """u32 rows, u32 cols, then rows*cols f64 row-major; absent is 0 x 0."""
     if len(body) < 8:
-        raise CheckpointError("matrix section shorter than its dims header")
+        raise CheckpointError(f"{what} section shorter than its dims header")
     rows, cols = struct.unpack_from("<II", body, 0)
     if rows == 0 and cols == 0:
         if len(body) != 8:
-            raise CheckpointError("empty-matrix sentinel carries data")
-        return None
+            raise CheckpointError(f"{what} empty-matrix sentinel carries data")
+        return (None,)
     if len(body) != 8 + rows * cols * 8:
-        raise CheckpointError(f"matrix section size mismatch for {rows}x{cols}")
-    return np.frombuffer(body, dtype="<f8", offset=8).reshape(rows, cols).copy()
+        raise CheckpointError(f"{what} section size mismatch for {rows}x{cols}")
+    return (np.frombuffer(body, dtype="<f8", offset=8).reshape(rows, cols).copy(),)
 
 
-def _count(body: bytes, what: str, item_size: int) -> int:
-    """Item count of a section laid out as u32 count, then that many items of
-    item_size bytes; the body length must match the count exactly."""
-    if len(body) < 4:
-        raise CheckpointError(f"{what} section shorter than its count header")
-    (count,) = struct.unpack_from("<I", body, 0)
-    if len(body) != 4 + count * item_size:
-        raise CheckpointError(f"{what} section holds {len(body) - 4} bytes after its header, "
-                              f"expected {count} x {item_size}")
-    return count
+def _vector(dtype, convert) -> _Codec:
+    """u32 item count, then the items as `dtype`; `convert` maps the decoded
+    array to the field's type."""
+    dtype = np.dtype(dtype)
+
+    def encode(items) -> bytes:
+        return struct.pack("<I", len(items)) + np.asarray(items, dtype=dtype).tobytes()
+
+    def decode(body: bytes, what: str):
+        if len(body) < 4:
+            raise CheckpointError(f"{what} section shorter than its count header")
+        (count,) = struct.unpack_from("<I", body, 0)
+        if len(body) != 4 + count * dtype.itemsize:
+            raise CheckpointError(f"{what} section holds {len(body) - 4} bytes after its header, "
+                                  f"expected {count} x {dtype.itemsize}")
+        return (convert(np.frombuffer(body, dtype=dtype, offset=4, count=count)),)
+    return _Codec(encode, decode)
 
 
-def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    parts = [_section(ckpt.config_text.encode("utf-8"))]
-    for m in (ckpt.w_hidden, ckpt.w_out, ckpt.last_delta_hidden, ckpt.last_delta_out,
-              ckpt.snap_w_hidden, ckpt.snap_w_out, ckpt.centroids):
-        parts.append(_section(_matrix_bytes(m)))
-    counts = np.asarray(ckpt.counts, dtype=np.int64)
-    parts.append(_section(struct.pack("<I", counts.size) + counts.astype("<u8").tobytes()))
-    words = tuple(int(w) for w in ckpt.rng_state)
-    parts.append(_section(struct.pack("<I", len(words)) + struct.pack(f"<{len(words)}Q", *words)))
-    parts.append(_section(struct.pack("<QQQ", ckpt.epochs_done, ckpt.finetunes, ckpt.iterations)))
-    buf_body = struct.pack("<I", len(ckpt.buffer))
-    for idx, lab in ckpt.buffer:
-        buf_body += struct.pack("<QI", int(idx), int(lab))
-    parts.append(_section(buf_body))
-    hist = np.asarray(ckpt.nmi_history, dtype="<f8")
-    parts.append(_section(struct.pack("<I", hist.size) + hist.tobytes()))
+def _decode_progress(body: bytes, what: str):
+    if len(body) != 24:
+        raise CheckpointError(f"progress section holds {len(body)} bytes, expected 24")
+    return struct.unpack("<QQQ", body)
 
-    payload = b"".join(parts)
+
+_TEXT = _Codec(lambda text: text.encode("utf-8"), _decode_text)
+_MATRIX = _Codec(_encode_matrix, _decode_matrix)
+_PROGRESS = _Codec(lambda *counters: struct.pack("<QQQ", *counters), _decode_progress, arity=3)
+_PAIR = np.dtype([("sample", "<u8"), ("label", "<u4")])  # 12 bytes, unpadded
+
+
+def _stored(codec: _Codec):
+    return field(metadata={"codec": codec})
+
+
+@dataclass
+class TrainerState:
+    """Everything a joint run carries from one mini-batch to the next, and
+    the checkpoint layout: one section per field, in declaration order,
+    except that the three progress counters share one section."""
+    config_text: str = _stored(_TEXT)
+    w_hidden: np.ndarray = _stored(_MATRIX)
+    w_out: np.ndarray = _stored(_MATRIX)
+    last_delta_hidden: Optional[np.ndarray] = _stored(_MATRIX)  # last SGD step, for rollback
+    last_delta_out: Optional[np.ndarray] = _stored(_MATRIX)
+    snap_w_hidden: Optional[np.ndarray] = _stored(_MATRIX)  # pre-pass weights, for snapshot rollback
+    snap_w_out: Optional[np.ndarray] = _stored(_MATRIX)
+    centroids: np.ndarray = _stored(_MATRIX)
+    counts: np.ndarray = _stored(_vector("<u8", lambda a: a.astype(np.int64)))
+    rng_state: tuple = _stored(_vector("<u8", lambda a: tuple(a.tolist())))
+    epochs_done: int = _stored(_PROGRESS)
+    finetunes: int = _stored(_PROGRESS)
+    iterations: int = _stored(_PROGRESS)
+    buffer: list = _stored(_vector(_PAIR, np.ndarray.tolist))  # (sample index, label) pairs
+    nmi_history: list = _stored(_vector("<f8", np.ndarray.tolist))
+
+
+def _layout():
+    """(codec, names of the fields its section stores) per section, in file order."""
+    state_fields, sections, at = fields(TrainerState), [], 0
+    while at < len(state_fields):
+        codec = state_fields[at].metadata["codec"]
+        sections.append((codec, [f.name for f in state_fields[at:at + codec.arity]]))
+        at += codec.arity
+    return tuple(sections)
+
+
+_LAYOUT = _layout()
+
+
+def _split_sections(payload: bytes, count: int) -> list:
+    """The payload's `count` u64-length-prefixed section bodies."""
+    bodies, pos = [], 0
+    for _ in range(count):
+        if pos + 8 > len(payload):
+            raise CheckpointError("payload ends inside a section length prefix")
+        (length,) = struct.unpack_from("<Q", payload, pos)
+        if pos + 8 + length > len(payload):
+            raise CheckpointError("section length exceeds remaining payload")
+        bodies.append(payload[pos + 8:pos + 8 + length])
+        pos += 8 + length
+    if pos != len(payload):
+        raise CheckpointError("unexpected trailing bytes in payload")
+    return bodies
+
+
+def save_checkpoint(path, state: TrainerState) -> None:
+    bodies = [codec.encode(*(getattr(state, name) for name in names)) for codec, names in _LAYOUT]
+    payload = b"".join(struct.pack("<Q", len(body)) + body for body in bodies)
     blob = (CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION) + payload
             + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
     atomic_write_bytes(path, blob)
 
 
-def load_checkpoint(path) -> Checkpoint:
+def load_checkpoint(path) -> TrainerState:
+    """Read a checkpoint, checking its framing and every section against its
+    own header; whether the state fits a run is JointTrainer's to check."""
     with open(path, "rb") as f:
         blob = f.read()
     if len(blob) < 16 or blob[:8] != CHECKPOINT_MAGIC:
@@ -354,45 +382,7 @@ def load_checkpoint(path) -> Checkpoint:
     if zlib.crc32(payload) & 0xFFFFFFFF != crc:
         raise CheckpointError("checkpoint payload fails its CRC-32 check")
 
-    r = _Reader(payload)
-    try:
-        config_text = r.section().decode("utf-8")
-    except UnicodeDecodeError:
-        raise CheckpointError("config text section is not valid UTF-8") from None
-    w_hidden = _parse_matrix(r.section())
-    w_out = _parse_matrix(r.section())
-    ld_hidden = _parse_matrix(r.section())
-    ld_out = _parse_matrix(r.section())
-    snap_w_hidden = _parse_matrix(r.section())
-    snap_w_out = _parse_matrix(r.section())
-    centroids = _parse_matrix(r.section())
-    if w_hidden is None or w_out is None or centroids is None:
-        raise CheckpointError("required matrix section is empty")
-
-    body = r.section()
-    counts = np.frombuffer(body, dtype="<u8", offset=4,
-                           count=_count(body, "counts", 8)).astype(np.int64)
-
-    body = r.section()
-    rng_state = struct.unpack_from(f"<{_count(body, 'rng state', 8)}Q", body, 4)
-
-    body = r.section()
-    if len(body) != 24:
-        raise CheckpointError(f"progress section holds {len(body)} bytes, expected 24")
-    epochs_done, finetunes, iterations = struct.unpack("<QQQ", body)
-
-    body = r.section()
-    buffer = [struct.unpack_from("<QI", body, 4 + 12 * i) for i in range(_count(body, "buffer", 12))]
-
-    body = r.section()
-    history = list(np.frombuffer(body, dtype="<f8", offset=4, count=_count(body, "nmi history", 8)))
-    r.done()
-
-    return Checkpoint(
-        config_text=config_text, w_hidden=w_hidden, w_out=w_out,
-        last_delta_hidden=ld_hidden, last_delta_out=ld_out,
-        centroids=centroids, counts=counts, rng_state=rng_state,
-        snap_w_hidden=snap_w_hidden, snap_w_out=snap_w_out,
-        epochs_done=int(epochs_done), finetunes=int(finetunes), iterations=int(iterations),
-        buffer=buffer, nmi_history=history,
-    )
+    values = {}
+    for (codec, names), body in zip(_LAYOUT, _split_sections(payload, len(_LAYOUT))):
+        values.update(zip(names, codec.decode(body, names[0])))
+    return TrainerState(**values)

@@ -18,6 +18,7 @@ fine-tune pass with drift_rollback="snapshot"). Modes:
     baseline3  frozen head, full-set Lloyd k-means
 """
 
+import copy
 import math
 import time
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ import numpy as np
 
 from .backbone import BackboneSpec, build_backbone
 from .clustering import CentroidBank, assign_batch, lloyd_kmeans, seed_kmeanspp, update_centroid
-from .dataio import Checkpoint, CheckpointError, Dataset
+from .dataio import CheckpointError, Dataset, TrainerState
 from .head import FeatureHead, init_head, sse_loss
 from .metrics import nmi
 from .tensor import SeededRng
@@ -111,14 +112,14 @@ class JointTrainer:
     """Holds the full training state so runs can be checkpointed and resumed.
 
     Without `resume` the head and the k-means++ seeds are drawn fresh from the
-    config seed. With a Checkpoint the trainer continues from the state
+    config seed. With a TrainerState the trainer continues from the state
     to_checkpoint wrote; with the stored RNG state this makes a resumed run
     indistinguishable from an unbroken one.
     """
 
     def __init__(self, dataset: Dataset, backbone_spec: BackboneSpec, config: TrainerConfig,
                  ground_truth=None, hooks: Optional[TrainerHooks] = None,
-                 resume: Optional[Checkpoint] = None):
+                 resume: Optional[TrainerState] = None):
         config.validate()
         if dataset.n < config.k:
             raise ValueError(f"dataset has {dataset.n} samples, fewer than k={config.k}")
@@ -134,7 +135,6 @@ class JointTrainer:
         # the backbone is frozen, so extract every sample once up front
         self.inputs = self.extractor.extract_batch(dataset.samples)
         self.rng = SeededRng(config.seed)
-        self.buffer = []  # (sample index, pseudo-label) pairs awaiting a fine-tune pass
         if resume is not None:
             self._restore(resume)
             return
@@ -142,9 +142,8 @@ class JointTrainer:
         self.head = init_head(backbone_spec.output_dim, config.hidden_dim, config.k,
                               config.eta, self.rng)
         self.snapshot_head = None
-        self.epochs_done = 0
-        self.finetunes = 0
-        self.iterations = 0
+        self.buffer = []  # (sample index, pseudo-label) pairs awaiting a fine-tune pass
+        self.epochs_done = self.finetunes = self.iterations = 0
         self.nmi_history = []
         if config.mode == "baseline3":
             self.bank = None  # produced by the Lloyd pass in run()
@@ -152,59 +151,68 @@ class JointTrainer:
             features = self.head.hidden_batch(self.inputs)
             self.bank = seed_kmeanspp(features, config.k, self.rng)
 
-    def _restore(self, ckpt: Checkpoint):
-        """Inverse of to_checkpoint. A checkpoint that does not fit this run's
-        config and dataset raises CheckpointError."""
+    def _restore(self, state: TrainerState):
+        """Inverse of to_checkpoint, and the one place resumed state is checked.
+        The head, the bank and the RNG check their own inputs; this adds what
+        only the run knows: shapes against the config and the input dimension,
+        rollback state present exactly when a fine-tune pass happened, buffer
+        bounds, and progress counters that agree with each other, the config
+        and the dataset (checkpoints are written at epoch ends). A state that
+        does not fit raises CheckpointError."""
+        state = copy.deepcopy(state)  # training mutates what it adopts; the caller's state stays
         cfg, n = self.config, self.dataset.n
-        hidden_shape = (cfg.hidden_dim, self.inputs.shape[1])
-        out_shape = (cfg.k, cfg.hidden_dim)
-        shapes = {"w_hidden": hidden_shape, "w_out": out_shape,
-                  "last_delta_hidden": hidden_shape, "last_delta_out": out_shape,
-                  "snap_w_hidden": hidden_shape, "snap_w_out": out_shape,
-                  "centroids": out_shape}
-        for name, shape in shapes.items():
-            m = getattr(ckpt, name)
-            if m is not None and (m.shape != shape or not np.all(np.isfinite(m))):
-                raise CheckpointError(f"checkpoint {name} has shape {m.shape} or non-finite "
-                                      f"entries; this run needs a finite {shape[0]}x{shape[1]} matrix")
-        for pair in (("last_delta_hidden", "last_delta_out"), ("snap_w_hidden", "snap_w_out")):
-            if (getattr(ckpt, pair[0]) is None) != (getattr(ckpt, pair[1]) is None):
-                raise CheckpointError(f"checkpoint holds one of {pair[0]} and {pair[1]} but not both")
-        counts = np.asarray(ckpt.counts)
-        if counts.shape != (cfg.k,) or np.any(counts < 0):
-            raise CheckpointError(f"checkpoint must hold {cfg.k} nonnegative centroid counts")
-        if len(ckpt.rng_state) != 4:
-            raise CheckpointError(f"checkpoint RNG state has {len(ckpt.rng_state)} words, expected 4")
-        if len(ckpt.buffer) >= cfg.n_m or \
-                not all(0 <= idx < n and 0 <= lab < cfg.k for idx, lab in ckpt.buffer):
+        tuned = state.finetunes > 0
+        if any((m is not None) != tuned for m in (state.last_delta_hidden, state.last_delta_out,
+                                                   state.snap_w_hidden, state.snap_w_out)):
+            raise CheckpointError("checkpoint must hold both step deltas and both snapshot matrices "
+                                  "if it records a fine-tune pass, and none of them otherwise")
+        try:
+            self.head = FeatureHead(state.w_hidden, state.w_out, cfg.eta,
+                                    state.last_delta_hidden, state.last_delta_out)
+            self.snapshot_head = FeatureHead(state.snap_w_hidden, state.snap_w_out, cfg.eta) \
+                if tuned else None
+            self.bank = CentroidBank(state.centroids, state.counts)
+            self.rng.set_state(state.rng_state)
+        except ValueError as exc:
+            raise CheckpointError(f"checkpoint state is invalid: {exc}") from None
+        dims = (self.inputs.shape[1], cfg.hidden_dim, cfg.k)
+        heads = (self.head, self.snapshot_head) if tuned else (self.head,)
+        if any((h.input_dim, h.hidden_dim, h.k) != dims for h in heads) \
+                or self.bank.centroids.shape != (cfg.k, cfg.hidden_dim):
+            raise CheckpointError(f"checkpoint shapes do not fit this run: it needs {dims[1]}x{dims[0]} "
+                                  f"hidden and {cfg.k}x{cfg.hidden_dim} output weights and centroids")
+        if len(state.buffer) >= cfg.n_m or \
+                not all(0 <= idx < n and 0 <= lab < cfg.k for idx, lab in state.buffer):
             raise CheckpointError(f"checkpoint buffer must hold fewer than n_m={cfg.n_m} pairs "
                                   f"with sample index < {n} and label < k={cfg.k}")
+        epochs = state.epochs_done
+        pairs_per_epoch = (n // cfg.n_m) * cfg.k_m + min(cfg.k_m, n % cfg.n_m) \
+            if cfg.mode in ("full", "baseline1") else 0
+        if state.iterations != epochs * math.ceil(n / cfg.n_m) \
+                or state.finetunes * cfg.n_m + len(state.buffer) != epochs * pairs_per_epoch:
+            raise CheckpointError(f"checkpoint progress (epochs_done={epochs}, finetunes={state.finetunes}, "
+                                  f"iterations={state.iterations}, {len(state.buffer)} buffered pairs) "
+                                  f"does not match {epochs} epochs over {n} samples")
+        if len(state.nmi_history) != (epochs if self.truth is not None else 0) \
+                or not all(0.0 <= v <= 1.0 for v in state.nmi_history):
+            raise CheckpointError("checkpoint NMI history must hold one value in [0, 1] per "
+                                  "completed epoch of a labeled run, and none otherwise")
+        self.buffer = list(state.buffer)
+        self.epochs_done, self.finetunes, self.iterations = epochs, state.finetunes, state.iterations
+        self.nmi_history = list(state.nmi_history)
 
-        self.rng.set_state(ckpt.rng_state)
-        self.head = FeatureHead(ckpt.w_hidden, ckpt.w_out, cfg.eta,
-                                ckpt.last_delta_hidden, ckpt.last_delta_out)
-        self.snapshot_head = None if ckpt.snap_w_hidden is None else \
-            FeatureHead(ckpt.snap_w_hidden, ckpt.snap_w_out, cfg.eta)
-        self.bank = CentroidBank(ckpt.centroids, counts)
-        self.buffer = [(int(idx), int(lab)) for idx, lab in ckpt.buffer]
-        self.epochs_done = ckpt.epochs_done
-        self.finetunes = ckpt.finetunes
-        self.iterations = ckpt.iterations
-        self.nmi_history = list(ckpt.nmi_history)
-
-    def to_checkpoint(self, config_text: str) -> Checkpoint:
-        return Checkpoint(
-            config_text=config_text,
-            w_hidden=self.head.w_hidden.copy(), w_out=self.head.w_out.copy(),
-            last_delta_hidden=None if self.head.last_delta_hidden is None else self.head.last_delta_hidden.copy(),
-            last_delta_out=None if self.head.last_delta_out is None else self.head.last_delta_out.copy(),
-            centroids=self.bank.centroids.copy(), counts=self.bank.counts.copy(),
-            rng_state=self.rng.state(),
-            snap_w_hidden=None if self.snapshot_head is None else self.snapshot_head.w_hidden.copy(),
-            snap_w_out=None if self.snapshot_head is None else self.snapshot_head.w_out.copy(),
+    def to_checkpoint(self, config_text: str) -> TrainerState:
+        """The run's state as a copy that later training does not change."""
+        head, snap = self.head, self.snapshot_head
+        return copy.deepcopy(TrainerState(
+            config_text=config_text, w_hidden=head.w_hidden, w_out=head.w_out,
+            last_delta_hidden=head.last_delta_hidden, last_delta_out=head.last_delta_out,
+            snap_w_hidden=None if snap is None else snap.w_hidden,
+            snap_w_out=None if snap is None else snap.w_out,
+            centroids=self.bank.centroids, counts=self.bank.counts, rng_state=self.rng.state(),
             epochs_done=self.epochs_done, finetunes=self.finetunes, iterations=self.iterations,
-            buffer=list(self.buffer), nmi_history=list(self.nmi_history),
-        )
+            buffer=self.buffer, nmi_history=self.nmi_history,
+        ))
 
     def _capped(self):
         return self.config.max_iters > 0 and self.iterations >= self.config.max_iters
@@ -271,8 +279,7 @@ class JointTrainer:
         if mode == "full" and self.head.last_delta_hidden is not None:
             if self.config.drift_rollback == "last_step":
                 return self.head.rollback_hidden_batch(xs)
-            if self.snapshot_head is None:
-                raise RuntimeError("snapshot rollback requested but no pre-pass snapshot exists")
+            # a step delta implies a finished pass, and every pass leaves a snapshot
             return self.snapshot_head.hidden_batch(xs)
         if mode == "baseline1" and self.finetunes > 0:
             # no compensation: whatever the weights are right now
@@ -285,16 +292,18 @@ class JointTrainer:
         head = self.head
         pre_pass_head = head.copy()
         pre_step_head = None
-        for i, (sample_idx, label) in enumerate(pairs):
-            trace = head.forward(self.inputs[sample_idx])
-            loss = sse_loss(trace.y, label)
-            if not math.isfinite(loss) or loss > LOSS_LIMIT:
-                raise DivergenceError(
-                    f"fine-tune loss {loss} exceeded {LOSS_LIMIT:g} at iteration {self.iterations}"
-                )
-            if i == len(pairs) - 1 and self.hooks is not None:
-                pre_step_head = head.copy()
-            head.sgd_step(*head.backward(trace, label))
+        # an overflowing step is reported below as DivergenceError, not as numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, (sample_idx, label) in enumerate(pairs):
+                trace = head.forward(self.inputs[sample_idx])
+                loss = sse_loss(trace.y, label)
+                if not math.isfinite(loss) or loss > LOSS_LIMIT:
+                    raise DivergenceError(
+                        f"fine-tune loss {loss} exceeded {LOSS_LIMIT:g} at iteration {self.iterations}"
+                    )
+                if i == len(pairs) - 1 and self.hooks is not None:
+                    pre_step_head = head.copy()
+                head.sgd_step(*head.backward(trace, label))
         if not (np.isfinite(head.w_hidden).all() and np.isfinite(head.w_out).all()):
             raise DivergenceError(f"non-finite weights after SGD at iteration {self.iterations}")
         self.snapshot_head = pre_pass_head

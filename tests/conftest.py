@@ -1,3 +1,4 @@
+import functools
 import struct
 
 import numpy as np
@@ -35,11 +36,21 @@ def small_blob_setup(seed=0, k=4, points=50, dim=8, separation=25.0, sigma=0.5,
     return dataset, spec, TrainerConfig(**defaults)
 
 
+@functools.lru_cache(maxsize=None)
+def _acceptance_blobs(seed):
+    """The 10-blob set of one seed, generated once per test session; its arrays
+    are read-only because every test that asks for the seed shares them."""
+    dataset = gen_blobs(k=10, points_per_cluster=500, dim=50, separation=10.0,
+                        noise_sigma=1.0, rng=SeededRng(seed))
+    dataset.samples.setflags(write=False)
+    dataset.labels.setflags(write=False)
+    return dataset
+
+
 def acceptance_blob_setup(seed, **config_overrides):
     """The 10-blob benchmark at its pinned parameters (5000 points, dim 50,
     separation 10, sigma 1), wired exactly like the CLI does it."""
-    dataset = gen_blobs(k=10, points_per_cluster=500, dim=50, separation=10.0,
-                        noise_sigma=1.0, rng=SeededRng(seed))
+    dataset = _acceptance_blobs(seed)
     spec = BackboneSpec("flatten", dataset.shape, 50, seed=seed + 1)
     defaults = dict(k=10, mode="full", seed=seed)
     defaults.update(config_overrides)

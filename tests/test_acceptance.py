@@ -141,7 +141,7 @@ def locate_mnist():
     return None, None
 
 
-def test_criterion_5_mnist_raw_pixel_kmeans_anchor():
+def test_criterion_5_mnist_baseline3_lloyd_on_random_head_features():
     images, labels = locate_mnist()
     if images is None:
         pytest.skip("MNIST training files not found (no network in this environment); "

@@ -1,4 +1,5 @@
 import struct
+import warnings
 import zlib
 
 import numpy as np
@@ -102,6 +103,15 @@ def test_divergence_exit_code(tmp_path, capsys):
     rc = main(blob_args(tmp_path, sep=20000.0, blob_sigma=0.0, eta=5.0, epochs=1))
     assert rc == 3
     assert "iteration" in capsys.readouterr().err
+
+
+def test_weight_overflow_prints_only_the_divergence_line(tmp_path, capsys):
+    args = blob_args(tmp_path, sep=10.0, hidden_dim=128, seed=0, nm=1, km=1, eta=1e308, epochs=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would print before the message
+        assert main(args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("divergence: ") and err.count("\n") == 1
 
 
 def test_mnist_pipeline_via_idx_fixture(tmp_path, capsys):
@@ -276,7 +286,12 @@ def overwrite(body, offset, fmt, value):
     return body[:offset] + struct.pack(fmt, value) + body[offset + struct.calcsize(fmt):]
 
 
-COUNTS, RNG, BUFFER = 8, 9, 11
+def bump(body, offset):
+    """The u64 counter at offset, plus one."""
+    return overwrite(body, offset, "<Q", struct.unpack_from("<Q", body, offset)[0] + 1)
+
+
+COUNTS, RNG, PROGRESS, BUFFER, NMI = 8, 9, 10, 11, 12
 
 
 @pytest.mark.parametrize("section,mutate", [
@@ -285,7 +300,18 @@ COUNTS, RNG, BUFFER = 8, 9, 11
     (BUFFER, lambda body: overwrite(body, 4, "<Q", 10 ** 6)),  # sample index 10^6
     (BUFFER, lambda body: overwrite(body, 12, "<I", 99)),  # label 99 at k=4
     (1, lambda body: struct.pack("<II", 2, 2) + bytes(32)),  # 2x2 w_hidden
-], ids=["short-counts", "three-rng-words", "buffer-index", "buffer-label", "w-hidden-2x2"])
+    (4, lambda body: struct.pack("<II", 0, 0)),  # one step delta without the other
+    (6, lambda body: struct.pack("<II", 0, 0)),  # one snapshot matrix without the other
+    (PROGRESS, lambda body: overwrite(body, 0, "<Q", 0)),  # epochs_done 0 after two epochs
+    (PROGRESS, lambda body: bump(body, 8)),  # finetunes
+    (PROGRESS, lambda body: bump(body, 16)),  # iterations
+    (NMI, lambda body: struct.pack("<I", 1) + body[4:12]),  # one value for two epochs
+    (NMI, lambda body: overwrite(body, 4, "<d", float("nan"))),
+    (NMI, lambda body: overwrite(body, 4, "<d", 1.5)),
+    (NMI, lambda body: overwrite(body, 4, "<d", -0.25)),
+], ids=["short-counts", "three-rng-words", "buffer-index", "buffer-label", "w-hidden-2x2",
+        "half-delta", "half-snapshot", "epochs-done-zero", "finetunes-plus-one",
+        "iterations-plus-one", "nmi-short", "nmi-nan", "nmi-above-one", "nmi-negative"])
 def test_malformed_checkpoint_gives_io_exit(epoch2_checkpoint, section, mutate, capsys):
     work, blob = epoch2_checkpoint
     sections = split_sections(blob)

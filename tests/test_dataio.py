@@ -1,4 +1,5 @@
 import gzip
+import hashlib
 import struct
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from conftest import write_idx_fixture
 from driftclust.clustering import lloyd_kmeans
-from driftclust.dataio import (Checkpoint, CheckpointError, CsvFormatError, IdxFormatError,
+from driftclust.dataio import (CheckpointError, CsvFormatError, IdxFormatError, TrainerState,
                                atomic_write_bytes, gen_blobs, load_checkpoint, load_csv,
                                load_idx, load_labels, save_checkpoint, save_labels)
 from driftclust.metrics import nmi
@@ -149,7 +150,7 @@ def test_csv_empty_rejected(tmp_path):
 
 def make_checkpoint():
     rng = SeededRng(5)
-    return Checkpoint(
+    return TrainerState(
         config_text="k=3\nmode='full'\n",
         w_hidden=np.arange(6, dtype=np.float64).reshape(2, 3),
         w_out=np.ones((3, 2)),
@@ -188,6 +189,17 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     path2 = tmp_path / "state2.ckpt"
     save_checkpoint(path2, back)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_checkpoint_bytes_are_pinned(tmp_path):
+    # format version 1, byte for byte; the fixture holds no BLAS-dependent
+    # floats, so the digest is the same on every platform
+    path = tmp_path / "state.ckpt"
+    save_checkpoint(path, make_checkpoint())
+    blob = path.read_bytes()
+    assert len(blob) == 568
+    assert hashlib.sha256(blob).hexdigest() == \
+        "8366d45b3ce70ed8a7a4c4040c236a12a15900cc36aa764133aa2958ba466dc6"
 
 
 def test_checkpoint_flipped_byte_is_corruption(tmp_path):

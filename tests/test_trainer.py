@@ -343,14 +343,18 @@ def test_checkpoint_resume_reproduces_unbroken_run(tmp_path):
     path = tmp_path / "mid.ckpt"
     save_checkpoint(path, half.to_checkpoint("cfg"))
 
+    state = load_checkpoint(path)
     resumed = JointTrainer(dataset2, spec2, dataclasses.replace(half_config, epochs=4),
-                           ground_truth=dataset2.labels, resume=load_checkpoint(path)).run()
+                           ground_truth=dataset2.labels, resume=state).run()
     assert np.array_equal(resumed.labels, unbroken.labels)
     assert resumed.nmi_history == unbroken.nmi_history
     assert resumed.finetunes == unbroken.finetunes
     assert np.array_equal(resumed.head.w_hidden, unbroken.head.w_hidden)
     assert np.array_equal(resumed.centroid_bank.centroids,
                           unbroken.centroid_bank.centroids)
+    # the resumed run trained on copies: the state it started from is intact
+    save_checkpoint(tmp_path / "again.ckpt", state)
+    assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
 
 
 def test_joint_training_beats_chance_on_easy_blobs():
