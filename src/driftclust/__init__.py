@@ -7,7 +7,7 @@ from .dataio import (Dataset, TrainerState, gen_blobs, load_checkpoint, load_csv
                      load_idx, load_labels, save_checkpoint, save_labels)
 from .head import FeatureHead, ForwardTrace, NoHistoryError, init_head, one_hot, sse_loss
 from .metrics import ContingencyTable, build_contingency, entropy, mutual_information, nmi
-from .tensor import DimensionError, SeededRng
+from .tensor import ConfigError, DimensionError, SeededRng
 from .trainer import DivergenceError, JointTrainer, RunResult, TrainerConfig, TrainerHooks
 
 __version__ = "0.1.0"

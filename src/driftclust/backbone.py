@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .tensor import SeededRng
+from .tensor import ConfigError, SeededRng
 
 BACKBONE_KINDS = ("flatten", "randproj", "tinyconv")
 
@@ -29,16 +29,16 @@ class BackboneSpec:
 
     def __post_init__(self):
         if self.kind not in BACKBONE_KINDS:
-            raise ValueError(f"unknown backbone kind {self.kind!r}")
+            raise ConfigError(f"unknown backbone kind {self.kind!r}")
         if len(self.input_shape) != 3 or any(int(d) <= 0 for d in self.input_shape):
-            raise ValueError(f"input_shape must be (height, width, channels) > 0, got {self.input_shape}")
+            raise ConfigError(f"input_shape must be (height, width, channels) > 0, got {self.input_shape}")
         if self.output_dim <= 0:
-            raise ValueError("output_dim must be positive")
+            raise ConfigError("output_dim must be positive")
         h, w, c = self.input_shape
         if self.kind == "flatten" and self.output_dim != h * w * c:
-            raise ValueError(f"flatten output_dim must equal h*w*c = {h * w * c}, got {self.output_dim}")
+            raise ConfigError(f"flatten output_dim must equal h*w*c = {h * w * c}, got {self.output_dim}")
         if self.kind == "tinyconv" and (_conv_stack_dim(h, w) is None):
-            raise ValueError(f"input {h}x{w} too small for two 3x3 conv + pool stages")
+            raise ConfigError(f"input {h}x{w} too small for two 3x3 conv + pool stages")
 
     @property
     def flat_dim(self) -> int:
@@ -65,16 +65,10 @@ def to_float(sample: np.ndarray) -> np.ndarray:
 
 
 def _unit_rows(rows: int, cols: int, rng: SeededRng) -> np.ndarray:
-    p = np.empty((rows, cols))
-    for r in range(rows):
-        for c in range(cols):
-            p[r, c] = rng.gauss()
-        norm = np.sqrt(np.dot(p[r], p[r]))
-        while norm == 0.0:  # measure-zero, but keep the row well defined
-            for c in range(cols):
-                p[r, c] = rng.gauss()
-            norm = np.sqrt(np.dot(p[r], p[r]))
-        p[r] /= norm
+    # a gauss() draw is never 0.0, so no row has norm 0
+    p = rng.gauss(size=(rows, cols))
+    for row in p:
+        row /= np.sqrt(np.dot(row, row))
     return p
 
 
@@ -137,10 +131,7 @@ class TinyConvBackbone(Backbone):
 
     @staticmethod
     def _draw_conv(c_out, c_in, rng):
-        w = np.empty((c_out, c_in, 3, 3))
-        for idx in np.ndindex(w.shape):
-            w[idx] = rng.uniform(-1.0, 1.0)
-        return w
+        return rng.uniform(-1.0, 1.0, size=(c_out, c_in, 3, 3))
 
     @staticmethod
     def _conv_relu_pool(x, w):

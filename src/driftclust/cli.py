@@ -20,11 +20,7 @@ from .dataio import (CheckpointError, CsvFormatError, IdxFormatError, atomic_wri
                      save_checkpoint, save_labels)
 from .metrics import build_contingency, entropy, nmi
 from .tensor import SeededRng
-from .trainer import MODES, ROLLBACK_MODES, DivergenceError, JointTrainer, TrainerConfig
-
-
-class ConfigError(ValueError):
-    """Bad or missing run configuration."""
+from .trainer import MODES, ROLLBACK_MODES, ConfigError, DivergenceError, JointTrainer, TrainerConfig
 
 
 # key -> (type, default); dataset source has no default on purpose
@@ -71,7 +67,7 @@ def _parse_config_file(path):
     try:
         with open(path, "r", encoding="utf-8") as f:
             lines = f.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -133,11 +129,8 @@ def build_backbone_spec(settings, dataset):
     h, w, c = dataset.shape
     out_dim = h * w * c if kind == "flatten" else settings["backbone_dim"]
     # seed offset keeps the frozen backbone off the trainer's RNG stream
-    try:
-        return BackboneSpec(kind=kind, input_shape=dataset.shape, output_dim=out_dim,
-                            seed=settings["seed"] + 1)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return BackboneSpec(kind=kind, input_shape=dataset.shape, output_dim=out_dim,
+                        seed=settings["seed"] + 1)
 
 
 def build_trainer_config(settings):
@@ -148,10 +141,7 @@ def build_trainer_config(settings):
         drift_rollback=settings["drift_rollback"],
         lloyd_iters=settings["lloyd_iters"], lloyd_tol=settings["lloyd_tol"],
     )
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    cfg.validate()
     return cfg
 
 
@@ -358,9 +348,6 @@ def main(argv=None) -> int:
         print(f"divergence: {exc}", file=sys.stderr)
         return 3
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -7,9 +7,11 @@ points p_1..p_n into one centroid initialised at p_1 telescopes to their
 exact running mean.
 """
 
+import math
+
 import numpy as np
 
-from .tensor import DimensionError, SeededRng
+from .tensor import ConfigError, DimensionError, SeededRng
 
 
 class CentroidBank:
@@ -58,11 +60,13 @@ def seed_kmeanspp(features, k: int, rng: SeededRng) -> CentroidBank:
     d2 = np.einsum("ij,ij->i", diff, diff)
     for _ in range(1, k):
         total = float(d2.sum())
+        if not math.isfinite(total):
+            raise ConfigError("squared feature distances overflow float64; rescale the data")
         if total <= 0.0:
-            raise ValueError("cannot seed k > 1 centroids: all remaining squared distances are zero")
+            raise ConfigError(f"cannot seed k={k} centroids: the features hold fewer than k distinct points")
         idx = rng.weighted_index(d2)
         chosen.append(idx)
-        diff = x - x[idx]
+        np.subtract(x, x[idx], out=diff)  # in place: one n x d temporary, not two
         d2 = np.minimum(d2, np.einsum("ij,ij->i", diff, diff))
     return CentroidBank(x[chosen].copy(), np.ones(k, dtype=np.int64))
 

@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .tensor import SeededRng
+from .tensor import ConfigError, SeededRng
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -43,7 +43,7 @@ class IdxFormatError(ValueError):
 
 
 class CsvFormatError(ValueError):
-    """CSV feature table cannot be parsed."""
+    """CSV feature table or label file cannot be parsed."""
 
 
 class CheckpointError(ValueError):
@@ -76,7 +76,10 @@ def _read_bytes(path) -> bytes:
     with open(path, "rb") as f:
         data = f.read()
     if data[:2] == b"\x1f\x8b":
-        data = gzip.decompress(data)
+        try:
+            data = gzip.decompress(data)
+        except (OSError, EOFError, zlib.error) as exc:
+            raise IdxFormatError(f"{path}: bad gzip stream: {exc}") from None
     return data
 
 
@@ -92,6 +95,8 @@ def load_idx(images_path, labels_path=None) -> Dataset:
     magic, count, rows, cols = struct.unpack(">IIII", data[:16])
     if magic != IDX_IMAGE_MAGIC:
         raise IdxFormatError(f"bad image magic 0x{magic:08x}, expected 0x{IDX_IMAGE_MAGIC:08x}")
+    if rows == 0 or cols == 0:
+        raise IdxFormatError(f"image size {rows}x{cols} has no pixels")
     expected = 16 + count * rows * cols
     if len(data) != expected:
         raise IdxFormatError(f"image file truncated or padded: expected {expected} bytes, got {len(data)}")
@@ -120,29 +125,30 @@ def gen_blobs(k: int, points_per_cluster: int, dim: int, separation: float,
     `separation`, points are center plus isotropic Gaussian noise. Ground
     truth labels are attached; samples are shaped (1, dim, 1)."""
     if k <= 0 or points_per_cluster <= 0 or dim <= 0:
-        raise ValueError("k, points_per_cluster and dim must be positive")
-    if separation <= 0 or noise_sigma < 0:
-        raise ValueError("separation must be positive and noise_sigma nonnegative")
-    centers = np.empty((k, dim))
-    for i in range(k):
-        norm = 0.0
-        while norm == 0.0:
-            for j in range(dim):
-                centers[i, j] = rng.gauss()
-            norm = float(np.sqrt(np.dot(centers[i], centers[i])))
-        centers[i] *= separation / norm
+        raise ConfigError("k, points_per_cluster and dim must be positive")
+    if not (0 < separation < math.inf and 0 <= noise_sigma < math.inf):
+        raise ConfigError("separation must be positive and noise_sigma nonnegative, both finite")
+    # a gauss() draw is never 0.0, so no center has norm 0
+    centers = rng.gauss(size=(k, dim))
+    for center in centers:
+        center *= separation / float(np.sqrt(np.dot(center, center)))
     n = k * points_per_cluster
     samples = np.empty((n, dim))
-    labels = np.empty(n, dtype=np.int64)
-    row = 0
-    for i in range(k):
-        for _ in range(points_per_cluster):
-            for j in range(dim):
-                samples[row, j] = centers[i, j] + noise_sigma * rng.gauss()
-            labels[row] = i
-            row += 1
+    for i, block in enumerate(samples.reshape(k, points_per_cluster, dim)):
+        block[...] = rng.gauss(size=block.shape)
+        block *= noise_sigma
+        block += centers[i]
+    labels = np.repeat(np.arange(k, dtype=np.int64), points_per_cluster)
     return Dataset(samples=samples.reshape(n, 1, dim, 1), shape=(1, dim, 1),
                    labels=labels, name="blobs")
+
+
+def _read_text(path) -> str:
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            return f.read()
+        except UnicodeDecodeError as exc:
+            raise CsvFormatError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def load_csv(path) -> Dataset:
@@ -154,8 +160,7 @@ def load_csv(path) -> Dataset:
     every value must be finite and every label a 64-bit integer; a violation
     raises CsvFormatError naming the row and the column (both 1-based).
     """
-    with open(path, "r", encoding="utf-8") as f:
-        lines = [ln.rstrip("\n") for ln in f if ln.strip() != ""]
+    lines = [ln for ln in _read_text(path).split("\n") if ln.strip() != ""]
     if not lines:
         raise CsvFormatError("empty CSV file")
 
@@ -172,6 +177,8 @@ def load_csv(path) -> Dataset:
         raise CsvFormatError("CSV has a header but no data rows")
 
     feat_dim = width - 1 if labeled else width
+    if feat_dim == 0:
+        raise CsvFormatError("CSV has no feature columns")
     feats = np.empty((len(data_lines), feat_dim))
     labels = np.empty(len(data_lines), dtype=np.int64) if labeled else None
     for i, line in enumerate(data_lines):
@@ -224,16 +231,22 @@ def save_labels(path, labels) -> None:
 
 
 def load_labels(path) -> np.ndarray:
-    """Read a label file; accepts "index,label" lines or bare labels."""
+    """Read a label file; accepts "index,label" lines or bare labels. A label
+    that is not a 64-bit integer, or a file with none, raises CsvFormatError."""
     out = []
-    with open(path, "r", encoding="utf-8") as f:
-        for ln in f:
-            ln = ln.strip()
-            if not ln:
-                continue
-            out.append(int(ln.split(",")[-1]))
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+        if not line.strip():
+            continue
+        text = line.split(",")[-1].strip()
+        try:
+            label = int(text)
+        except ValueError:
+            label = None
+        if label is None or not -2 ** 63 <= label < 2 ** 63:
+            raise CsvFormatError(f"{path} line {lineno}: label {text!r} is not a 64-bit integer")
+        out.append(label)
     if not out:
-        raise ValueError(f"no labels found in {path}")
+        raise CsvFormatError(f"no labels found in {path}")
     return np.asarray(out, dtype=np.int64)
 
 

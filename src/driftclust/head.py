@@ -164,8 +164,4 @@ def init_head(input_dim: int, hidden_dim: int, k: int, eta: float, rng: SeededRn
 
 def _uniform_matrix(rows, cols, rng):
     s = np.sqrt(6.0 / (rows + cols))
-    w = np.empty((rows, cols))
-    for r in range(rows):
-        for c in range(cols):
-            w[r, c] = rng.uniform(-s, s)
-    return w
+    return rng.uniform(-s, s, size=(rows, cols))

@@ -1,19 +1,28 @@
-"""Validated dense float64 matrices and a portable seeded RNG.
+"""Validated dense float64 matrices, a portable seeded RNG, and the error
+classes the other modules share.
 
 Matrices are 2-D row-major numpy float64 arrays; the constructor below
 validates shape and finiteness so the rest of the package can assume
 well-formed inputs.
 """
 
+import functools
 import math
 
 import numpy as np
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
+_LANE = 128  # words per lane of a bulk draw, a power of two: numpy steps per pass
+_CHUNK = 128 * _LANE  # words per bulk pass; bounds the temporaries of a large draw
 
 
 class DimensionError(ValueError):
     """Operand shapes do not line up."""
+
+
+class ConfigError(ValueError):
+    """Bad or missing run configuration: a setting, or a dataset that cannot
+    serve the requested run. The CLI maps it to exit code 2."""
 
 
 def _check_finite(arr, what):
@@ -43,6 +52,54 @@ def _rotl(x: int, k: int) -> int:
     return ((x << k) | (x >> (64 - k))) & MASK64
 
 
+def _to_bits(states: np.ndarray) -> np.ndarray:
+    """(L, 4) uint64 states as (L, 256) rows of bits, word by word, low bit first."""
+    return np.unpackbits(states.astype("<u8").view(np.uint8), axis=1, bitorder="little")
+
+
+def _from_bits(bits: np.ndarray) -> np.ndarray:
+    return np.packbits(bits, axis=1, bitorder="little").view("<u8").astype(np.uint64)
+
+
+def _gf2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over GF(2) for 0/1 arrays, through the float64 GEMM the rest of
+    the package already uses; sums of at most 256 ones are exact."""
+    return ((a.astype(np.float64) @ b.astype(np.float64)).astype(np.int32) & 1).astype(np.uint8)
+
+
+@functools.lru_cache(maxsize=None)
+def _lane_jumps():
+    """GF(2) matrices that advance a bit row by _LANE, 2*_LANE, 4*_LANE, ...
+    words: enough to start _CHUNK // _LANE lanes by doubling. Built once per
+    process from the recurrence itself and kept packed, 8 KiB each."""
+    rng = SeededRng(0)
+    step = np.empty((256, 256), dtype=np.uint8)
+    for bit in range(256):
+        unit = [0, 0, 0, 0]
+        unit[bit // 64] = 1 << (bit % 64)
+        rng.set_state(unit)
+        rng.next_u64()
+        step[bit] = _to_bits(np.array([rng.state()], dtype=np.uint64))[0]
+    jump = step  # row b is the image of bit b, so bits @ step advances one word
+    for _ in range(_LANE.bit_length() - 1):
+        jump = _gf2(jump, jump)
+    powers = [jump]
+    while len(powers) < (_CHUNK // _LANE - 1).bit_length():
+        powers.append(_gf2(powers[-1], powers[-1]))
+    return tuple(np.packbits(p, axis=1) for p in powers)
+
+
+def _unit_floats(words: np.ndarray) -> np.ndarray:
+    """random() of each word: 53 high bits scaled into [0, 1)."""
+    floats = (words >> 11).astype(np.float64)
+    floats *= 2.0 ** -53
+    return floats
+
+
+def _elementwise(f, values: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(f, values.tolist()), dtype=np.float64, count=values.size)
+
+
 class SeededRng:
     """Deterministic xoshiro256** generator.
 
@@ -57,6 +114,18 @@ class SeededRng:
     State is initialised from the seed by four SplitMix64 steps. Floating
     point helpers (gauss, uniform) are deterministic per platform; the
     portable contract is the integer stream.
+
+    next_u64, random, randint and gauss() are the scalar reference. raw(n)
+    yields the same n words in bulk: the state update is linear over GF(2)
+    (Blackman & Vigna, ACM TOMS 2021), so the 256x256 bit matrix of _LANE
+    steps jumps a state _LANE words ahead. raw starts one lane every _LANE
+    words from the jumped states, steps all lanes together in numpy uint64
+    arithmetic and leaves state() where n next_u64 calls would. gauss(size=),
+    uniform(size=) and shuffle draw through raw and return bit-identical
+    floats and indices to the scalar helpers: they keep the scalar operation
+    order, Box-Muller's log and cos go through math (np.log can differ from
+    math.log in the last bit), and a draw the scalar helper would reject is
+    redrawn by the scalar helper itself.
     """
 
     def __init__(self, seed: int):
@@ -80,12 +149,85 @@ class SeededRng:
         s[3] = _rotl(s[3], 45)
         return result
 
+    def raw(self, n: int) -> np.ndarray:
+        """The next n words of the stream as uint64, equal to n next_u64 calls,
+        and the state left where those calls would leave it."""
+        out = np.empty(n, dtype=np.uint64)
+        for start in range(0, n, _CHUNK):
+            out[start:start + _CHUNK] = self._raw_chunk(min(_CHUNK, n - start))
+        return out
+
+    def _raw_chunk(self, n: int) -> np.ndarray:
+        lanes = -(-n // _LANE)
+        if lanes == 1:  # one lane is the scalar recurrence, faster unvectorised
+            return np.array([self.next_u64() for _ in range(n)], dtype=np.uint64)
+        states = np.array([self._s], dtype=np.uint64)
+        for matrix in _lane_jumps():
+            if len(states) >= lanes:
+                break
+            jumped = _gf2(_to_bits(states), np.unpackbits(matrix, axis=1))
+            states = np.concatenate([states, _from_bits(jumped)])
+        s0, s1, s2, s3 = (np.ascontiguousarray(col) for col in states[:lanes].T)
+        last = n - (lanes - 1) * _LANE  # words the last lane yields
+        words = np.empty((_LANE, lanes), dtype=np.uint64)
+        t = np.empty(lanes, dtype=np.uint64)
+        for i in range(_LANE):
+            words[i] = s1
+            np.left_shift(s1, 17, out=t)
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            np.left_shift(s3, 45, out=t)
+            s3 >>= 19
+            s3 |= t
+            if i + 1 == last:
+                self._s = [int(s0[-1]), int(s1[-1]), int(s2[-1]), int(s3[-1])]
+        words = words.T.reshape(-1)[:n]
+        words *= 5
+        t = words << 7
+        words >>= 57
+        words |= t
+        words *= 9
+        return words
+
+    def _blocks(self, count: int, width: int, rejected=None):
+        """Walk `count` items of `width` words each in stream order, yielding
+        (start, words) with words shaped (m, width) for items start..start+m-1.
+        An item that rejected(words, start) flags is not yielded in a block:
+        the stream is rewound to it and (start, None) is yielded, for the
+        caller to draw that one item with its scalar helper."""
+        start = 0
+        while start < count:
+            m = min(count - start, _CHUNK // width)
+            saved = self.state()
+            words = self._raw_chunk(m * width).reshape(m, width)
+            bad = np.flatnonzero(rejected(words, start)) if rejected else ()
+            if len(bad):
+                m = int(bad[0])
+                self.set_state(saved)
+                self.raw(m * width)
+            yield start, words[:m]
+            start += m
+            if len(bad):
+                yield start, None
+                start += 1
+
     def random(self) -> float:
         """Uniform float64 in [0, 1) with 53 random bits."""
         return (self.next_u64() >> 11) * (2.0 ** -53)
 
-    def uniform(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self.random()
+    def uniform(self, lo: float, hi: float, size=None):
+        """lo + (hi - lo) * random(); with `size`, an array of that shape
+        filled in stream order."""
+        if size is None:
+            return lo + (hi - lo) * self.random()
+        out = np.empty(size)
+        flat = out.reshape(-1)
+        for start, words in self._blocks(flat.size, 1):
+            flat[start:start + len(words)] = lo + (hi - lo) * _unit_floats(words[:, 0])
+        return out
 
     def randint(self, n: int) -> int:
         """Uniform integer in [0, n), unbiased via rejection."""
@@ -97,19 +239,41 @@ class SeededRng:
             if u < limit:
                 return u % n
 
-    def gauss(self, mu: float = 0.0, sigma: float = 1.0) -> float:
-        """Standard Box-Muller draw (no cached spare, keeps state minimal)."""
-        u1 = self.random()
-        while u1 <= 0.0:
+    def gauss(self, mu: float = 0.0, sigma: float = 1.0, size=None):
+        """Standard Box-Muller draw (no cached spare, keeps state minimal); with
+        `size`, an array of that shape filled in stream order."""
+        if size is None:
             u1 = self.random()
-        u2 = self.random()
-        r = math.sqrt(-2.0 * math.log(u1))
-        return mu + sigma * r * math.cos(2.0 * math.pi * u2)
+            while u1 <= 0.0:
+                u1 = self.random()
+            u2 = self.random()
+            r = math.sqrt(-2.0 * math.log(u1))
+            return mu + sigma * r * math.cos(2.0 * math.pi * u2)
+        out = np.empty(size)
+        flat = out.reshape(-1)
+        for start, words in self._blocks(flat.size, 2, lambda w, _: w[:, 0] >> 11 == 0):
+            if words is None:
+                flat[start] = self.gauss(mu, sigma)
+                continue
+            u = _unit_floats(words)
+            r = np.sqrt(-2.0 * _elementwise(math.log, u[:, 0]))
+            flat[start:start + len(u)] = mu + sigma * r * _elementwise(math.cos, 2.0 * math.pi * u[:, 1])
+        return out
 
     def shuffle(self, seq) -> None:
-        """In-place Fisher-Yates shuffle of a mutable sequence."""
-        for i in range(len(seq) - 1, 0, -1):
-            j = self.randint(i + 1)
+        """In-place Fisher-Yates shuffle of a mutable sequence: one randint(i + 1)
+        per position i from the end, drawn in bulk."""
+        bounds = np.arange(len(seq), 1, -1, dtype=np.uint64)
+        # randint(b) accepts u < 2^64 - (2^64 mod b), that is u <= ~(2^64 mod b)
+        top = ~((0 - bounds) % bounds)
+        picks = np.empty(len(bounds), dtype=np.uint64)
+        for start, words in self._blocks(len(bounds), 1,
+                                         lambda w, s: w[:, 0] > top[s:s + len(w)]):
+            if words is None:
+                picks[start] = self.randint(int(bounds[start]))
+            else:
+                picks[start:start + len(words)] = words[:, 0] % bounds[start:start + len(words)]
+        for i, j in zip(range(len(seq) - 1, 0, -1), picks.tolist()):
             seq[i], seq[j] = seq[j], seq[i]
 
     def weighted_index(self, weights: np.ndarray) -> int:

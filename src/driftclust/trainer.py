@@ -31,7 +31,7 @@ from .clustering import CentroidBank, assign_batch, lloyd_kmeans, seed_kmeanspp,
 from .dataio import CheckpointError, Dataset, TrainerState
 from .head import FeatureHead, init_head, sse_loss
 from .metrics import nmi
-from .tensor import SeededRng
+from .tensor import ConfigError, SeededRng
 
 MODES = ("full", "baseline1", "baseline2", "baseline3")
 ROLLBACK_MODES = ("last_step", "snapshot")
@@ -59,23 +59,23 @@ class TrainerConfig:
 
     def validate(self):
         if self.k < 2:
-            raise ValueError(f"k must be at least 2, got {self.k}")
+            raise ConfigError(f"k must be at least 2, got {self.k}")
         if self.n_m < 1:
-            raise ValueError(f"n_m must be at least 1, got {self.n_m}")
+            raise ConfigError(f"n_m must be at least 1, got {self.n_m}")
         if not 1 <= self.k_m <= self.n_m:
-            raise ValueError(f"k_m must satisfy 1 <= k_m <= n_m, got k_m={self.k_m}, n_m={self.n_m}")
+            raise ConfigError(f"k_m must satisfy 1 <= k_m <= n_m, got k_m={self.k_m}, n_m={self.n_m}")
         if not np.isfinite(self.eta) or self.eta < 0:
-            raise ValueError(f"eta must be finite and nonnegative, got {self.eta}")
+            raise ConfigError(f"eta must be finite and nonnegative, got {self.eta}")
         if self.epochs < 0 or self.max_iters < 0:
-            raise ValueError("epochs and max_iters must be nonnegative")
+            raise ConfigError("epochs and max_iters must be nonnegative")
         if self.hidden_dim < 1:
-            raise ValueError(f"hidden_dim must be positive, got {self.hidden_dim}")
+            raise ConfigError(f"hidden_dim must be positive, got {self.hidden_dim}")
         if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.drift_rollback not in ROLLBACK_MODES:
-            raise ValueError(f"drift_rollback must be one of {ROLLBACK_MODES}, got {self.drift_rollback!r}")
+            raise ConfigError(f"drift_rollback must be one of {ROLLBACK_MODES}, got {self.drift_rollback!r}")
         if self.lloyd_iters < 1 or self.lloyd_tol < 0:
-            raise ValueError("lloyd_iters must be >= 1 and lloyd_tol >= 0")
+            raise ConfigError("lloyd_iters must be >= 1 and lloyd_tol >= 0")
 
 
 @dataclass
@@ -122,11 +122,11 @@ class JointTrainer:
                  resume: Optional[TrainerState] = None):
         config.validate()
         if dataset.n < config.k:
-            raise ValueError(f"dataset has {dataset.n} samples, fewer than k={config.k}")
+            raise ConfigError(f"dataset has {dataset.n} samples, fewer than k={config.k}")
         if ground_truth is not None:
             ground_truth = np.asarray(ground_truth)
             if ground_truth.shape != (dataset.n,):
-                raise ValueError("ground truth length must match the dataset")
+                raise ConfigError("ground truth length must match the dataset")
         self.dataset = dataset
         self.config = config
         self.truth = ground_truth

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -136,3 +138,19 @@ def test_tinyconv_extracts_through_base_extract_batch():
     # Backbone.extract_batch is the traced span that extraction timings are
     # read from; tinyconv supplies only the batched _transform kernel.
     assert "extract_batch" not in vars(TinyConvBackbone)
+
+
+@pytest.mark.parametrize("spec,attr,digest", [
+    (BackboneSpec("tinyconv", (28, 28, 1), 64, seed=1), "w1",
+     "e3ec3ea8e651f5efaeaceffaaa856ad6a5920015785582824ad0792a24ef466a"),
+    (BackboneSpec("tinyconv", (28, 28, 1), 64, seed=1), "w2",
+     "30f944e5d479ba7db4b4d670b604ca00bc81ea61313272591b91e9b70e536990"),
+    (BackboneSpec("tinyconv", (28, 28, 1), 64, seed=1), "projection",
+     "e7494819932dc6c8f16b74b702b972d51a8b26a2c7ea2132f6937378e1b0ed01"),
+    (BackboneSpec("randproj", (1, 50, 1), 128, seed=1), "projection",
+     "3792ab45ab9f615e0d51ebe91d28a70f5ce1b1fef4dfa0776d29eff42717146f"),
+])
+def test_frozen_parameters_are_pinned(spec, attr, digest):
+    # as the per-weight scalar loops drew them
+    weights = getattr(build_backbone(spec), attr)
+    assert hashlib.sha256(weights.astype("<f8").tobytes()).hexdigest() == digest

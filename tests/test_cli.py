@@ -1,3 +1,4 @@
+import gzip
 import struct
 import warnings
 import zlib
@@ -8,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import write_idx_fixture
+from driftclust import cli
 from driftclust.cli import main
 from driftclust.dataio import load_checkpoint, load_labels, save_labels
 from driftclust.metrics import nmi
+from driftclust.tensor import DimensionError
 
 
 def blob_args(tmp, k=4, points=40, dim=8, sep=25.0, **extra):
@@ -75,6 +78,57 @@ def test_km_zero_rejected(capsys):
     assert main(["cluster", "--data", "blobs", "--km", "0"]) == 2
     err = capsys.readouterr().err
     assert "k_m" in err
+
+
+@pytest.mark.parametrize("files,args,code,message", [
+    ({}, ["--blob-points", "0"], 2, "points_per_cluster"),
+    ({}, ["--blob-separation", "inf"], 2, "separation"),
+    ({"few.csv": "0,1\n1,0\n2,2\n"}, ["--data", "csv", "--csv", "few.csv", "--k", "5"], 2,
+     "fewer than k=5"),
+    ({"dup.csv": "1,2\n1,2\n1,2\n"}, ["--data", "csv", "--csv", "dup.csv", "--k", "2"], 2,
+     "distinct points"),
+    ({"huge.csv": "1e300,0\n-1e300,1\n0,1e300\n"},
+     ["--data", "csv", "--csv", "huge.csv", "--k", "2"], 2, "overflow"),
+    ({"bin.cfg": b"\xff\xfek=3\n"}, ["--config", "bin.cfg"], 2, "config file"),
+    ({"bin.csv": b"\xff\xfe1,2\n"}, ["--data", "csv", "--csv", "bin.csv", "--k", "2"], 4, "UTF-8"),
+    ({"labels.csv": "label\n1\n2\n"}, ["--data", "csv", "--csv", "labels.csv", "--k", "2"], 4,
+     "no feature columns"),
+    ({"cut.idx.gz": gzip.compress(bytes(100))[:20]},
+     ["--data", "mnist", "--images", "cut.idx.gz", "--k", "2"], 4, "gzip"),
+    ({"empty.idx": struct.pack(">IIII", 0x00000803, 3, 0, 5)},
+     ["--data", "mnist", "--images", "empty.idx", "--k", "2"], 4, "no pixels"),
+])
+def test_bad_input_gets_its_exit_code(tmp_path, monkeypatch, capsys, files, args, code, message):
+    monkeypatch.chdir(tmp_path)
+    for name, body in files.items():
+        (tmp_path / name).write_bytes(body if isinstance(body, bytes) else body.encode())
+    rc = main(["cluster", "--data", "blobs", "--epochs", "1"] + args
+              + ["--out-labels", "l.csv", "--out-metrics", "m.txt"])
+    assert rc == code
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body,message", [
+    ("0,1\n1,x\n", "line 2"),
+    ("0,1\n1,99999999999999999999\n", "64-bit"),
+    ("\n", "no labels"),
+])
+def test_bad_label_file_gives_io_exit(tmp_path, capsys, body, message):
+    bad, good = tmp_path / "bad.csv", tmp_path / "good.csv"
+    bad.write_text(body)
+    save_labels(good, [0, 1])
+    assert main(["eval", str(bad), str(good)]) == 4
+    assert message in capsys.readouterr().err
+
+
+def test_internal_error_is_not_reported_as_config_error(tmp_path, monkeypatch):
+    # only ConfigError maps to exit 2; a shape bug inside the program surfaces
+    def broken(*args, **kwargs):
+        raise DimensionError("internal shape bug")
+
+    monkeypatch.setattr(cli, "JointTrainer", broken)
+    with pytest.raises(DimensionError):
+        main(blob_args(tmp_path))
 
 
 def test_bad_idx_file_gives_io_exit(tmp_path, capsys):

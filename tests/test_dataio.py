@@ -74,6 +74,19 @@ def test_blobs_deterministic():
     assert np.array_equal(a.labels, b.labels)
 
 
+def test_blobs_benchmark_set_is_pinned():
+    # the 10-blob set of seed 0 and the stream position after it, as the
+    # per-draw scalar loops produced them
+    rng = SeededRng(0)
+    ds = gen_blobs(10, 500, 50, 10.0, 1.0, rng)
+    assert hashlib.sha256(ds.samples.astype("<f8").tobytes()).hexdigest() == \
+        "3def959bb232866199bfece4a9304743c13e2b7212ddbe43cebbf28e545a57d5"
+    assert hashlib.sha256(ds.labels.astype("<i8").tobytes()).hexdigest() == \
+        "c3556f4a243d7dc7c1fb41d5302fb5050146cd15b4b1e72e41d57339c79a1367"
+    assert rng.state() == (16910642681060273710, 15705961282128593385,
+                           9436931461749330467, 5928406104882842675)
+
+
 def test_blobs_centers_separated_over_seeds():
     # separation 10, sigma 1, dim 50: pairwise center distances should clear
     # 6*sigma essentially always

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -217,6 +219,17 @@ def test_init_head_deterministic_and_bounded():
     s = np.sqrt(6.0 / (7 + 5))
     assert np.all(np.abs(h1.w_hidden) <= s)
     assert h1.last_delta_hidden is None and h1.last_delta_out is None
+
+
+def test_init_head_weights_are_pinned():
+    # the benchmark-sized head of seed 0, as the per-weight scalar loop drew it
+    rng = SeededRng(0)
+    head = init_head(50, 128, 10, eta=0.045, rng=rng)
+    weights = head.w_hidden.astype("<f8").tobytes() + head.w_out.astype("<f8").tobytes()
+    assert hashlib.sha256(weights).hexdigest() == \
+        "d5158a03d8ae3571cb10de35eda14563c5f7da8077a4c963c769dcd13c5d1d7a"
+    assert rng.state() == (755587367173932930, 5898390776964906804,
+                           17370024958641864530, 14621429787938770022)
 
 
 def test_init_head_weight_mean_near_zero():

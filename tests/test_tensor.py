@@ -2,8 +2,12 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from driftclust.tensor import DimensionError, SeededRng, matrix
+from driftclust.tensor import _CHUNK, _LANE, DimensionError, SeededRng, matrix
+
+MASK = (1 << 64) - 1
 
 
 def test_vector_and_matrix_validation():
@@ -16,16 +20,14 @@ def test_vector_and_matrix_validation():
 
 
 def test_rng_streams_are_reproducible():
-    # byte-identical streams of one million draws from the same seed
+    # byte-identical streams of one million draws from the same seed; the pin
+    # is the digest of one million scalar next_u64 words
     def digest(seed):
-        rng = SeededRng(seed)
-        h = hashlib.sha256()
-        for _ in range(1_000_000):
-            h.update(rng.next_u64().to_bytes(8, "little"))
-        return h.hexdigest()
+        return hashlib.sha256(SeededRng(seed).raw(1_000_000).astype("<u8").tobytes()).hexdigest()
 
     assert digest(1234) == digest(1234)
     assert digest(1234) != digest(1235)
+    assert digest(1234) == "876186e58b62c140f5b9361d57cc2e8e84de3fee189151d8c8a0ba9b884fb700"
 
 
 def test_rng_known_good_values():
@@ -88,3 +90,107 @@ def test_rng_state_roundtrip():
     rng2 = SeededRng(0)
     rng2.set_state(saved)
     assert [rng2.next_u64() for _ in range(5)] == expected
+
+
+# --- bulk draws against the scalar reference --------------------------------
+
+def _rotl(x, k):
+    return ((x << k) | (x >> (64 - k))) & MASK
+
+
+def _step_back(state):
+    """Inverse of one xoshiro256** state update."""
+    a0, a1, a2, a3 = state
+    x3 = _rotl(a3, 64 - 45)  # s3 ^ s1
+    s0 = a0 ^ x3
+    v = a1 ^ a2  # s1 ^ (s1 << 17)
+    s1 = (v ^ (v << 17) ^ (v << 34) ^ (v << 51)) & MASK
+    return (s0, s1, a1 ^ s1 ^ s0, x3 ^ s1)
+
+
+def _planted(state, position, word):
+    """A state whose stream yields `word` at `position` (0-based): `state`
+    with its s1 solved for `word`, then stepped back `position` times."""
+    x = _rotl((word * pow(9, -1, 1 << 64)) & MASK, 64 - 7)
+    state = (state[0], (x * pow(5, -1, 1 << 64)) & MASK, state[2], state[3])
+    for _ in range(position):
+        state = _step_back(state)
+    return state
+
+
+def _rngs(state):
+    bulk, scalar = SeededRng(0), SeededRng(0)
+    bulk.set_state(state)
+    scalar.set_state(state)
+    return bulk, scalar
+
+
+def _scalar_shuffle(rng, seq):
+    for i in range(len(seq) - 1, 0, -1):
+        j = rng.randint(i + 1)
+        seq[i], seq[j] = seq[j], seq[i]
+
+
+# the all-zero state is a fixed point that seeding never produces
+STATES = st.tuples(*[st.integers(0, MASK)] * 4).filter(any)
+# planting replaces s1, so s0, s2 and s3 must keep the state nonzero
+PLANT_STATES = STATES.filter(lambda s: s[0] | s[2] | s[3])
+# one word, around one lane, several lanes, and more than one bulk pass
+SIZES = st.sampled_from([1, _LANE - 1, _LANE, _LANE + 1, 7 * _LANE + 5, _CHUNK + _LANE + 1])
+POSITIONS = st.sampled_from([0, 1, _LANE - 1, _LANE, 3 * _LANE + 2, _CHUNK // 2 - 1, _CHUNK // 2 + 2,
+                             _CHUNK + 1])
+
+
+def test_step_back_inverts_next_u64():
+    rng = SeededRng(5)
+    before = rng.state()
+    rng.next_u64()
+    assert _step_back(rng.state()) == before
+    for word in (0, MASK, 12345):
+        bulk, _ = _rngs(_planted(before, 3, word))
+        assert [bulk.next_u64() for _ in range(4)][3] == word
+
+
+@settings(max_examples=30, deadline=None)
+@given(STATES, SIZES)
+def test_raw_matches_next_u64(state, n):
+    bulk, scalar = _rngs(state)
+    assert bulk.raw(n).tolist() == [scalar.next_u64() for _ in range(n)]
+    assert bulk.state() == scalar.state()
+
+
+@settings(max_examples=20, deadline=None)
+@given(STATES, SIZES)
+def test_bulk_gauss_uniform_and_shuffle_match_scalar_helpers(state, n):
+    bulk, scalar = _rngs(state)
+    assert bulk.gauss(size=n).tolist() == [scalar.gauss() for _ in range(n)]
+    assert bulk.gauss(0.5, 3.0, size=(1, n)).ravel().tolist() == [scalar.gauss(0.5, 3.0) for _ in range(n)]
+    assert bulk.uniform(-0.3, 2.0, size=n).tolist() == [scalar.uniform(-0.3, 2.0) for _ in range(n)]
+    seq_bulk, seq_scalar = list(range(n)), list(range(n))
+    bulk.shuffle(seq_bulk)
+    _scalar_shuffle(scalar, seq_scalar)
+    assert seq_bulk == seq_scalar
+    assert bulk.state() == scalar.state()
+
+
+@settings(max_examples=15, deadline=None)
+@given(PLANT_STATES, POSITIONS)
+def test_bulk_gauss_redraws_a_zero_u1_like_the_scalar_helper(state, item):
+    # the word at 2 * item is item's u1; 0 makes the scalar helper draw u1 again
+    bulk, scalar = _rngs(_planted(state, 2 * item, 0))
+    n = item + 5
+    assert bulk.gauss(size=n).tolist() == [scalar.gauss() for _ in range(n)]
+    assert bulk.state() == scalar.state()
+
+
+@settings(max_examples=15, deadline=None)
+@given(PLANT_STATES, POSITIONS)
+def test_bulk_shuffle_rejects_the_top_word_like_randint(state, draw):
+    # draw p of a shuffle of n items is randint(n - p); with n - p = 10, not a
+    # power of two, randint rejects 2**64 - 1 and draws again
+    bulk, scalar = _rngs(_planted(state, draw, MASK))
+    seq_bulk, seq_scalar = list(range(draw + 10)), list(range(draw + 10))
+    bulk.shuffle(seq_bulk)
+    _scalar_shuffle(scalar, seq_scalar)
+    assert seq_bulk == seq_scalar
+    assert bulk.state() == scalar.state()
