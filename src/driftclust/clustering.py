@@ -66,7 +66,7 @@ def seed_kmeanspp(features, k: int, rng: SeededRng) -> CentroidBank:
             raise ConfigError(f"cannot seed k={k} centroids: the features hold fewer than k distinct points")
         idx = rng.weighted_index(d2)
         chosen.append(idx)
-        np.subtract(x, x[idx], out=diff)  # in place: one n x d temporary, not two
+        diff = x - x[idx]
         d2 = np.minimum(d2, np.einsum("ij,ij->i", diff, diff))
     return CentroidBank(x[chosen].copy(), np.ones(k, dtype=np.int64))
 

@@ -143,10 +143,14 @@ def gen_blobs(k: int, points_per_cluster: int, dim: int, separation: float,
                    labels=labels, name="blobs")
 
 
-def _read_text(path) -> str:
+def _text_lines(path):
+    """Yield (line number from 1, line without its newline) for each nonblank
+    line of a UTF-8 text file."""
     with open(path, "r", encoding="utf-8") as f:
         try:
-            return f.read()
+            for lineno, line in enumerate(f, start=1):
+                if line.strip() != "":
+                    yield lineno, line.rstrip("\n")
         except UnicodeDecodeError as exc:
             raise CsvFormatError(f"{path} is not UTF-8 text: {exc}") from None
 
@@ -160,7 +164,7 @@ def load_csv(path) -> Dataset:
     every value must be finite and every label a 64-bit integer; a violation
     raises CsvFormatError naming the row and the column (both 1-based).
     """
-    lines = [ln for ln in _read_text(path).split("\n") if ln.strip() != ""]
+    lines = [ln for _, ln in _text_lines(path)]
     if not lines:
         raise CsvFormatError("empty CSV file")
 
@@ -234,9 +238,7 @@ def load_labels(path) -> np.ndarray:
     """Read a label file; accepts "index,label" lines or bare labels. A label
     that is not a 64-bit integer, or a file with none, raises CsvFormatError."""
     out = []
-    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
-        if not line.strip():
-            continue
+    for lineno, line in _text_lines(path):
         text = line.split(",")[-1].strip()
         try:
             label = int(text)

@@ -124,8 +124,9 @@ class SeededRng:
     uniform(size=) and shuffle draw through raw and return bit-identical
     floats and indices to the scalar helpers: they keep the scalar operation
     order, Box-Muller's log and cos go through math (np.log can differ from
-    math.log in the last bit), and a draw the scalar helper would reject is
-    redrawn by the scalar helper itself.
+    math.log in the last bit), and a call in which the scalar helper would
+    reject a draw (probability about 2^-53 per gauss item, at most b/2^64 per
+    shuffle item) is replayed through the scalar helper from its start state.
     """
 
     def __init__(self, seed: int):
@@ -159,19 +160,15 @@ class SeededRng:
 
     def _raw_chunk(self, n: int) -> np.ndarray:
         lanes = -(-n // _LANE)
-        if lanes == 1:  # one lane is the scalar recurrence, faster unvectorised
-            return np.array([self.next_u64() for _ in range(n)], dtype=np.uint64)
         states = np.array([self._s], dtype=np.uint64)
-        for matrix in _lane_jumps():
-            if len(states) >= lanes:
-                break
+        for matrix in _lane_jumps()[:(lanes - 1).bit_length()]:
             jumped = _gf2(_to_bits(states), np.unpackbits(matrix, axis=1))
             states = np.concatenate([states, _from_bits(jumped)])
         s0, s1, s2, s3 = (np.ascontiguousarray(col) for col in states[:lanes].T)
         last = n - (lanes - 1) * _LANE  # words the last lane yields
         words = np.empty((_LANE, lanes), dtype=np.uint64)
         t = np.empty(lanes, dtype=np.uint64)
-        for i in range(_LANE):
+        for i in range(min(n, _LANE)):
             words[i] = s1
             np.left_shift(s1, 17, out=t)
             s2 ^= s0
@@ -192,28 +189,6 @@ class SeededRng:
         words *= 9
         return words
 
-    def _blocks(self, count: int, width: int, rejected=None):
-        """Walk `count` items of `width` words each in stream order, yielding
-        (start, words) with words shaped (m, width) for items start..start+m-1.
-        An item that rejected(words, start) flags is not yielded in a block:
-        the stream is rewound to it and (start, None) is yielded, for the
-        caller to draw that one item with its scalar helper."""
-        start = 0
-        while start < count:
-            m = min(count - start, _CHUNK // width)
-            saved = self.state()
-            words = self._raw_chunk(m * width).reshape(m, width)
-            bad = np.flatnonzero(rejected(words, start)) if rejected else ()
-            if len(bad):
-                m = int(bad[0])
-                self.set_state(saved)
-                self.raw(m * width)
-            yield start, words[:m]
-            start += m
-            if len(bad):
-                yield start, None
-                start += 1
-
     def random(self) -> float:
         """Uniform float64 in [0, 1) with 53 random bits."""
         return (self.next_u64() >> 11) * (2.0 ** -53)
@@ -223,11 +198,7 @@ class SeededRng:
         filled in stream order."""
         if size is None:
             return lo + (hi - lo) * self.random()
-        out = np.empty(size)
-        flat = out.reshape(-1)
-        for start, words in self._blocks(flat.size, 1):
-            flat[start:start + len(words)] = lo + (hi - lo) * _unit_floats(words[:, 0])
-        return out
+        return lo + (hi - lo) * _unit_floats(self.raw(int(np.prod(size)))).reshape(size)
 
     def randint(self, n: int) -> int:
         """Uniform integer in [0, n), unbiased via rejection."""
@@ -249,31 +220,28 @@ class SeededRng:
             u2 = self.random()
             r = math.sqrt(-2.0 * math.log(u1))
             return mu + sigma * r * math.cos(2.0 * math.pi * u2)
-        out = np.empty(size)
-        flat = out.reshape(-1)
-        for start, words in self._blocks(flat.size, 2, lambda w, _: w[:, 0] >> 11 == 0):
-            if words is None:
-                flat[start] = self.gauss(mu, sigma)
-                continue
-            u = _unit_floats(words)
-            r = np.sqrt(-2.0 * _elementwise(math.log, u[:, 0]))
-            flat[start:start + len(u)] = mu + sigma * r * _elementwise(math.cos, 2.0 * math.pi * u[:, 1])
-        return out
+        n = int(np.prod(size))
+        saved = self.state()
+        u = _unit_floats(self.raw(2 * n).reshape(n, 2))
+        if np.any(u[:, 0] == 0.0):  # the scalar helper redraws such a u1: replay the call with it
+            self.set_state(saved)
+            return np.reshape([self.gauss(mu, sigma) for _ in range(n)], size)
+        r = np.sqrt(-2.0 * _elementwise(math.log, u[:, 0]))
+        return (mu + sigma * r * _elementwise(math.cos, 2.0 * math.pi * u[:, 1])).reshape(size)
 
     def shuffle(self, seq) -> None:
         """In-place Fisher-Yates shuffle of a mutable sequence: one randint(i + 1)
         per position i from the end, drawn in bulk."""
         bounds = np.arange(len(seq), 1, -1, dtype=np.uint64)
+        saved = self.state()
+        words = self.raw(len(bounds))
         # randint(b) accepts u < 2^64 - (2^64 mod b), that is u <= ~(2^64 mod b)
-        top = ~((0 - bounds) % bounds)
-        picks = np.empty(len(bounds), dtype=np.uint64)
-        for start, words in self._blocks(len(bounds), 1,
-                                         lambda w, s: w[:, 0] > top[s:s + len(w)]):
-            if words is None:
-                picks[start] = self.randint(int(bounds[start]))
-            else:
-                picks[start:start + len(words)] = words[:, 0] % bounds[start:start + len(words)]
-        for i, j in zip(range(len(seq) - 1, 0, -1), picks.tolist()):
+        if np.any(words > ~((0 - bounds) % bounds)):  # it redraws such a u: replay the call with it
+            self.set_state(saved)
+            picks = [self.randint(int(b)) for b in bounds]
+        else:
+            picks = (words % bounds).tolist()
+        for i, j in zip(range(len(seq) - 1, 0, -1), picks):
             seq[i], seq[j] = seq[j], seq[i]
 
     def weighted_index(self, weights: np.ndarray) -> int:

@@ -121,19 +121,6 @@ def test_assign_batch_memory_stays_bounded():
     assert peak < 16 * 2**20
 
 
-def test_seed_kmeanspp_memory_stays_bounded():
-    # one n x d difference buffer (4 MiB here) serves every seed; building a
-    # new one per seed held two at once
-    feats = np.random.default_rng(0).normal(size=(4096, 128))
-    tracemalloc.start()
-    try:
-        seed_kmeanspp(feats, 10, SeededRng(0))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 6 * 2**20
-
-
 def per_row_update(centroids, counts, labels, feats):
     """The streaming-mean oracle: one update per row, in row order."""
     for label, h in zip(labels, feats):
