@@ -66,7 +66,7 @@ def seed_kmeanspp(features, k: int, rng: SeededRng) -> CentroidBank:
             raise ConfigError(f"cannot seed k={k} centroids: the features hold fewer than k distinct points")
         idx = rng.weighted_index(d2)
         chosen.append(idx)
-        diff = x - x[idx]
+        np.subtract(x, x[idx], out=diff)
         d2 = np.minimum(d2, np.einsum("ij,ij->i", diff, diff))
     return CentroidBank(x[chosen].copy(), np.ones(k, dtype=np.int64))
 
@@ -91,7 +91,7 @@ def assign_batch(bank: CentroidBank, feats: np.ndarray, chunk: int = 4096):
 
 def update_centroid(bank: CentroidBank, labels, feats) -> None:
     """Streaming mean step for each row of a mini-batch, in row order: count += 1
-    first, then c <- (1 - gamma) * c + gamma * h with gamma = 1/count."""
+    first, then c <- (1 - gamma) * c + gamma * h in place, with gamma = 1/count."""
     labs = np.asarray(labels)
     h = np.asarray(feats, dtype=np.float64)
     if labs.ndim != 1 or h.shape != (labs.shape[0], bank.dim):
@@ -99,11 +99,18 @@ def update_centroid(bank: CentroidBank, labels, feats) -> None:
                              f"and bank dim {bank.dim}")
     if labs.size and not (np.issubdtype(labs.dtype, np.integer) and 0 <= labs.min() <= labs.max() < bank.k):
         raise ValueError(f"labels must be integers in [0, {bank.k}), got {labs.tolist()}")
-    counts, centroids = bank.counts, bank.centroids
-    for label, row in zip(labs.tolist(), h):
+    rows = labs.tolist()
+    counts = dict(zip(rows, bank.counts[rows].tolist()))
+    gammas = []
+    for label in rows:
         counts[label] += 1
-        gamma = 1.0 / float(counts[label])
-        centroids[label] = (1.0 - gamma) * centroids[label] + gamma * row
+        gammas.append(1.0 / counts[label])
+    bank.counts[list(counts)] = list(counts.values())
+    gamma = np.array(gammas)
+    for label, keep, step in zip(rows, 1.0 - gamma, gamma[:, None] * h):
+        c = bank.centroids[label]
+        c *= keep
+        c += step
 
 
 def _sq_dists_to_centroids(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:

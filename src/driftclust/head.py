@@ -8,31 +8,27 @@ feature h) and an output layer scored against one-hot pseudo-labels:
     loss     = 1/2 * sum_j (y_j - t_j)^2,   t = one_hot(label)
 
 Gradients are hand-derived with the ReLU derivative taken as the indicator
-1[u > 0] (zero at u == 0). Each SGD step records the raw gradients it
+1[u > 0] (zero at u == 0). Each SGD step keeps the raw gradients it
 applied, so the hidden feature under the previous weights can be
 reconstructed later as relu((W1 + eta * last_delta1) @ x); that rollback is
 what keeps centroid updates consistent with the features they were assigned
 under.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
 from .tensor import DimensionError, SeededRng, matrix
+
+LOSS_LIMIT = 1e6  # a larger (or non-finite) loss means the step diverged
 
 
 class NoHistoryError(RuntimeError):
     """Rollback requested before any SGD step was taken."""
 
 
-@dataclass
-class ForwardTrace:
-    x: np.ndarray
-    u_hidden: np.ndarray
-    h: np.ndarray
-    u_out: np.ndarray
-    y: np.ndarray
+ForwardTrace = namedtuple("ForwardTrace", "x u_hidden h u_out y")
 
 
 def one_hot(k: int, label: int) -> np.ndarray:
@@ -63,9 +59,8 @@ class FeatureHead:
         self.w_hidden = matrix(w_hidden)
         self.w_out = matrix(w_out)
         if self.w_out.shape[1] != self.w_hidden.shape[0]:
-            raise DimensionError(
-                f"output layer expects {self.w_out.shape[1]} hidden units, head has {self.w_hidden.shape[0]}"
-            )
+            raise DimensionError(f"output layer expects {self.w_out.shape[1]} hidden units, "
+                                 f"head has {self.w_hidden.shape[0]}")
         if eta < 0:
             raise ValueError("learning rate must be nonnegative")
         self.eta = float(eta)
@@ -74,6 +69,8 @@ class FeatureHead:
         for delta, w in ((self.last_delta_hidden, self.w_hidden), (self.last_delta_out, self.w_out)):
             if delta is not None and delta.shape != w.shape:
                 raise DimensionError(f"stored delta shape {delta.shape} does not match weights {w.shape}")
+        self._grads = (np.empty_like(self.w_hidden), np.empty_like(self.w_out))
+        self._scaled = (np.empty_like(self.w_hidden), np.empty_like(self.w_out))
 
     @property
     def input_dim(self):
@@ -88,53 +85,53 @@ class FeatureHead:
         return self.w_out.shape[0]
 
     def copy(self):
-        return FeatureHead(
-            self.w_hidden.copy(),
-            self.w_out.copy(),
-            self.eta,
-            None if self.last_delta_hidden is None else self.last_delta_hidden.copy(),
-            None if self.last_delta_out is None else self.last_delta_out.copy(),
-        )
+        deltas = (None if d is None else d.copy() for d in (self.last_delta_hidden, self.last_delta_out))
+        return FeatureHead(self.w_hidden.copy(), self.w_out.copy(), self.eta, *deltas)
 
     def forward(self, x: np.ndarray) -> ForwardTrace:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 1 or x.shape[0] != self.input_dim:
             raise DimensionError(f"input shape {x.shape} does not match head input dim {self.input_dim}")
-        u_hidden = self.w_hidden @ x
+        u_hidden = np.dot(self.w_hidden, x)  # the gemv of `@`, dispatched faster
         h = np.maximum(u_hidden, 0.0)
-        u_out = self.w_out @ h
+        u_out = np.dot(self.w_out, h)
         y = np.maximum(u_out, 0.0)
-        return ForwardTrace(x=x, u_hidden=u_hidden, h=h, u_out=u_out, y=y)
+        return ForwardTrace(x, u_hidden, h, u_out, y)
 
     def hidden_batch(self, xs: np.ndarray) -> np.ndarray:
         """Hidden features for a stack of inputs (rows), read-only weights."""
         return np.maximum(xs @ self.w_hidden.T, 0.0)
 
-    def backward(self, trace: ForwardTrace, label: int):
+    def backward(self, trace: ForwardTrace, label: int, out=None):
         """Loss gradients w.r.t. both weight matrices for one sample, t = one_hot(label).
 
         grad_out[j, i]  = (y_j - t_j) * 1[u_out_j > 0] * h_i
         grad_hidden[i, m]  = sum_j[(y_j - t_j) * 1[u_out_j > 0] * w_out[j, i]]
                           * 1[u_hidden_i > 0] * x_m
-        """
-        if trace.x.shape[0] != self.input_dim or trace.h.shape[0] != self.hidden_dim \
-                or trace.y.shape[0] != self.k:
+        written into `out`, a (grad_hidden, grad_out) pair of arrays, if given."""
+        if (trace.x.shape[0], trace.h.shape[0], trace.y.shape[0]) != (self.input_dim, self.hidden_dim, self.k):
             raise DimensionError("trace does not match this head's shapes")
-        delta_out = _residual(trace.y, label) * (trace.u_out > 0.0)
-        grad_out = delta_out[:, None] * trace.h
-        delta_hidden = (self.w_out.T @ delta_out) * (trace.u_hidden > 0.0)
-        grad_hidden = delta_hidden[:, None] * trace.x
+        grad_hidden, grad_out = out or (np.empty_like(self.w_hidden), np.empty_like(self.w_out))
+        delta_out = _residual(trace.y, label)
+        delta_out *= np.sign(trace.y)  # 1[u_out > 0] as 1.0 / 0.0: y = relu(u_out)
+        np.multiply(delta_out[:, None], trace.h, out=grad_out)
+        delta_hidden = np.dot(self.w_out.T, delta_out)
+        delta_hidden *= np.sign(trace.h)
+        np.multiply(delta_hidden[:, None], trace.x, out=grad_hidden)
         return grad_hidden, grad_out
 
-    def sgd_step(self, grad_hidden: np.ndarray, grad_out: np.ndarray) -> None:
-        """w <- w - eta * grad on both layers. The gradient arrays themselves are
-        kept, uncopied, as the rollback deltas; weight finiteness is the caller's."""
-        if grad_hidden.shape != self.w_hidden.shape or grad_out.shape != self.w_out.shape:
-            raise DimensionError("gradient shapes do not match weights")
-        self.w_hidden -= self.eta * grad_hidden
-        self.w_out -= self.eta * grad_out
-        self.last_delta_hidden = grad_hidden
-        self.last_delta_out = grad_out
+    def sgd_step(self, x: np.ndarray, label: int) -> float:
+        """w <- w - eta * grad on both layers for x and one_hot(label). Returns the loss
+        before the step, and leaves the head untouched if it is non-finite or above
+        LOSS_LIMIT. The gradients stay in this head's buffers as last_delta_*."""
+        trace = self.forward(x)
+        loss = sse_loss(trace.y, label)
+        if not loss <= LOSS_LIMIT:
+            return loss
+        self.last_delta_hidden, self.last_delta_out = self.backward(trace, label, out=self._grads)
+        self.w_hidden -= np.multiply(self.last_delta_hidden, self.eta, out=self._scaled[0])
+        self.w_out -= np.multiply(self.last_delta_out, self.eta, out=self._scaled[1])
+        return loss
 
     def rollback_hidden_batch(self, xs: np.ndarray) -> np.ndarray:
         """Hidden features of a stack of inputs (rows) under the pre-step

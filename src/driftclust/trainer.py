@@ -29,13 +29,12 @@ import numpy as np
 from .backbone import BackboneSpec, build_backbone
 from .clustering import CentroidBank, assign_batch, lloyd_kmeans, seed_kmeanspp, update_centroid
 from .dataio import CheckpointError, Dataset, TrainerState
-from .head import FeatureHead, init_head, sse_loss
+from .head import LOSS_LIMIT, FeatureHead, init_head
 from .metrics import nmi
 from .tensor import ConfigError, SeededRng
 
 MODES = ("full", "baseline1", "baseline2", "baseline3")
 ROLLBACK_MODES = ("last_step", "snapshot")
-LOSS_LIMIT = 1e6
 
 
 class DivergenceError(RuntimeError):
@@ -287,23 +286,20 @@ class JointTrainer:
         return assigned_hidden
 
     def _finetune_pass(self, pairs):
-        """Per-sample SGD on the pairs. The loss is checked every step, the weights
-        once after the pass: before any centroid update reads them."""
+        """Per-sample SGD on the pairs, one sgd_step each. The loss is checked every
+        step, the weights once after the pass: before any centroid update reads them."""
         head = self.head
         pre_pass_head = head.copy()
         pre_step_head = None
         # an overflowing step is reported below as DivergenceError, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
             for i, (sample_idx, label) in enumerate(pairs):
-                trace = head.forward(self.inputs[sample_idx])
-                loss = sse_loss(trace.y, label)
-                if not math.isfinite(loss) or loss > LOSS_LIMIT:
-                    raise DivergenceError(
-                        f"fine-tune loss {loss} exceeded {LOSS_LIMIT:g} at iteration {self.iterations}"
-                    )
                 if i == len(pairs) - 1 and self.hooks is not None:
                     pre_step_head = head.copy()
-                head.sgd_step(*head.backward(trace, label))
+                loss = head.sgd_step(self.inputs[sample_idx], label)
+                if not loss <= LOSS_LIMIT:
+                    raise DivergenceError(f"fine-tune loss {loss} exceeded {LOSS_LIMIT:g} "
+                                          f"at iteration {self.iterations}")
         if not (np.isfinite(head.w_hidden).all() and np.isfinite(head.w_out).all()):
             raise DivergenceError(f"non-finite weights after SGD at iteration {self.iterations}")
         self.snapshot_head = pre_pass_head

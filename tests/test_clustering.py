@@ -121,6 +121,19 @@ def test_assign_batch_memory_stays_bounded():
     assert peak < 16 * 2**20
 
 
+def test_seed_kmeanspp_memory_stays_bounded():
+    # one n x d difference buffer for all k seeds: 4 MiB here, where a fresh
+    # difference per seed held two at once (8 MiB)
+    feats = np.random.default_rng(1).normal(size=(4096, 128))
+    tracemalloc.start()
+    try:
+        seed_kmeanspp(feats, 10, SeededRng(3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * feats.nbytes
+
+
 def per_row_update(centroids, counts, labels, feats):
     """The streaming-mean oracle: one update per row, in row order."""
     for label, h in zip(labels, feats):

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from driftclust.head import FeatureHead, NoHistoryError, init_head, one_hot, sse_loss
+from driftclust.head import LOSS_LIMIT, FeatureHead, NoHistoryError, init_head, one_hot, sse_loss
 from driftclust.tensor import DimensionError, SeededRng
 
 
@@ -135,25 +135,68 @@ def test_backward_rejects_stale_trace():
 
 
 def test_sgd_step_scalar_arithmetic():
+    # x = 0.5 through 1x1 identity layers: y = 0.5, residual -0.5, both gradients -0.25
     head = FeatureHead(np.array([[1.0]]), np.array([[1.0]]), eta=0.1)
-    head.sgd_step(np.array([[0.5]]), np.array([[0.0]]))
-    assert head.w_hidden[0, 0] == pytest.approx(0.95)
-    assert np.array_equal(head.last_delta_hidden, np.array([[0.5]]))
+    assert head.sgd_step(np.array([0.5]), 0) == 0.125
+    assert head.w_hidden[0, 0] == pytest.approx(1.025)
+    assert head.w_out[0, 0] == pytest.approx(1.025)
+    assert np.array_equal(head.last_delta_hidden, np.array([[-0.25]]))
+    assert np.array_equal(head.last_delta_out, np.array([[-0.25]]))
 
 
 def test_sgd_step_zero_gradients_and_zero_eta():
     rng = SeededRng(4)
     head = random_head(rng)
     w1, w2 = head.w_hidden.copy(), head.w_out.copy()
-    head.sgd_step(np.zeros_like(w1), np.zeros_like(w2))
+    head.sgd_step(np.zeros(5), 0)  # a zero input has zero gradients under any head
     assert np.array_equal(head.w_hidden, w1) and np.array_equal(head.w_out, w2)
-    assert np.all(head.last_delta_hidden == 0.0)
+    assert np.all(head.last_delta_hidden == 0.0) and np.all(head.last_delta_out == 0.0)
 
     head_zero = random_head(SeededRng(4), eta=0.0)
-    g1, g2 = np.ones_like(w1), np.ones_like(w2)
-    head_zero.sgd_step(g1, g2)
-    assert np.array_equal(head_zero.w_hidden, w1)
+    x = np.array([rng.gauss() for _ in range(5)])
+    g1, g2 = head_zero.backward(head_zero.forward(x), 1)
+    assert np.any(g1) and np.any(g2)
+    head_zero.sgd_step(x, 1)
+    assert np.array_equal(head_zero.w_hidden, w1) and np.array_equal(head_zero.w_out, w2)
     assert np.array_equal(head_zero.last_delta_hidden, g1)
+    assert np.array_equal(head_zero.last_delta_out, g2)
+
+
+def test_step_buffers_hold_the_latest_gradients_and_copies_own_theirs():
+    # the head writes every step's gradients into the same arrays, so the
+    # deltas must be that step's own and a copy must not see later steps
+    rng = SeededRng(36)
+    head = random_head(rng, eta=0.05)
+    samples = [(np.array([rng.gauss() for _ in range(5)]), rng.randint(3)) for _ in range(8)]
+    for i, (x, label) in enumerate(samples):
+        want = head.backward(head.forward(x), label)
+        head.sgd_step(x, label)
+        got = (head.last_delta_hidden, head.last_delta_out)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want)), i
+        if i == 3:
+            mid = head.copy()
+            frozen = [a.copy() for a in (mid.w_hidden, mid.w_out, mid.last_delta_hidden,
+                                         mid.last_delta_out)]
+            ours = (head.w_hidden, head.w_out, head.last_delta_hidden, head.last_delta_out)
+            assert not any(np.shares_memory(a, b) for a in frozen for b in ours)
+    after = (mid.w_hidden, mid.w_out, mid.last_delta_hidden, mid.last_delta_out)
+    assert all(a.tobytes() == f.tobytes() for a, f in zip(after, frozen))
+    mid.sgd_step(*samples[0])  # the copy steps on its own buffers
+    assert not np.shares_memory(mid.last_delta_hidden, head.last_delta_hidden)
+    assert not np.array_equal(mid.last_delta_hidden, head.last_delta_hidden)
+
+
+def test_sgd_step_over_the_loss_limit_leaves_the_head_untouched():
+    head = FeatureHead(np.eye(2) * 2e3, np.eye(2) * 2e3, eta=0.1)
+    head.sgd_step(np.array([1e-7, 0.0]), 0)
+    before = [a.copy() for a in (head.w_hidden, head.w_out, head.last_delta_hidden,
+                                 head.last_delta_out)]
+    loss = head.sgd_step(np.array([1.0, 0.0]), 1)  # y = (4e6, 0): loss 8e12
+    assert loss > LOSS_LIMIT
+    after = (head.w_hidden, head.w_out, head.last_delta_hidden, head.last_delta_out)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(after, before))
+    assert np.isnan(head.sgd_step(np.array([np.nan, 0.0]), 1))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(after, before))
 
 
 def test_rollback_reproduces_previous_hidden_feature():
@@ -163,8 +206,7 @@ def test_rollback_reproduces_previous_hidden_feature():
         x = np.array([rng.gauss() for _ in range(5)])
         label = rng.randint(3)
         prev_w1 = head.w_hidden.copy()
-        trace = head.forward(x)
-        head.sgd_step(*head.backward(trace, label))
+        head.sgd_step(x, label)
         rolled = head.rollback_hidden_batch(x[None])[0]
         expected = np.maximum(prev_w1 @ x, 0.0)
         assert np.max(np.abs(rolled - expected)) < 1e-9
@@ -174,7 +216,8 @@ def test_rollback_with_zero_delta_equals_current():
     rng = SeededRng(32)
     head = random_head(rng)
     x = np.array([rng.gauss() for _ in range(5)])
-    head.sgd_step(np.zeros_like(head.w_hidden), np.zeros_like(head.w_out))
+    head.sgd_step(np.zeros(5), 0)  # zero gradients: the stored deltas are all zero
+    assert np.all(head.last_delta_hidden == 0.0)
     assert np.array_equal(head.rollback_hidden_batch(x[None])[0], head.hidden_batch(x[None])[0])
 
 
@@ -182,8 +225,7 @@ def test_rollback_with_zero_eta_equals_current():
     rng = SeededRng(33)
     head = random_head(rng, eta=0.0)
     x = np.array([rng.gauss() for _ in range(5)])
-    trace = head.forward(x)
-    head.sgd_step(*head.backward(trace, 1))
+    head.sgd_step(x, 1)
     assert np.array_equal(head.rollback_hidden_batch(x[None])[0], head.hidden_batch(x[None])[0])
 
 
@@ -205,7 +247,7 @@ def test_single_step_descends_loss():
         g1, g2 = head.backward(trace, label)
         if np.all(g1 == 0.0) and np.all(g2 == 0.0):
             continue
-        head.sgd_step(g1, g2)
+        assert head.sgd_step(x, label) == before
         after = sse_loss(head.forward(x).y, label)
         assert after < before
         checked += 1
