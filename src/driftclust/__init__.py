@@ -8,6 +8,6 @@ from .dataio import (Dataset, TrainerState, gen_blobs, load_checkpoint, load_csv
 from .head import FeatureHead, ForwardTrace, NoHistoryError, init_head, one_hot, sse_loss
 from .metrics import ContingencyTable, build_contingency, entropy, mutual_information, nmi
 from .tensor import ConfigError, DimensionError, SeededRng
-from .trainer import DivergenceError, JointTrainer, RunResult, TrainerConfig, TrainerHooks
+from .trainer import DivergenceError, JointTrainer, RunResult, TrainerConfig
 
 __version__ = "0.1.0"

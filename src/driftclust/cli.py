@@ -11,6 +11,8 @@ import argparse
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -23,43 +25,48 @@ from .tensor import SeededRng
 from .trainer import MODES, ROLLBACK_MODES, ConfigError, DivergenceError, JointTrainer, TrainerConfig
 
 
-# key -> (type, default); dataset source has no default on purpose
-SETTINGS = {
-    "data": (str, None),
-    "images": (str, None),
-    "labels": (str, None),
-    "csv": (str, None),
-    "k": (int, 10),
-    "nm": (int, 50),
-    "km": (int, 10),
-    "eta": (float, 0.045),
-    "epochs": (int, 10),
-    "max_iters": (int, 0),
-    "mode": (str, "full"),
-    "backbone": (str, "flatten"),
-    "backbone_dim": (int, 128),
-    "hidden_dim": (int, 128),
-    "seed": (int, 0),
-    "drift_rollback": (str, "last_step"),
-    "out_labels": (str, "labels.csv"),
-    "out_metrics": (str, "metrics.txt"),
-    "checkpoint": (str, None),
-    "resume": (str, None),
-    "blob_dim": (int, 50),
-    "blob_points": (int, 500),
-    "blob_separation": (float, 10.0),
-    "blob_sigma": (float, 1.0),
-    "lloyd_iters": (int, 100),
-    "lloyd_tol": (float, 1e-6),
-}
+class Setting(NamedTuple):
+    """One run setting. "run" settings form the identity a checkpoint must
+    match to resume; "input" settings (data paths, the epoch budget) are read
+    by cluster and sweep but may change on resume; "output" settings are
+    cluster-only paths."""
+    type: type
+    default: object = None
+    help: Optional[str] = None
+    choices: Optional[tuple] = None
+    role: str = "run"
 
-# keys that define the run for checkpoint compatibility (epochs and output
-# paths deliberately excluded: a resume may extend the epoch budget)
-_IDENTITY_KEYS = (
-    "data", "k", "nm", "km", "eta", "max_iters", "mode", "backbone", "backbone_dim",
-    "hidden_dim", "seed", "drift_rollback", "blob_dim", "blob_points",
-    "blob_separation", "blob_sigma", "lloyd_iters", "lloyd_tol",
-)
+
+# the single declaration of every setting, in --help order; the dataset
+# source has no default on purpose
+SETTINGS = {
+    "data": Setting(str, choices=("mnist", "blobs", "csv")),
+    "images": Setting(str, help="IDX image file (mnist)", role="input"),
+    "labels": Setting(str, help="IDX label file (mnist)", role="input"),
+    "csv": Setting(str, help="CSV feature table", role="input"),
+    "k": Setting(int, 10),
+    "nm": Setting(int, 50, "mini-batch size"),
+    "km": Setting(int, 10, "reliable samples kept per mini-batch"),
+    "eta": Setting(float, 0.045, "SGD learning rate"),
+    "epochs": Setting(int, 10, role="input"),
+    "max_iters": Setting(int, 0),
+    "mode": Setting(str, "full", choices=MODES),
+    "backbone": Setting(str, "flatten", choices=BACKBONE_KINDS),
+    "backbone_dim": Setting(int, 128),
+    "hidden_dim": Setting(int, 128),
+    "seed": Setting(int, 0),
+    "drift_rollback": Setting(str, "last_step", choices=ROLLBACK_MODES),
+    "blob_dim": Setting(int, 50),
+    "blob_points": Setting(int, 500),
+    "blob_separation": Setting(float, 10.0),
+    "blob_sigma": Setting(float, 1.0),
+    "lloyd_iters": Setting(int, 100),
+    "lloyd_tol": Setting(float, 1e-6),
+    "out_labels": Setting(str, "labels.csv", role="output"),
+    "out_metrics": Setting(str, "metrics.txt", role="output"),
+    "checkpoint": Setting(str, help="write a checkpoint after every epoch", role="output"),
+    "resume": Setting(str, help="resume from a checkpoint file", role="output"),
+}
 
 
 def _parse_config_file(path):
@@ -84,7 +91,7 @@ def _parse_config_file(path):
 
 
 def _convert(key, text):
-    typ = SETTINGS[key][0]
+    typ = SETTINGS[key].type
     try:
         return typ(text)
     except ValueError:
@@ -93,7 +100,7 @@ def _convert(key, text):
 
 def resolve_settings(ns):
     """flag > config file > default."""
-    settings = {k: default for k, (_, default) in SETTINGS.items()}
+    settings = {key: row.default for key, row in SETTINGS.items()}
     if getattr(ns, "config", None):
         settings.update(_parse_config_file(ns.config))
     for key in SETTINGS:
@@ -124,8 +131,6 @@ def build_dataset(settings):
 
 def build_backbone_spec(settings, dataset):
     kind = settings["backbone"]
-    if kind not in BACKBONE_KINDS:
-        raise ConfigError(f"unknown backbone {kind!r} (key: backbone)")
     h, w, c = dataset.shape
     out_dim = h * w * c if kind == "flatten" else settings["backbone_dim"]
     # seed offset keeps the frozen backbone off the trainer's RNG stream
@@ -134,19 +139,15 @@ def build_backbone_spec(settings, dataset):
 
 
 def build_trainer_config(settings):
-    cfg = TrainerConfig(
-        k=settings["k"], n_m=settings["nm"], k_m=settings["km"], eta=settings["eta"],
-        epochs=settings["epochs"], max_iters=settings["max_iters"], mode=settings["mode"],
-        seed=settings["seed"], hidden_dim=settings["hidden_dim"],
-        drift_rollback=settings["drift_rollback"],
-        lloyd_iters=settings["lloyd_iters"], lloyd_tol=settings["lloyd_tol"],
-    )
+    renamed = {"n_m": "nm", "k_m": "km"}  # TrainerConfig field -> setting key
+    cfg = TrainerConfig(**{f.name: settings[renamed.get(f.name, f.name)]
+                           for f in fields(TrainerConfig)})
     cfg.validate()
     return cfg
 
 
 def canonical_config_text(settings, dataset):
-    entries = {key: settings[key] for key in _IDENTITY_KEYS}
+    entries = {key: settings[key] for key, row in SETTINGS.items() if row.role == "run"}
     entries["dataset_name"] = dataset.name
     entries["dataset_n"] = dataset.n
     entries["dataset_shape"] = "x".join(str(d) for d in dataset.shape)
@@ -154,17 +155,11 @@ def canonical_config_text(settings, dataset):
     return "".join(f"{k}={entries[k]!r}\n" for k in sorted(entries))
 
 
+_METRIC_KEYS = ("mode", "k", "nm", "km", "eta", "epochs", "seed", "backbone", "hidden_dim")
+
+
 def _metrics_text(settings, result, dataset):
-    lines = [
-        f"mode={settings['mode']}",
-        f"k={settings['k']}",
-        f"nm={settings['nm']}",
-        f"km={settings['km']}",
-        f"eta={settings['eta']!r}",
-        f"epochs={settings['epochs']}",
-        f"seed={settings['seed']}",
-        f"backbone={settings['backbone']}",
-        f"hidden_dim={settings['hidden_dim']}",
+    lines = [f"{key}={settings[key]}" for key in _METRIC_KEYS] + [
         f"dataset={dataset.name}",
         f"samples={dataset.n}",
         f"finetunes={result.finetunes}",
@@ -269,7 +264,8 @@ def cmd_sweep(ns) -> int:
                 cells.append(cell)
 
     if ns.parallel and ns.parallel > 1:
-        with ProcessPoolExecutor(max_workers=ns.parallel) as pool:
+        # fork starts every worker at the first task, so start no more than there are cells
+        with ProcessPoolExecutor(max_workers=min(ns.parallel, len(cells))) as pool:
             rows = list(pool.map(run_sweep_cell, cells))
     else:
         rows = [run_sweep_cell(cell) for cell in cells]
@@ -282,30 +278,12 @@ def cmd_sweep(ns) -> int:
     return 0
 
 
-def _add_run_flags(p):
+def _add_setting_flags(p, roles):
     p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--data", choices=("mnist", "blobs", "csv"))
-    p.add_argument("--images", help="IDX image file (mnist)")
-    p.add_argument("--labels", help="IDX label file (mnist)")
-    p.add_argument("--csv", help="CSV feature table")
-    p.add_argument("--k", type=int)
-    p.add_argument("--nm", type=int, help="mini-batch size")
-    p.add_argument("--km", type=int, help="reliable samples kept per mini-batch")
-    p.add_argument("--eta", type=float, help="SGD learning rate")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--max-iters", dest="max_iters", type=int)
-    p.add_argument("--mode", choices=MODES)
-    p.add_argument("--backbone", choices=BACKBONE_KINDS)
-    p.add_argument("--backbone-dim", dest="backbone_dim", type=int)
-    p.add_argument("--hidden-dim", dest="hidden_dim", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--drift-rollback", dest="drift_rollback", choices=ROLLBACK_MODES)
-    p.add_argument("--blob-dim", dest="blob_dim", type=int)
-    p.add_argument("--blob-points", dest="blob_points", type=int)
-    p.add_argument("--blob-separation", dest="blob_separation", type=float)
-    p.add_argument("--blob-sigma", dest="blob_sigma", type=float)
-    p.add_argument("--lloyd-iters", dest="lloyd_iters", type=int)
-    p.add_argument("--lloyd-tol", dest="lloyd_tol", type=float)
+    for key, row in SETTINGS.items():
+        if row.role in roles:
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=row.type,
+                           choices=row.choices, help=row.help)
 
 
 def build_parser():
@@ -314,11 +292,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_cluster = sub.add_parser("cluster", help="run one clustering experiment")
-    _add_run_flags(p_cluster)
-    p_cluster.add_argument("--out-labels", dest="out_labels")
-    p_cluster.add_argument("--out-metrics", dest="out_metrics")
-    p_cluster.add_argument("--checkpoint", help="write a checkpoint after every epoch")
-    p_cluster.add_argument("--resume", help="resume from a checkpoint file")
+    _add_setting_flags(p_cluster, ("run", "input", "output"))
     p_cluster.set_defaults(func=cmd_cluster)
 
     p_eval = sub.add_parser("eval", help="NMI between two label files")
@@ -327,7 +301,7 @@ def build_parser():
     p_eval.set_defaults(func=cmd_eval)
 
     p_sweep = sub.add_parser("sweep", help="grid of runs, results to CSV")
-    _add_run_flags(p_sweep)
+    _add_setting_flags(p_sweep, ("run", "input"))
     p_sweep.add_argument("--km-list", dest="km_list", help="comma-separated k_m values")
     p_sweep.add_argument("--epochs-list", dest="epochs_list", help="comma-separated epoch counts")
     p_sweep.add_argument("--seeds", help="comma-separated seeds")

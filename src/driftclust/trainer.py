@@ -73,7 +73,7 @@ class TrainerConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.drift_rollback not in ROLLBACK_MODES:
             raise ConfigError(f"drift_rollback must be one of {ROLLBACK_MODES}, got {self.drift_rollback!r}")
-        if self.lloyd_iters < 1 or self.lloyd_tol < 0:
+        if self.lloyd_iters < 1 or not self.lloyd_tol >= 0:  # a NaN tol would never stop Lloyd
             raise ConfigError("lloyd_iters must be >= 1 and lloyd_tol >= 0")
 
 
@@ -95,18 +95,6 @@ def _top_indices(dists: np.ndarray, k_m: int):
     return sorted(int(i) for i in picked)
 
 
-class TrainerHooks:
-    """Optional instrumentation points; every method is a no-op by default."""
-
-    def after_finetune(self, trainer, pre_pass_head, pre_step_head):
-        """Called after each fine-tune pass with copies of the head as it was
-        before the pass and before the pass's final SGD step."""
-
-    def on_centroid_update(self, trainer, sample_indices, features):
-        """Called once per mini-batch, after its centroid update, with the sample
-        indices and the exact feature rows (same order) that updated the centroids."""
-
-
 class JointTrainer:
     """Holds the full training state so runs can be checkpointed and resumed.
 
@@ -117,8 +105,7 @@ class JointTrainer:
     """
 
     def __init__(self, dataset: Dataset, backbone_spec: BackboneSpec, config: TrainerConfig,
-                 ground_truth=None, hooks: Optional[TrainerHooks] = None,
-                 resume: Optional[TrainerState] = None):
+                 ground_truth=None, resume: Optional[TrainerState] = None):
         config.validate()
         if dataset.n < config.k:
             raise ConfigError(f"dataset has {dataset.n} samples, fewer than k={config.k}")
@@ -129,7 +116,6 @@ class JointTrainer:
         self.dataset = dataset
         self.config = config
         self.truth = ground_truth
-        self.hooks = hooks
         self.extractor = build_backbone(backbone_spec)
         # the backbone is frozen, so extract every sample once up front
         self.inputs = self.extractor.extract_batch(dataset.samples)
@@ -268,8 +254,6 @@ class JointTrainer:
 
             feats = self._update_features(xs, hidden, cfg.mode)
             update_centroid(self.bank, labels, feats)
-            if self.hooks is not None:
-                self.hooks.on_centroid_update(self, batch, feats)
             self.iterations += 1
         return True
 
@@ -290,12 +274,9 @@ class JointTrainer:
         step, the weights once after the pass: before any centroid update reads them."""
         head = self.head
         pre_pass_head = head.copy()
-        pre_step_head = None
         # an overflowing step is reported below as DivergenceError, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            for i, (sample_idx, label) in enumerate(pairs):
-                if i == len(pairs) - 1 and self.hooks is not None:
-                    pre_step_head = head.copy()
+            for sample_idx, label in pairs:
                 loss = head.sgd_step(self.inputs[sample_idx], label)
                 if not loss <= LOSS_LIMIT:
                     raise DivergenceError(f"fine-tune loss {loss} exceeded {LOSS_LIMIT:g} "
@@ -304,5 +285,3 @@ class JointTrainer:
             raise DivergenceError(f"non-finite weights after SGD at iteration {self.iterations}")
         self.snapshot_head = pre_pass_head
         self.finetunes += 1
-        if self.hooks is not None:
-            self.hooks.after_finetune(self, pre_pass_head, pre_step_head)

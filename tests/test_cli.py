@@ -1,3 +1,4 @@
+import dataclasses
 import gzip
 import struct
 import warnings
@@ -14,6 +15,7 @@ from driftclust.cli import main
 from driftclust.dataio import load_checkpoint, load_labels, save_labels
 from driftclust.metrics import nmi
 from driftclust.tensor import DimensionError
+from driftclust.trainer import TrainerConfig
 
 
 def blob_args(tmp, k=4, points=40, dim=8, sep=25.0, **extra):
@@ -62,6 +64,46 @@ def test_flag_beats_file_beats_default(tmp_path):
     assert "nm=50" in text      # untouched default
 
 
+def test_every_setting_is_set_by_its_flag():
+    sample = {int: 7, float: 0.25, str: "x"}
+    argv, expected = ["cluster"], {}
+    for key, row in cli.SETTINGS.items():
+        value = row.choices[-1] if row.choices else sample[row.type]
+        argv += ["--" + key.replace("_", "-"), str(value)]
+        expected[key] = value
+    assert cli.resolve_settings(cli.build_parser().parse_args(argv)) == expected
+
+
+@pytest.mark.parametrize("flag", ["--out-labels", "--out-metrics", "--checkpoint", "--resume"])
+def test_sweep_rejects_output_flags(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(["sweep", "--data", "blobs", flag, "x"])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_setting_defaults_match_trainer_config_defaults():
+    # k has no dataclass default; every other field starts from the same value
+    # whether the run comes from the CLI or from the library
+    renamed = {"n_m": "nm", "k_m": "km"}
+    for f in dataclasses.fields(TrainerConfig):
+        if f.name != "k":
+            assert cli.SETTINGS[renamed.get(f.name, f.name)].default == f.default, f.name
+
+
+def test_checkpoint_identity_keys_are_pinned():
+    # a resume compares this text byte for byte, so its keys are a file-format contract
+    settings = cli.resolve_settings(cli.build_parser().parse_args(
+        ["cluster", "--data", "blobs", "--k", "2", "--blob-points", "2", "--blob-dim", "2"]))
+    dataset = cli.build_dataset(settings)
+    keys = [line.split("=")[0] for line in cli.canonical_config_text(settings, dataset).splitlines()]
+    assert keys == sorted([
+        "data", "k", "nm", "km", "eta", "max_iters", "mode", "backbone", "backbone_dim",
+        "hidden_dim", "seed", "drift_rollback", "blob_dim", "blob_points",
+        "blob_separation", "blob_sigma", "lloyd_iters", "lloyd_tol",
+        "dataset_name", "dataset_n", "dataset_shape", "labeled"])
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("data=blobs\nk=4\nbogus_key=1\n")
@@ -97,6 +139,9 @@ def test_km_zero_rejected(capsys):
      ["--data", "mnist", "--images", "cut.idx.gz", "--k", "2"], 4, "gzip"),
     ({"empty.idx": struct.pack(">IIII", 0x00000803, 3, 0, 5)},
      ["--data", "mnist", "--images", "empty.idx", "--k", "2"], 4, "no pixels"),
+    # NaN fails every comparison, so it passed a "tol < 0" check and Lloyd never stopped early
+    ({}, ["--mode", "baseline3", "--lloyd-tol", "nan"], 2, "lloyd_tol"),
+    ({"nan.cfg": "lloyd_tol=nan\n"}, ["--mode", "baseline3", "--config", "nan.cfg"], 2, "lloyd_tol"),
 ])
 def test_bad_input_gets_its_exit_code(tmp_path, monkeypatch, capsys, files, args, code, message):
     monkeypatch.chdir(tmp_path)
@@ -269,6 +314,32 @@ def test_sweep_parallel_matches_sequential(tmp_path):
     assert main(sweep_args(tmp_path, par, extra + ["--parallel", "2"])) == 0
     strip_wall = lambda text: [ln.rsplit(",", 1)[0] for ln in text.strip().splitlines()]
     assert strip_wall(seq.read_text()) == strip_wall(par.read_text())
+
+
+def test_sweep_starts_no_more_workers_than_cells(tmp_path, monkeypatch):
+    # with fork, every requested worker starts at the first task; an in-process
+    # stand-in records the request without starting any process
+    requested = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, cells):
+            return map(fn, cells)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    out = tmp_path / "sweep.csv"
+    extra = ["--km-list", "5,10", "--epochs-list", "1", "--parallel", "64"]
+    assert main(sweep_args(tmp_path, out, extra)) == 0
+    assert requested == [2]
+    assert len(out.read_text().splitlines()) == 3
 
 
 # 4 blobs of 55 points: k_m=7 with n_m=20 leaves pairs in the fine-tune

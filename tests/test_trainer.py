@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import acceptance_blob_setup, small_blob_setup
+from driftclust import trainer as trainer_module
 from driftclust.backbone import build_backbone
 from driftclust.cli import main
-from driftclust.clustering import CentroidBank, assign_batch, lloyd_kmeans
+from driftclust.clustering import CentroidBank, assign_batch, lloyd_kmeans, update_centroid
 from driftclust.dataio import gen_blobs, load_checkpoint, save_checkpoint
-from driftclust.head import init_head, one_hot
+from driftclust.head import FeatureHead, init_head, one_hot
 from driftclust.tensor import DimensionError, SeededRng
-from driftclust.trainer import (LOSS_LIMIT, DivergenceError, JointTrainer, TrainerConfig,
-                                TrainerHooks, _top_indices)
+from driftclust.trainer import LOSS_LIMIT, DivergenceError, JointTrainer, TrainerConfig, _top_indices
 
 
 def test_select_top_km_examples():
@@ -150,37 +150,51 @@ def test_baseline3_is_lloyd_on_frozen_features():
     assert result.iterations == 0
 
 
-class RollbackRecorder(TrainerHooks):
-    def __init__(self):
-        self.pre_pass = None
-        self.pre_step = None
-        self.checked = 0
+def watch_centroid_updates(monkeypatch, check):
+    """Call check(trainer, pre_step_heads, xs, feats) at every centroid update.
+    pre_step_heads holds a copy of the head taken before each SGD step so far,
+    xs the batch's inputs and feats the rows that update the centroids."""
+    pre_step_heads, batch = [], {}
+    sgd_step, update_features = FeatureHead.sgd_step, JointTrainer._update_features
 
-    def after_finetune(self, trainer, pre_pass_head, pre_step_head):
-        self.pre_pass = pre_pass_head
-        self.pre_step = pre_step_head
+    def recording_sgd_step(head, x, label):
+        pre_step_heads.append(head.copy())
+        return sgd_step(head, x, label)
 
-    def on_centroid_update(self, trainer, sample_indices, features):
-        if self.pre_step is None:
-            return  # before the first fine-tune the current feature is correct
-        assert len(sample_indices) == len(features)
-        for sample_index, feature in zip(sample_indices, features):
-            x = trainer.inputs[sample_index]
-            if trainer.config.drift_rollback == "last_step":
-                expected = np.maximum(self.pre_step.w_hidden @ x, 0.0)
-            else:
-                expected = np.maximum(self.pre_pass.w_hidden @ x, 0.0)
-            assert np.max(np.abs(feature - expected)) < 1e-9
-            self.checked += 1
+    def recording_update_features(trainer, xs, assigned_hidden, mode):
+        batch.update(trainer=trainer, xs=xs)
+        return update_features(trainer, xs, assigned_hidden, mode)
+
+    def checking_update_centroid(bank, labels, feats):
+        check(batch["trainer"], pre_step_heads, batch["xs"], feats)
+        update_centroid(bank, labels, feats)
+
+    monkeypatch.setattr(FeatureHead, "sgd_step", recording_sgd_step)
+    monkeypatch.setattr(JointTrainer, "_update_features", recording_update_features)
+    monkeypatch.setattr(trainer_module, "update_centroid", checking_update_centroid)
 
 
 @pytest.mark.parametrize("rollback", ["last_step", "snapshot"])
-def test_full_mode_update_features_are_rolled_back(rollback):
+def test_full_mode_update_features_are_rolled_back(rollback, monkeypatch):
+    checked = []
+
+    def check(trainer, pre_step_heads, xs, feats):
+        if not pre_step_heads:
+            return  # before the first fine-tune the current feature is correct
+        assert len(xs) == len(feats)
+        # every pass is n_m steps: the last pass started n_m copies back
+        rolled_back = pre_step_heads[-1] if rollback == "last_step" \
+            else pre_step_heads[-trainer.config.n_m]
+        for x, feature in zip(xs, feats):
+            expected = np.maximum(rolled_back.w_hidden @ x, 0.0)
+            assert np.max(np.abs(feature - expected)) < 1e-9
+            checked.append(1)
+
+    watch_centroid_updates(monkeypatch, check)
     dataset, spec, config = small_blob_setup(eta=0.001, epochs=2, drift_rollback=rollback)
-    hooks = RollbackRecorder()
-    result = JointTrainer(dataset, spec, config, ground_truth=dataset.labels, hooks=hooks).run()
+    result = JointTrainer(dataset, spec, config, ground_truth=dataset.labels).run()
     assert result.finetunes > 0
-    assert hooks.checked > 100
+    assert len(checked) > 100
 
 
 def test_rollback_actually_differs_from_current_features():
@@ -192,29 +206,22 @@ def test_rollback_actually_differs_from_current_features():
     assert np.max(np.abs(current - rolled)) > 0.0
 
 
-def test_baseline1_uses_post_finetune_features():
-    class Catcher(TrainerHooks):
-        def __init__(self):
-            self.saw_finetune = False
-            self.checked = 0
+def test_baseline1_uses_post_finetune_features(monkeypatch):
+    checked = []
 
-        def after_finetune(self, trainer, pre_pass_head, pre_step_head):
-            self.saw_finetune = True
+    def check(trainer, pre_step_heads, xs, feats):
+        if not pre_step_heads:
+            return
+        assert len(xs) == len(feats)
+        for x, feature in zip(xs, feats):
+            expected = np.maximum(trainer.head.w_hidden @ x, 0.0)
+            assert np.max(np.abs(feature - expected)) < 1e-12
+            checked.append(1)
 
-        def on_centroid_update(self, trainer, sample_indices, features):
-            if not self.saw_finetune:
-                return
-            assert len(sample_indices) == len(features)
-            for sample_index, feature in zip(sample_indices, features):
-                x = trainer.inputs[sample_index]
-                expected = np.maximum(trainer.head.w_hidden @ x, 0.0)
-                assert np.max(np.abs(feature - expected)) < 1e-12
-                self.checked += 1
-
+    watch_centroid_updates(monkeypatch, check)
     dataset, spec, config = small_blob_setup(eta=0.001, epochs=2, mode="baseline1")
-    hooks = Catcher()
-    JointTrainer(dataset, spec, config, hooks=hooks).run()
-    assert hooks.checked > 100
+    JointTrainer(dataset, spec, config).run()
+    assert len(checked) > 100
 
 
 def test_divergence_guard_names_iteration():
