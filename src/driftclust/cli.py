@@ -37,6 +37,9 @@ class Setting(NamedTuple):
     role: str = "run"
 
 
+# a run's defaults: TrainerConfig's own, and k=10 (k has no dataclass default)
+_DEFAULT = TrainerConfig(k=10)
+
 # the single declaration of every setting, in --help order; the dataset
 # source has no default on purpose
 SETTINGS = {
@@ -44,24 +47,24 @@ SETTINGS = {
     "images": Setting(str, help="IDX image file (mnist)", role="input"),
     "labels": Setting(str, help="IDX label file (mnist)", role="input"),
     "csv": Setting(str, help="CSV feature table", role="input"),
-    "k": Setting(int, 10),
-    "nm": Setting(int, 50, "mini-batch size"),
-    "km": Setting(int, 10, "reliable samples kept per mini-batch"),
-    "eta": Setting(float, 0.045, "SGD learning rate"),
-    "epochs": Setting(int, 10, role="input"),
-    "max_iters": Setting(int, 0),
-    "mode": Setting(str, "full", choices=MODES),
+    "k": Setting(int, _DEFAULT.k),
+    "nm": Setting(int, _DEFAULT.n_m, "mini-batch size"),
+    "km": Setting(int, _DEFAULT.k_m, "reliable samples kept per mini-batch"),
+    "eta": Setting(float, _DEFAULT.eta, "SGD learning rate"),
+    "epochs": Setting(int, _DEFAULT.epochs, role="input"),
+    "max_iters": Setting(int, _DEFAULT.max_iters),
+    "mode": Setting(str, _DEFAULT.mode, choices=MODES),
     "backbone": Setting(str, "flatten", choices=BACKBONE_KINDS),
     "backbone_dim": Setting(int, 128),
-    "hidden_dim": Setting(int, 128),
-    "seed": Setting(int, 0),
-    "drift_rollback": Setting(str, "last_step", choices=ROLLBACK_MODES),
+    "hidden_dim": Setting(int, _DEFAULT.hidden_dim),
+    "seed": Setting(int, _DEFAULT.seed),
+    "drift_rollback": Setting(str, _DEFAULT.drift_rollback, choices=ROLLBACK_MODES),
     "blob_dim": Setting(int, 50),
     "blob_points": Setting(int, 500),
     "blob_separation": Setting(float, 10.0),
     "blob_sigma": Setting(float, 1.0),
-    "lloyd_iters": Setting(int, 100),
-    "lloyd_tol": Setting(float, 1e-6),
+    "lloyd_iters": Setting(int, _DEFAULT.lloyd_iters),
+    "lloyd_tol": Setting(float, _DEFAULT.lloyd_tol),
     "out_labels": Setting(str, "labels.csv", role="output"),
     "out_metrics": Setting(str, "metrics.txt", role="output"),
     "checkpoint": Setting(str, help="write a checkpoint after every epoch", role="output"),
@@ -129,21 +132,19 @@ def build_dataset(settings):
     raise ConfigError(f"unknown data source {source!r} (key: data)")
 
 
-def build_backbone_spec(settings, dataset):
+def build_run(settings):
+    """(dataset, backbone spec, validated TrainerConfig) of one run."""
+    dataset = build_dataset(settings)
     kind = settings["backbone"]
-    h, w, c = dataset.shape
-    out_dim = h * w * c if kind == "flatten" else settings["backbone_dim"]
+    out_dim = int(np.prod(dataset.shape)) if kind == "flatten" else settings["backbone_dim"]
     # seed offset keeps the frozen backbone off the trainer's RNG stream
-    return BackboneSpec(kind=kind, input_shape=dataset.shape, output_dim=out_dim,
+    spec = BackboneSpec(kind=kind, input_shape=dataset.shape, output_dim=out_dim,
                         seed=settings["seed"] + 1)
-
-
-def build_trainer_config(settings):
     renamed = {"n_m": "nm", "k_m": "km"}  # TrainerConfig field -> setting key
-    cfg = TrainerConfig(**{f.name: settings[renamed.get(f.name, f.name)]
-                           for f in fields(TrainerConfig)})
-    cfg.validate()
-    return cfg
+    config = TrainerConfig(**{f.name: settings[renamed.get(f.name, f.name)]
+                              for f in fields(TrainerConfig)})
+    config.validate()
+    return dataset, spec, config
 
 
 def canonical_config_text(settings, dataset):
@@ -174,9 +175,7 @@ def _metrics_text(settings, result, dataset):
 
 def cmd_cluster(ns) -> int:
     settings = resolve_settings(ns)
-    dataset = build_dataset(settings)
-    spec = build_backbone_spec(settings, dataset)
-    config = build_trainer_config(settings)
+    dataset, spec, config = build_run(settings)
     canon = canonical_config_text(settings, dataset)
 
     ckpt = None
@@ -235,14 +234,12 @@ def run_sweep_cell(settings) -> dict:
     row = {"km": settings["km"], "epochs": settings["epochs"], "seed": settings["seed"],
            "nmi": "nan", "finetunes": 0}
     try:
-        dataset = build_dataset(settings)
-        spec = build_backbone_spec(settings, dataset)
-        config = build_trainer_config(settings)
+        dataset, spec, config = build_run(settings)
         result = JointTrainer(dataset, spec, config, ground_truth=dataset.labels).run()
         if result.nmi_history:
             row["nmi"] = f"{result.nmi_history[-1]:.6f}"
         row["finetunes"] = result.finetunes
-    except Exception as exc:  # record the failure, keep sweeping
+    except (ConfigError, DivergenceError) as exc:  # a cell the grid cannot run
         print(f"sweep cell km={row['km']} epochs={row['epochs']} seed={row['seed']} "
               f"failed: {exc}", file=sys.stderr)
     row["wall_ms"] = int(round((time.perf_counter() - started) * 1000))

@@ -13,6 +13,8 @@ import numpy as np
 
 from .tensor import ConfigError, DimensionError, SeededRng
 
+_PASS_ENTRIES = 2 ** 20  # n x k entries per distance or one-hot pass: 8 MiB of float64
+
 
 class CentroidBank:
     """k centroid rows plus cumulative assignment counts."""
@@ -71,14 +73,15 @@ def seed_kmeanspp(features, k: int, rng: SeededRng) -> CentroidBank:
     return CentroidBank(x[chosen].copy(), np.ones(k, dtype=np.int64))
 
 
-def assign_batch(bank: CentroidBank, feats: np.ndarray, chunk: int = 4096):
+def assign_batch(bank: CentroidBank, feats: np.ndarray):
     """Nearest centroid and its squared Euclidean distance for every feature
-    row; ties go to the lowest centroid index. Rows are processed in chunks to
-    bound memory, and the bank is not modified."""
+    row; ties go to the lowest centroid index. Rows go in chunks of at most
+    _PASS_ENTRIES n x k entries to bound memory; the bank is not modified."""
     x = _as_feature_array(feats)
     if x.shape[1] != bank.dim:
         raise DimensionError(f"feature dim {x.shape[1]} does not match bank dim {bank.dim}")
     n = x.shape[0]
+    chunk = max(1, _PASS_ENTRIES // bank.k)
     labels = np.empty(n, dtype=np.int64)
     dists = np.empty(n)
     for lo in range(0, n, chunk):
@@ -125,7 +128,9 @@ def _sq_dists_to_centroids(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 def lloyd_kmeans(features, k: int, rng: SeededRng, max_iters: int = 100,
                  tol: float = 1e-6, history_out=None):
-    """Full-set Lloyd iterations from k-means++ seeds.
+    """Full-set Lloyd iterations on the k-means++ seeded bank, assigning
+    through assign_batch and summing clusters by one-hot products in passes
+    of _PASS_ENTRIES entries, so no n x k array is built.
 
     Stops when the largest centroid movement drops below tol or after
     max_iters sweeps. A cluster emptied during a sweep is re-seeded to the
@@ -137,14 +142,10 @@ def lloyd_kmeans(features, k: int, rng: SeededRng, max_iters: int = 100,
     """
     x = _as_feature_array(features)
     n = x.shape[0]
-    if n < k:
-        raise ValueError(f"need at least k={k} samples, got {n}")
-    centroids = seed_kmeanspp(x, k, rng).centroids.copy()
-    labels = np.zeros(n, dtype=np.int64)
+    bank = seed_kmeanspp(x, k, rng)
+    step = max(1, _PASS_ENTRIES // k)
     for _ in range(max_iters):
-        d2 = _sq_dists_to_centroids(x, centroids)
-        labels = np.argmin(d2, axis=1)
-        own = d2[np.arange(n), labels]
+        labels, own = assign_batch(bank, x)
         if history_out is not None:
             history_out.append(float(own.sum()))
         counts = np.bincount(labels, minlength=k)
@@ -153,14 +154,16 @@ def lloyd_kmeans(features, k: int, rng: SeededRng, max_iters: int = 100,
             labels[far] = empty
             own[far] = -np.inf
             counts = np.bincount(labels, minlength=k)
-        onehot = np.zeros((n, k))
-        onehot[np.arange(n), labels] = 1.0
-        new_centroids = (onehot.T @ x) / counts[:, None]
-        movement = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
-        centroids = new_centroids
+        for lo in range(0, n, step):
+            onehot = np.zeros((min(step, n - lo), k))
+            onehot[np.arange(onehot.shape[0]), labels[lo:lo + step]] = 1.0
+            block = onehot.T @ x[lo:lo + step]
+            sums = block if lo == 0 else sums + block
+        new_centroids = sums / counts[:, None]
+        movement = float(np.sqrt(((new_centroids - bank.centroids) ** 2).sum(axis=1)).max())
+        bank.centroids = new_centroids
         if movement < tol:
             break
-    d2 = _sq_dists_to_centroids(x, centroids)
-    labels = np.argmin(d2, axis=1)
-    counts = np.maximum(np.bincount(labels, minlength=k), 1)
-    return labels, CentroidBank(centroids, counts)
+    labels, _ = assign_batch(bank, x)
+    bank.counts = np.maximum(np.bincount(labels, minlength=k), 1)
+    return labels, bank

@@ -53,15 +53,12 @@ class CheckpointError(ValueError):
 @dataclass
 class Dataset:
     samples: np.ndarray  # (n, height, width, channels)
-    shape: tuple
     labels: Optional[np.ndarray]
     name: str
 
     def __post_init__(self):
         if self.samples.ndim != 4:
             raise ValueError(f"samples must be (n, h, w, c), got shape {self.samples.shape}")
-        if tuple(self.samples.shape[1:]) != tuple(self.shape):
-            raise ValueError(f"sample shape {self.samples.shape[1:]} does not match declared {self.shape}")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int64)
             if self.labels.shape != (self.samples.shape[0],):
@@ -70,6 +67,10 @@ class Dataset:
     @property
     def n(self):
         return self.samples.shape[0]
+
+    @property
+    def shape(self):
+        return self.samples.shape[1:]
 
 
 def _read_bytes(path) -> bytes:
@@ -116,7 +117,7 @@ def load_idx(images_path, labels_path=None) -> Dataset:
             raise IdxFormatError(f"image/label count mismatch: {count} images vs {lcount} labels")
         labels = np.frombuffer(ldata, dtype=np.uint8, offset=8).astype(np.int64)
 
-    return Dataset(samples=samples.copy(), shape=(rows, cols, 1), labels=labels, name="idx")
+    return Dataset(samples=samples.copy(), labels=labels, name="idx")
 
 
 def gen_blobs(k: int, points_per_cluster: int, dim: int, separation: float,
@@ -139,8 +140,7 @@ def gen_blobs(k: int, points_per_cluster: int, dim: int, separation: float,
         block *= noise_sigma
         block += centers[i]
     labels = np.repeat(np.arange(k, dtype=np.int64), points_per_cluster)
-    return Dataset(samples=samples.reshape(n, 1, dim, 1), shape=(1, dim, 1),
-                   labels=labels, name="blobs")
+    return Dataset(samples=samples.reshape(n, 1, dim, 1), labels=labels, name="blobs")
 
 
 def _text_lines(path):
@@ -205,8 +205,7 @@ def load_csv(path) -> Dataset:
         else:
             feats[i] = values
     n = feats.shape[0]
-    return Dataset(samples=feats.reshape(n, 1, feat_dim, 1), shape=(1, feat_dim, 1),
-                   labels=labels, name="csv")
+    return Dataset(samples=feats.reshape(n, 1, feat_dim, 1), labels=labels, name="csv")
 
 
 def atomic_write_bytes(path, data: bytes) -> None:

@@ -158,6 +158,7 @@ def test_criterion_5_mnist_baseline3_lloyd_on_random_head_features():
     report(5, f"MNIST full-set k-means anchor (nmi={value:.3f})", started, 600.0)
 
 
+@pytest.mark.slow
 def test_criterion_6_joint_training_sanity():
     started = time.perf_counter()
     finals = []
@@ -171,6 +172,7 @@ def test_criterion_6_joint_training_sanity():
     report(6, f"blob benchmark joint training ({passing}/10 seeds >= 0.95)", started, 180.0)
 
 
+@pytest.mark.slow
 def test_criterion_7_ablation_direction():
     started = time.perf_counter()
     full_scores, base_scores = [], []

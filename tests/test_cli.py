@@ -176,6 +176,22 @@ def test_internal_error_is_not_reported_as_config_error(tmp_path, monkeypatch):
         main(blob_args(tmp_path))
 
 
+@pytest.mark.parametrize("subcommand", ["cluster", "sweep"])
+def test_missing_input_file_gives_io_exit(tmp_path, monkeypatch, capsys, subcommand):
+    monkeypatch.chdir(tmp_path)
+    rc = main([subcommand, "--data", "mnist", "--images", "absent.idx", "--k", "2",
+               "--epochs", "1"])
+    assert rc == 4
+    assert "I/O error" in capsys.readouterr().err
+
+
+def test_output_in_missing_directory_gives_io_exit(tmp_path, capsys):
+    args = blob_args(tmp_path)
+    args[args.index("--out-labels") + 1] = str(tmp_path / "absent" / "labels.csv")
+    assert main(args) == 4
+    assert "I/O error" in capsys.readouterr().err
+
+
 def test_bad_idx_file_gives_io_exit(tmp_path, capsys):
     bad = tmp_path / "bad.idx"
     bad.write_bytes(b"\x00\x00\x09\x99" + b"\x00" * 16)
@@ -314,6 +330,26 @@ def test_sweep_parallel_matches_sequential(tmp_path):
     assert main(sweep_args(tmp_path, par, extra + ["--parallel", "2"])) == 0
     strip_wall = lambda text: [ln.rsplit(",", 1)[0] for ln in text.strip().splitlines()]
     assert strip_wall(seq.read_text()) == strip_wall(par.read_text())
+
+
+def test_sweep_records_a_cell_the_grid_cannot_run(tmp_path, capsys):
+    # k_m = 60 is above n_m = 50: that cell's ConfigError becomes a nan row
+    out = tmp_path / "sweep.csv"
+    rc = main(sweep_args(tmp_path, out, ["--km-list", "5,60", "--epochs-list", "1",
+                                         "--seeds", "1"]))
+    assert rc == 0
+    rows = [ln.split(",") for ln in out.read_text().strip().splitlines()[1:]]
+    assert [(r[0], r[3] == "nan") for r in rows] == [("5", False), ("60", True)]
+    assert "sweep cell km=60 epochs=1 seed=1 failed" in capsys.readouterr().err
+
+
+def test_sweep_lets_an_internal_error_end_in_a_traceback(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise DimensionError("internal shape bug")
+
+    monkeypatch.setattr(cli, "JointTrainer", broken)
+    with pytest.raises(DimensionError):
+        main(sweep_args(tmp_path, tmp_path / "sweep.csv", ["--epochs-list", "1"]))
 
 
 def test_sweep_starts_no_more_workers_than_cells(tmp_path, monkeypatch):
@@ -515,6 +551,7 @@ def test_cluster_with_projection_backbones(tmp_path, backbone):
     assert "nmi=1.000000" in (tmp_path / "m.txt").read_text()
 
 
+@pytest.mark.slow
 def test_sweep_km_direction_on_blob_benchmark(tmp_path):
     # small k_m may spend more compute but should not cluster worse than
     # k_m = n_m by any real margin

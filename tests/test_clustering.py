@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from driftclust import clustering
 from driftclust.clustering import (CentroidBank, assign_batch, lloyd_kmeans, seed_kmeanspp,
                                    update_centroid)
 from driftclust.metrics import build_contingency
@@ -93,13 +94,15 @@ def test_assign_leaves_bank_untouched():
     assert bank.counts.tolist() == [2, 3]
 
 
-def test_assign_batch_matches_assign():
-    # chunked batches give the same answer as one-row batches
+def test_assign_batch_matches_assign(monkeypatch):
+    # chunked batches give the same answer as one-row batches; 28 entries
+    # per pass make chunks of 7 rows at k=4
     rng = SeededRng(14)
     cents = np.array([[rng.gauss() for _ in range(6)] for _ in range(4)])
     bank = CentroidBank(cents, np.ones(4, dtype=np.int64))
     feats = np.array([[rng.gauss() for _ in range(6)] for _ in range(33)])
-    labels, dists = assign_batch(bank, feats, chunk=7)
+    monkeypatch.setattr(clustering, "_PASS_ENTRIES", 28)
+    labels, dists = assign_batch(bank, feats)
     for i in range(33):
         single_label, single_dist = assign_batch(bank, feats[i:i + 1])
         assert labels[i] == single_label[0]
@@ -132,6 +135,19 @@ def test_seed_kmeanspp_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * feats.nbytes
+
+
+def test_lloyd_memory_stays_bounded():
+    # an n x k distance matrix or one-hot is 80 MB here (320 MB peak when
+    # Lloyd built both); passes of 2**20 entries keep each temporary at 8 MiB
+    feats = np.random.default_rng(1).normal(size=(20_000, 16))
+    tracemalloc.start()
+    try:
+        lloyd_kmeans(feats, 500, SeededRng(5), max_iters=3, tol=0.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def per_row_update(centroids, counts, labels, feats):
@@ -281,13 +297,41 @@ def test_lloyd_deterministic():
 
 
 def test_lloyd_survives_forced_empty_cluster():
-    # two tight far-apart pairs plus k=3: some seeding leaves a cluster empty
+    # two tight far-apart pairs plus k=3; each k-means++ seed is its own
+    # nearest point, so no seeding empties a cluster here (the re-seed is
+    # tested with a planted seed below)
     feats = np.array([[0.0, 0.0], [0.1, 0.0], [50.0, 50.0], [50.1, 50.0]])
     for seed in range(10):
         labels, bank = lloyd_kmeans(feats, 3, SeededRng(seed))
         assert np.all(np.isfinite(bank.centroids))
         assert labels.shape == (4,)
         assert set(labels.tolist()) <= {0, 1, 2}
+
+
+def test_lloyd_sums_in_passes_match_one_pass(monkeypatch):
+    # 9 entries per pass at k=3: the cluster sums add up 30 passes of 3 rows
+    rng = SeededRng(11)
+    feats = np.array([[rng.gauss() * 3 for _ in range(5)] for _ in range(90)])
+    ref_labels, ref = lloyd_kmeans(feats, 3, SeededRng(4))
+    monkeypatch.setattr(clustering, "_PASS_ENTRIES", 9)
+    labels, bank = lloyd_kmeans(feats, 3, SeededRng(4))
+    assert np.array_equal(labels, ref_labels)
+    assert np.allclose(bank.centroids, ref.centroids, rtol=0, atol=1e-12)
+    assert bank.counts.tolist() == ref.counts.tolist()
+
+
+def test_lloyd_reseeds_an_emptied_cluster_to_the_farthest_point(monkeypatch):
+    # seed 1000 is no row's nearest centroid, so the first sweep empties it and
+    # re-seeds it to the row farthest from its centroid: rows 1 and 3 both sit
+    # at distance 1, and the lower index wins
+    feats = np.array([[0.0], [1.0], [10.0], [11.0]])
+    seeded = CentroidBank(np.array([[0.0], [10.0], [1000.0]]), np.ones(3, dtype=np.int64))
+    monkeypatch.setattr(clustering, "seed_kmeanspp", lambda x, k, rng: seeded)
+    labels, bank = lloyd_kmeans(feats, 3, SeededRng(0))
+    assert bank is seeded
+    assert labels.tolist() == [0, 2, 1, 1]
+    assert bank.centroids[:, 0].tolist() == [0.0, 10.5, 1.0]
+    assert bank.counts.tolist() == [1, 2, 1]
 
 
 def test_bank_rejects_bad_shapes():

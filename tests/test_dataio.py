@@ -87,6 +87,7 @@ def test_blobs_benchmark_set_is_pinned():
                            9436931461749330467, 5928406104882842675)
 
 
+@pytest.mark.slow
 def test_blobs_centers_separated_over_seeds():
     # separation 10, sigma 1, dim 50: pairwise center distances should clear
     # 6*sigma essentially always
