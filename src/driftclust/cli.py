@@ -113,23 +113,29 @@ def resolve_settings(ns):
     return settings
 
 
-def build_dataset(settings):
+def check_dataset_source(settings):
+    """The dataset source and the file key it needs; returns the source."""
     source = settings["data"]
     if source is None:
         raise ConfigError("no dataset source configured (key: data)")
+    if source == "mnist" and not settings["images"]:
+        raise ConfigError("mnist data needs an IDX image file (key: images)")
+    if source == "csv" and not settings["csv"]:
+        raise ConfigError("csv data needs a file path (key: csv)")
+    if source not in SETTINGS["data"].choices:
+        raise ConfigError(f"unknown data source {source!r} (key: data)")
+    return source
+
+
+def build_dataset(settings):
+    source = check_dataset_source(settings)
     if source == "mnist":
-        if not settings["images"]:
-            raise ConfigError("mnist data needs an IDX image file (key: images)")
         return load_idx(settings["images"], settings["labels"] or None)
     if source == "blobs":
         return gen_blobs(k=settings["k"], points_per_cluster=settings["blob_points"],
                          dim=settings["blob_dim"], separation=settings["blob_separation"],
                          noise_sigma=settings["blob_sigma"], rng=SeededRng(settings["seed"]))
-    if source == "csv":
-        if not settings["csv"]:
-            raise ConfigError("csv data needs a file path (key: csv)")
-        return load_csv(settings["csv"])
-    raise ConfigError(f"unknown data source {source!r} (key: data)")
+    return load_csv(settings["csv"])
 
 
 def build_run(settings):
@@ -248,6 +254,7 @@ def run_sweep_cell(settings) -> dict:
 
 def cmd_sweep(ns) -> int:
     settings = resolve_settings(ns)
+    check_dataset_source(settings)  # an error every cell would share exits 2, as cluster does
     km_values = _parse_int_list(ns.km_list, "--km-list") if ns.km_list else [settings["km"]]
     epoch_values = _parse_int_list(ns.epochs_list, "--epochs-list") if ns.epochs_list else [settings["epochs"]]
     seeds = _parse_int_list(ns.seeds, "--seeds") if ns.seeds else [settings["seed"]]

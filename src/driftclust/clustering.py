@@ -132,11 +132,14 @@ def lloyd_kmeans(features, k: int, rng: SeededRng, max_iters: int = 100,
     through assign_batch and summing clusters by one-hot products in passes
     of _PASS_ENTRIES entries, so no n x k array is built.
 
-    Stops when the largest centroid movement drops below tol or after
-    max_iters sweeps. A cluster emptied during a sweep is re-seeded to the
-    point currently farthest from its assigned centroid. When history_out is
-    a list, the clustering objective (sum of squared distances to the
-    assigned centroid) is appended once per sweep.
+    Stops when the largest centroid movement drops below tol, after
+    max_iters sweeps, or, whatever tol is, at the first sweep that leaves
+    the centroids bit-identical; every later sweep would repeat it, so the
+    outputs are those of all max_iters sweeps. A cluster emptied during a
+    sweep is re-seeded to the point currently farthest from its assigned
+    centroid. When history_out is a list, the clustering objective (sum of
+    squared distances to the assigned centroid) is appended once per sweep
+    that ran.
 
     Returns (labels, bank) with counts set to the final cluster sizes.
     """
@@ -160,9 +163,11 @@ def lloyd_kmeans(features, k: int, rng: SeededRng, max_iters: int = 100,
             block = onehot.T @ x[lo:lo + step]
             sums = block if lo == 0 else sums + block
         new_centroids = sums / counts[:, None]
+        # unchanged centroids assign the same labels, so every later sweep repeats this one
+        fixed = np.array_equal(new_centroids, bank.centroids)
         movement = float(np.sqrt(((new_centroids - bank.centroids) ** 2).sum(axis=1)).max())
         bank.centroids = new_centroids
-        if movement < tol:
+        if fixed or movement < tol:
             break
     labels, _ = assign_batch(bank, x)
     bank.counts = np.maximum(np.bincount(labels, minlength=k), 1)

@@ -1,5 +1,6 @@
 import dataclasses
 import gzip
+import hashlib
 import struct
 import warnings
 import zlib
@@ -343,6 +344,15 @@ def test_sweep_records_a_cell_the_grid_cannot_run(tmp_path, capsys):
     assert "sweep cell km=60 epochs=1 seed=1 failed" in capsys.readouterr().err
 
 
+def test_sweep_without_a_data_source_exits_2_and_writes_nothing(tmp_path, capsys):
+    # an error every cell would share is a config error of the whole sweep
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--k", "4", "--km-list", "5,10", "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error: no dataset source") and err.count("\n") == 1
+
+
 def test_sweep_lets_an_internal_error_end_in_a_traceback(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise DimensionError("internal shape bug")
@@ -532,6 +542,31 @@ def test_baseline3_checkpoint_is_final_state_and_not_resumable(tmp_path, capsys)
     capsys.readouterr()
     assert main(args + ["--resume", str(ckpt)]) == 2
     assert "baseline3" in capsys.readouterr().err
+
+
+def test_tinyconv_lloyd_outputs_are_pinned(tmp_path):
+    # 300 noisy copies of 10 random prototypes through tinyconv and Lloyd at
+    # tol 0 (a fixed point after 8 sweeps); the digests were taken when Lloyd
+    # still ran all 200 sweeps. At 14x14 the tinyconv products give the same
+    # bits with 1, 2 or 4 OpenBLAS threads; at 28x28 they do not.
+    rng = np.random.RandomState(5)
+    protos = rng.uniform(0.0, 255.0, size=(10, 14, 14))
+    truth = rng.randint(0, 10, size=300)
+    pixels = np.clip(np.rint(protos[truth] + rng.normal(0.0, 64.0, size=(300, 14, 14))), 0, 255)
+    img, lab = write_idx_fixture(tmp_path, pixels, truth)
+    assert main(["cluster", "--data", "mnist", "--images", str(img), "--labels", str(lab),
+                 "--k", "10", "--seed", "3", "--mode", "baseline3", "--backbone", "tinyconv",
+                 "--lloyd-tol", "0", "--lloyd-iters", "200",
+                 "--checkpoint", str(tmp_path / "run.ckpt"),
+                 "--out-labels", str(tmp_path / "labels.csv"),
+                 "--out-metrics", str(tmp_path / "metrics.txt")]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("labels.csv", "metrics.txt", "run.ckpt")}
+    assert digests == {
+        "labels.csv": "89e35c0c664f4e1e66993ed98b6f97da2ac406b1172ba707bc51dff15cf95568",
+        "metrics.txt": "ee9fffc42c8dcaac50ddc44e0075f67f72dcc6440bc70c20c7f92c9b8a7bff9c",
+        "run.ckpt": "6f0fd959afefd9742a417b5842d59c179be54026be9106fbedb64e79d66284e1",
+    }
 
 
 @pytest.mark.parametrize("backbone", ["randproj", "tinyconv"])

@@ -278,13 +278,30 @@ def test_lloyd_matches_independent_oracle_on_blobs():
     assert agreements >= 19  # >= 95% of seeds agree up to relabeling
 
 
-def test_lloyd_objective_nonincreasing():
+def spread_features():
     rng = SeededRng(7)
-    feats = np.array([[rng.gauss() * 3 for _ in range(5)] for _ in range(300)])
+    return np.array([[rng.gauss() * 3 for _ in range(5)] for _ in range(300)])
+
+
+def test_lloyd_objective_nonincreasing():
     history = []
-    lloyd_kmeans(feats, 6, SeededRng(8), history_out=history)
-    assert len(history) >= 1
+    lloyd_kmeans(spread_features(), 6, SeededRng(8), history_out=history)
+    assert len(history) == 18  # at the default tol, the fixed-point stop never comes earlier
     assert all(b <= a + 1e-9 for a, b in zip(history, history[1:]))
+
+
+def test_lloyd_stops_at_its_fixed_point():
+    feats = spread_features()
+    history = []
+    labels, bank = lloyd_kmeans(feats, 6, SeededRng(8), max_iters=200, tol=0.0,
+                                history_out=history)
+    assert len(history) < 200
+    # one more sweep assigns the same labels and gives the same centroids bit for bit
+    again, _ = assign_batch(bank, feats)
+    assert np.array_equal(labels, again)
+    onehot = np.eye(6)[again]
+    means = (onehot.T @ feats) / onehot.sum(axis=0)[:, None]
+    assert means.tobytes() == bank.centroids.tobytes()
 
 
 def test_lloyd_deterministic():
