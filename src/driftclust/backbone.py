@@ -9,7 +9,6 @@ Parameters are drawn once from the spec seed and never trained.
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import ConfigError, SeededRng
 
@@ -72,10 +71,24 @@ def _unit_rows(rows: int, cols: int, rng: SeededRng) -> np.ndarray:
     return p
 
 
+def _buffer(scratch, name, shape):
+    """The float64 buffer of this name and shape in the scratch dict, made on
+    first use. Buffers are reused across chunks of one shape; the two conv
+    stages never share one, as their output channels differ and the second
+    stage's patches are smaller."""
+    buf = scratch.get((name, shape))
+    if buf is None:
+        buf = scratch[(name, shape)] = np.empty(shape)
+    return buf
+
+
 class Backbone:
     """Base class; a kind either overrides extract_batch or defines
-    _transform(x), the features of a float batch (b, h, w, c), one row per
-    sample, for extract_batch to call on chunks of _EXTRACT_CHUNK samples."""
+    _transform(x, out, scratch), which writes the features of a float batch
+    x (b, h, w, c) into out (b, output_dim), one row per sample.
+    extract_batch calls it on chunks of _EXTRACT_CHUNK samples with one
+    scratch dict per call, where a kind can keep its working buffers from
+    chunk to chunk."""
 
     def __init__(self, spec: BackboneSpec):
         self.spec = spec
@@ -84,9 +97,10 @@ class Backbone:
         """Features of every sample along the leading axis, one row each."""
         self._check_batch(samples)
         out = np.empty((samples.shape[0], self.spec.output_dim))
+        scratch = {}
         for start in range(0, samples.shape[0], _EXTRACT_CHUNK):
             stop = start + _EXTRACT_CHUNK
-            out[start:stop] = self._transform(to_float(samples[start:stop]))
+            self._transform(to_float(samples[start:stop]), out[start:stop], scratch)
         return out
 
     def _check_batch(self, samples):
@@ -128,36 +142,55 @@ class TinyConvBackbone(Backbone):
         self.w1 = self._draw_conv(_CONV1_CHANNELS, c, rng)
         self.w2 = self._draw_conv(_CONV2_CHANNELS, _CONV1_CHANNELS, rng)
         self.projection = _unit_rows(spec.output_dim, _conv_stack_dim(h, w), rng)
+        # (9 * c_in, c_out), rows in (dy, dx, c_in) order; used as kernel.T
+        self._kernels = tuple(w.transpose(2, 3, 1, 0).reshape(-1, w.shape[0]) for w in (self.w1, self.w2))
 
     @staticmethod
     def _draw_conv(c_out, c_in, rng):
         return rng.uniform(-1.0, 1.0, size=(c_out, c_in, 3, 3))
 
     @staticmethod
-    def _conv_relu_pool(x, w):
-        """Valid 3x3 conv of a batch (b, h, w, c_in) as one im2col GEMM, then
-        ReLU and 2x2 stride-2 mean pooling; an odd axis drops its last row or
-        column and an axis shorter than 2 passes through."""
-        b, h, wd, c_in = x.shape
-        c_out = w.shape[0]
-        # Patch columns run (dy, dx, c_in), so each copied run of c_in values is
-        # contiguous; the kernel is laid out to match.
-        windows = sliding_window_view(x, (3, 3), axis=(1, 2))  # (b, h-2, w-2, c_in, 3, 3)
-        patches = windows.transpose(0, 1, 2, 4, 5, 3).reshape(-1, 9 * c_in)
-        kernel = w.transpose(2, 3, 1, 0).reshape(9 * c_in, c_out)
-        y = np.maximum(patches @ kernel, 0.0).reshape(b, h - 2, wd - 2, c_out)
-        if y.shape[1] >= 2:
-            end = y.shape[1] // 2 * 2
-            y = (y[:, 0:end:2] + y[:, 1:end:2]) * 0.5
-        if y.shape[2] >= 2:
-            end = y.shape[2] // 2 * 2
-            y = (y[:, :, 0:end:2] + y[:, :, 1:end:2]) * 0.5
+    def _conv_relu_pool(x, kernel, scratch):
+        """Valid 3x3 conv of a channel-major batch (c_in, b, h, w) as one
+        im2col GEMM, then ReLU and 2x2 stride-2 mean pooling; an odd axis
+        drops its last row or column and an axis shorter than 2 passes
+        through. The result is channel-major and is one of the scratch
+        buffers."""
+        c_in, b, h, wd = x.shape
+        c_out = kernel.shape[1]
+        oh, ow = h - 2, wd - 2
+        # K-major patches: row (dy, dx, c_in) of the 9 * c_in rows holds input
+        # channel c_in shifted by (dy, dx), so each tap is one slice copy.
+        patches = _buffer(scratch, "patches", (9, c_in, b, oh, ow))
+        for tap in range(9):
+            dy, dx = divmod(tap, 3)
+            patches[tap] = x[:, :, dy:dy + oh, dx:dx + ow]
+        # With kernel.T a transposed view, this product has the bits of the
+        # row-major im2col product patches.T @ kernel under 1, 2 and 4 BLAS
+        # threads (tests/test_backbone.py); a contiguous (c_out, 9 * c_in)
+        # kernel does not on small products.
+        y = _buffer(scratch, "conv", (c_out, b, oh, ow))
+        np.matmul(kernel.T, patches.reshape(9 * c_in, -1), out=y.reshape(c_out, -1))
+        np.maximum(y, 0.0, out=y)
+        if oh >= 2:
+            end = oh // 2 * 2
+            pooled = _buffer(scratch, "pool_h", (c_out, b, end // 2, ow))
+            y = np.add(y[:, :, 0:end:2], y[:, :, 1:end:2], out=pooled)
+            y *= 0.5
+        if ow >= 2:
+            end = ow // 2 * 2
+            pooled = _buffer(scratch, "pool_w", y.shape[:3] + (end // 2,))
+            y = np.add(y[..., 0:end:2], y[..., 1:end:2], out=pooled)
+            y *= 0.5
         return y
 
-    def _transform(self, x):
-        y = self._conv_relu_pool(x, self.w1)
-        y = self._conv_relu_pool(y, self.w2)
-        return y.reshape(y.shape[0], -1) @ self.projection.T
+    def _transform(self, x, out, scratch):
+        y = x.transpose(3, 0, 1, 2)  # channel-major (c, b, h, w)
+        for kernel in self._kernels:
+            y = self._conv_relu_pool(y, kernel, scratch)
+        flat = _buffer(scratch, "flat", y.shape[1:] + y.shape[:1])
+        flat[...] = y.transpose(1, 2, 3, 0)  # back to (b, h, w, c)
+        np.matmul(flat.reshape(x.shape[0], -1), self.projection.T, out=out)
 
 
 def build_backbone(spec: BackboneSpec) -> Backbone:

@@ -73,22 +73,29 @@ class Dataset:
         return self.samples.shape[1:]
 
 
-def _read_bytes(path) -> bytes:
+def _read_bytes(path) -> bytearray:
+    """The file's bytes in one writable buffer, gunzipped when they start with
+    the gzip magic; an uncompressed regular file is read straight into it."""
     with open(path, "rb") as f:
+        if f.peek(2)[:2] != b"\x1f\x8b":
+            data = bytearray(os.fstat(f.fileno()).st_size)
+            del data[f.readinto(data):]
+            data += f.read()  # a pipe, or a file that grew since fstat
+            return data
         data = f.read()
-    if data[:2] == b"\x1f\x8b":
-        try:
-            data = gzip.decompress(data)
-        except (OSError, EOFError, zlib.error) as exc:
-            raise IdxFormatError(f"{path}: bad gzip stream: {exc}") from None
-    return data
+    try:
+        data = gzip.decompress(data)
+    except (OSError, EOFError, zlib.error) as exc:
+        raise IdxFormatError(f"{path}: bad gzip stream: {exc}") from None
+    return bytearray(data)
 
 
 def load_idx(images_path, labels_path=None) -> Dataset:
     """Load an IDX image file (and optional matching label file).
 
-    Pixels are kept as raw uint8 bytes; scaling to [0, 1] happens at feature
-    extraction time.
+    Pixels are kept as raw uint8 bytes, a writable view into the one buffer
+    the file was read into; scaling to [0, 1] happens at feature extraction
+    time.
     """
     data = _read_bytes(images_path)
     if len(data) < 16:
@@ -117,7 +124,7 @@ def load_idx(images_path, labels_path=None) -> Dataset:
             raise IdxFormatError(f"image/label count mismatch: {count} images vs {lcount} labels")
         labels = np.frombuffer(ldata, dtype=np.uint8, offset=8).astype(np.int64)
 
-    return Dataset(samples=samples.copy(), labels=labels, name="idx")
+    return Dataset(samples=samples, labels=labels, name="idx")
 
 
 def gen_blobs(k: int, points_per_cluster: int, dim: int, separation: float,

@@ -1,7 +1,12 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from driftclust.backbone import (_EXTRACT_CHUNK, BackboneSpec, TinyConvBackbone, build_backbone,
                                  to_float)
@@ -132,6 +137,77 @@ def test_tinyconv_batch_matches_per_image_oracle(shape):
     assert batch.shape == (n, 12)
     for i in range(n):
         assert np.allclose(batch[i], tinyconv_oracle(bb, samples[i]), rtol=0, atol=1e-12)
+
+
+def im2col_conv_relu_pool(x, w):
+    """Valid 3x3 conv of a batch (b, h, w, c_in) as one sliding-window im2col
+    GEMM, patches @ kernel with patch columns in (dy, dx, c_in) order, then
+    ReLU and 2x2 stride-2 mean pooling, on fresh arrays at every step."""
+    b, h, wd, c_in = x.shape
+    c_out = w.shape[0]
+    windows = sliding_window_view(x, (3, 3), axis=(1, 2))  # (b, h-2, w-2, c_in, 3, 3)
+    patches = windows.transpose(0, 1, 2, 4, 5, 3).reshape(-1, 9 * c_in)
+    kernel = w.transpose(2, 3, 1, 0).reshape(9 * c_in, c_out)
+    y = np.maximum(patches @ kernel, 0.0).reshape(b, h - 2, wd - 2, c_out)
+    if y.shape[1] >= 2:
+        end = y.shape[1] // 2 * 2
+        y = (y[:, 0:end:2] + y[:, 1:end:2]) * 0.5
+    if y.shape[2] >= 2:
+        end = y.shape[2] // 2 * 2
+        y = (y[:, :, 0:end:2] + y[:, :, 1:end:2]) * 0.5
+    return y
+
+
+def tinyconv_im2col_reference(bb, samples):
+    """Tinyconv features in the same chunks as extract_batch, each chunk
+    through the im2col stages and one projection GEMM."""
+    rows = []
+    for start in range(0, samples.shape[0], _EXTRACT_CHUNK):
+        y = to_float(samples[start:start + _EXTRACT_CHUNK])
+        y = im2col_conv_relu_pool(y, bb.w1)
+        y = im2col_conv_relu_pool(y, bb.w2)
+        rows.append(y.reshape(y.shape[0], -1) @ bb.projection.T)
+    return np.concatenate(rows)
+
+
+@pytest.mark.parametrize("n", [2 * _EXTRACT_CHUNK + 3, 2 * _EXTRACT_CHUNK + 1])
+@pytest.mark.parametrize("dtype", ["uint8", "float64"])
+@pytest.mark.parametrize("shape", [(28, 28, 1), (9, 9, 1), (8, 11, 1), (10, 10, 3)])
+def test_tinyconv_matches_im2col_reference_bit_for_bit(shape, dtype, n):
+    bb = build_backbone(BackboneSpec("tinyconv", shape, 12, seed=21))
+    rng = np.random.RandomState(6)
+    if dtype == "uint8":
+        samples = rng.randint(0, 256, size=(n, *shape)).astype(np.uint8)
+    else:
+        samples = rng.rand(n, *shape)
+    assert np.array_equal(bb.extract_batch(samples), tinyconv_im2col_reference(bb, samples))
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_tinyconv_matches_im2col_reference_under_blas_threads(threads):
+    # The conv GEMM's operand layout must not make any thread count leave the
+    # im2col bits; each count needs its own process, as OpenBLAS reads it once.
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{Path(__file__).resolve()}::test_tinyconv_matches_im2col_reference_bit_for_bit"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+
+
+def test_tinyconv_scratch_is_per_call():
+    spec = BackboneSpec("tinyconv", (10, 10, 1), 6, seed=17)
+    bb = build_backbone(spec)
+    rng = np.random.RandomState(8)
+    first_in = rng.rand(2 * _EXTRACT_CHUNK, 10, 10, 1)
+    second_in = rng.rand(_EXTRACT_CHUNK + 5, 10, 10, 1)  # ends in a partial chunk
+    first = bb.extract_batch(first_in)
+    first_bytes = first.tobytes()
+    second = bb.extract_batch(second_in)
+    assert first.tobytes() == first_bytes
+    assert np.array_equal(first, build_backbone(spec).extract_batch(first_in))
+    assert np.array_equal(second, build_backbone(spec).extract_batch(second_in))
 
 
 def test_tinyconv_extracts_through_base_extract_batch():

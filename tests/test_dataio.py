@@ -1,6 +1,9 @@
 import gzip
 import hashlib
+import os
 import struct
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +33,33 @@ def test_idx_gzip_transparent(tmp_path):
     gz.write_bytes(gzip.compress(img.read_bytes()))
     ds = load_idx(gz)
     assert np.array_equal(ds.samples.reshape(1, 2, 2), pixels)
+
+
+def test_idx_load_holds_one_copy_of_the_pixels(tmp_path):
+    pixels = np.random.RandomState(0).randint(0, 256, size=(5000, 28, 28)).astype(np.uint8)
+    img, _ = write_idx_fixture(tmp_path, pixels)
+    tracemalloc.start()
+    try:
+        ds = load_idx(img)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * pixels.nbytes  # a second copy of the file would reach 2x
+    assert ds.samples.flags.writeable
+    assert np.array_equal(ds.samples.reshape(pixels.shape), pixels)
+
+
+def test_idx_reads_through_a_pipe(tmp_path):
+    pixels = np.arange(3 * 5 * 4, dtype=np.uint8).reshape(3, 5, 4)
+    img, _ = write_idx_fixture(tmp_path, pixels)
+    fifo = tmp_path / "images.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(img.read_bytes(),), daemon=True)
+    writer.start()
+    ds = load_idx(fifo)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert np.array_equal(ds.samples.reshape(pixels.shape), pixels)
 
 
 def test_idx_bad_magic_names_observed_value(tmp_path):
