@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ConfigError, SeededRng
+from .tensor import ConfigError, SeededRng, row_chunks
 
 BACKBONE_KINDS = ("flatten", "randproj", "tinyconv")
 
@@ -56,10 +56,12 @@ def _conv_stack_dim(h, w):
     return h * w * _CONV2_CHANNELS
 
 
-def to_float(sample: np.ndarray) -> np.ndarray:
-    """Image bytes scaled to [0, 1]; float inputs pass through as float64."""
+def to_float(sample: np.ndarray, out=None) -> np.ndarray:
+    """Image bytes scaled to [0, 1], into the float64 array out if given;
+    float inputs pass through as float64 and leave out unused. Elementwise,
+    so any part of a sample converts to the bits of that part of the whole."""
     if sample.dtype == np.uint8:
-        return sample.astype(np.float64) / 255.0
+        return np.divide(sample, 255.0, out=out)
     return np.asarray(sample, dtype=np.float64)
 
 
@@ -86,9 +88,10 @@ class Backbone:
     """Base class; a kind either overrides extract_batch or defines
     _transform(x, out, scratch), which writes the features of a float batch
     x (b, h, w, c) into out (b, output_dim), one row per sample.
-    extract_batch calls it on chunks of _EXTRACT_CHUNK samples with one
-    scratch dict per call, where a kind can keep its working buffers from
-    chunk to chunk."""
+    extract_batch calls it on the row slices of _chunks (_EXTRACT_CHUNK
+    samples each unless a kind says otherwise) with one scratch dict per
+    call, where the chunk's pixels are scaled and a kind can keep its
+    working buffers from chunk to chunk."""
 
     def __init__(self, spec: BackboneSpec):
         self.spec = spec
@@ -98,10 +101,23 @@ class Backbone:
         self._check_batch(samples)
         out = np.empty((samples.shape[0], self.spec.output_dim))
         scratch = {}
-        for start in range(0, samples.shape[0], _EXTRACT_CHUNK):
-            stop = start + _EXTRACT_CHUNK
-            self._transform(to_float(samples[start:stop]), out[start:stop], scratch)
+        for rows in self._chunks(samples.shape[0]):
+            x = samples[rows]
+            if x.dtype == np.uint8:  # scaled into one buffer per chunk shape
+                x = to_float(x, _buffer(scratch, "pixels", x.shape))
+            self._transform(to_float(x), out[rows], scratch)
         return out
+
+    def head_inputs(self, samples: np.ndarray) -> np.ndarray:
+        """The (n, d) array a trainer keeps for the samples: to_float of any of
+        its rows gives those samples' features, bit for bit. Here these are
+        the features (float64, which to_float passes through); an elementwise
+        kind keeps the flattened samples in their own dtype instead, so only
+        the rows in use are ever converted."""
+        return self.extract_batch(samples)
+
+    def _chunks(self, n):
+        return [slice(lo, lo + _EXTRACT_CHUNK) for lo in range(0, n, _EXTRACT_CHUNK)]
 
     def _check_batch(self, samples):
         if tuple(samples.shape[1:]) != tuple(self.spec.input_shape):
@@ -112,22 +128,31 @@ class Backbone:
 
 class FlattenBackbone(Backbone):
     def extract_batch(self, samples):
+        return to_float(self.head_inputs(samples))
+
+    def head_inputs(self, samples):
         self._check_batch(samples)
-        return to_float(samples).reshape(samples.shape[0], -1)
+        return samples.reshape(samples.shape[0], -1)
 
 
 class RandomProjectionBackbone(Backbone):
-    """Fixed Gaussian projection; rows normalised to unit Euclidean norm."""
+    """Fixed Gaussian projection; rows normalised to unit Euclidean norm.
+    Extracts in row_chunks, whose products have the bits of one whole-set
+    product."""
+
+    # bound here as well, where the benchmark's tracer looks for it
+    extract_batch = Backbone.extract_batch
 
     def __init__(self, spec):
         super().__init__(spec)
         rng = SeededRng(spec.seed)
         self.projection = _unit_rows(spec.output_dim, spec.flat_dim, rng)
 
-    def extract_batch(self, samples):
-        self._check_batch(samples)
-        flat = to_float(samples).reshape(samples.shape[0], -1)
-        return flat @ self.projection.T
+    def _chunks(self, n):
+        return row_chunks(n)
+
+    def _transform(self, x, out, scratch):
+        np.matmul(x.reshape(x.shape[0], -1), self.projection.T, out=out)
 
 
 class TinyConvBackbone(Backbone):

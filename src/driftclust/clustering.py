@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .tensor import ConfigError, DimensionError, SeededRng
+from .tensor import ConfigError, DimensionError, SeededRng, row_chunks
 
 _PASS_ENTRIES = 2 ** 20  # n x k entries per distance or one-hot pass: 8 MiB of float64
 
@@ -57,19 +57,22 @@ def seed_kmeanspp(features, k: int, rng: SeededRng) -> CentroidBank:
         raise ValueError("k must be at least 1")
     if n < k:
         raise ValueError(f"need at least k={k} samples to seed, got {n}")
+    chunks = row_chunks(n)
+    diff = np.empty((chunks[0].stop, x.shape[1]))
+    d2 = np.full(n, np.inf)
     chosen = [rng.randint(n)]
-    diff = x - x[chosen[0]]
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    for _ in range(1, k):
+    while True:
+        for rows in chunks:
+            np.subtract(x[rows], x[chosen[-1]], out=diff)
+            np.minimum(d2[rows], np.einsum("ij,ij->i", diff, diff), out=d2[rows])
+        if len(chosen) == k:
+            break
         total = float(d2.sum())
         if not math.isfinite(total):
             raise ConfigError("squared feature distances overflow float64; rescale the data")
         if total <= 0.0:
             raise ConfigError(f"cannot seed k={k} centroids: the features hold fewer than k distinct points")
-        idx = rng.weighted_index(d2)
-        chosen.append(idx)
-        np.subtract(x, x[idx], out=diff)
-        d2 = np.minimum(d2, np.einsum("ij,ij->i", diff, diff))
+        chosen.append(rng.weighted_index(d2))
     return CentroidBank(x[chosen].copy(), np.ones(k, dtype=np.int64))
 
 

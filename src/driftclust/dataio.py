@@ -19,7 +19,7 @@ items; the three progress counters share one section of three u64. File
 writes go through a temp-file-and-rename so readers never see partial state.
 """
 
-import gzip
+import itertools
 import math
 import os
 import struct
@@ -36,6 +36,7 @@ IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 CHECKPOINT_MAGIC = b"DRIFTCLU"
 CHECKPOINT_VERSION = 1
+_GZIP_PIECE = 1 << 16  # bytes per read and per decompressed piece of a gzipped IDX file
 
 
 class IdxFormatError(ValueError):
@@ -73,21 +74,92 @@ class Dataset:
         return self.samples.shape[1:]
 
 
-def _read_bytes(path) -> bytearray:
-    """The file's bytes in one writable buffer, gunzipped when they start with
-    the gzip magic; an uncompressed regular file is read straight into it."""
+def _gunzip_pieces(f, path):
+    """The decompressed bytes of an open gzip file in pieces of at most
+    _GZIP_PIECE bytes, reading as much compressed input at a time. Members
+    follow one another and zero bytes after a member are skipped, as
+    gzip.decompress reads them; a bad stream raises IdxFormatError."""
+    try:
+        data = f.read(_GZIP_PIECE)
+        while data:
+            member = zlib.decompressobj(wbits=31)  # gzip header and trailer checks
+            while True:
+                piece = member.decompress(data, _GZIP_PIECE)
+                if piece:
+                    yield piece
+                if member.eof:
+                    break
+                if not (piece or data):
+                    raise EOFError("compressed file ended before the end-of-stream marker was reached")
+                data = member.unconsumed_tail or f.read(_GZIP_PIECE)
+            data = member.unused_data.lstrip(b"\0")
+            while not data:
+                more = f.read(_GZIP_PIECE)
+                if not more:
+                    return
+                data = more.lstrip(b"\0")
+    except (EOFError, zlib.error) as exc:
+        raise IdxFormatError(f"{path}: bad gzip stream: {exc}") from None
+
+
+def _read_idx(path, kind, header_len, size_of) -> np.ndarray:
+    """The bytes of an IDX file as one writable uint8 array, gunzipped when
+    they start with the gzip magic. size_of(head) checks the header at the
+    start of head (raising IdxFormatError) and returns the file size it
+    implies; a file of another size raises IdxFormatError. A gzipped file is
+    decompressed piece by piece into an array of that size, and a bad
+    stream is reported before a bad header."""
     with open(path, "rb") as f:
         if f.peek(2)[:2] != b"\x1f\x8b":
             data = bytearray(os.fstat(f.fileno()).st_size)
             del data[f.readinto(data):]
             data += f.read()  # a pipe, or a file that grew since fstat
-            return data
-        data = f.read()
-    try:
-        data = gzip.decompress(data)
-    except (OSError, EOFError, zlib.error) as exc:
-        raise IdxFormatError(f"{path}: bad gzip stream: {exc}") from None
-    return bytearray(data)
+            size, got = size_of(data), len(data)
+            data = np.frombuffer(data, dtype=np.uint8)
+        else:
+            pieces = _gunzip_pieces(f, path)
+            head = b""
+            for piece in pieces:
+                head += piece
+                if len(head) >= header_len:
+                    break
+            data = size = None
+            try:
+                size = size_of(head)
+                data = np.empty(size, dtype=np.uint8)  # pages never written cost no memory
+            except (IdxFormatError, MemoryError, ValueError):
+                pass  # the whole stream is read first: its own errors come first
+            got = 0
+            for piece in itertools.chain([head], pieces):
+                if data is not None and got < size:
+                    data[got:got + len(piece)] = np.frombuffer(piece[:size - got], dtype=np.uint8)
+                got += len(piece)
+            size = size_of(head)
+            if data is None and got == size:
+                raise MemoryError(f"{path}: no room for its {size} bytes")
+    if got != size:
+        raise IdxFormatError(f"{kind} file truncated or padded: expected {size} bytes, got {got}")
+    return data
+
+
+def _image_size(head) -> int:
+    if len(head) < 16:
+        raise IdxFormatError(f"image file too short for an IDX header ({len(head)} bytes)")
+    magic, count, rows, cols = struct.unpack(">IIII", head[:16])
+    if magic != IDX_IMAGE_MAGIC:
+        raise IdxFormatError(f"bad image magic 0x{magic:08x}, expected 0x{IDX_IMAGE_MAGIC:08x}")
+    if rows == 0 or cols == 0:
+        raise IdxFormatError(f"image size {rows}x{cols} has no pixels")
+    return 16 + count * rows * cols
+
+
+def _label_size(head) -> int:
+    if len(head) < 8:
+        raise IdxFormatError(f"label file too short for an IDX header ({len(head)} bytes)")
+    magic, count = struct.unpack(">II", head[:8])
+    if magic != IDX_LABEL_MAGIC:
+        raise IdxFormatError(f"bad label magic 0x{magic:08x}, expected 0x{IDX_LABEL_MAGIC:08x}")
+    return 8 + count
 
 
 def load_idx(images_path, labels_path=None) -> Dataset:
@@ -97,32 +169,17 @@ def load_idx(images_path, labels_path=None) -> Dataset:
     the file was read into; scaling to [0, 1] happens at feature extraction
     time.
     """
-    data = _read_bytes(images_path)
-    if len(data) < 16:
-        raise IdxFormatError(f"image file too short for an IDX header ({len(data)} bytes)")
-    magic, count, rows, cols = struct.unpack(">IIII", data[:16])
-    if magic != IDX_IMAGE_MAGIC:
-        raise IdxFormatError(f"bad image magic 0x{magic:08x}, expected 0x{IDX_IMAGE_MAGIC:08x}")
-    if rows == 0 or cols == 0:
-        raise IdxFormatError(f"image size {rows}x{cols} has no pixels")
-    expected = 16 + count * rows * cols
-    if len(data) != expected:
-        raise IdxFormatError(f"image file truncated or padded: expected {expected} bytes, got {len(data)}")
-    samples = np.frombuffer(data, dtype=np.uint8, offset=16).reshape(count, rows, cols, 1)
+    data = _read_idx(images_path, "image", 16, _image_size)
+    count, rows, cols = struct.unpack(">III", data[4:16].tobytes())
+    samples = data[16:].reshape(count, rows, cols, 1)
 
     labels = None
     if labels_path is not None:
-        ldata = _read_bytes(labels_path)
-        if len(ldata) < 8:
-            raise IdxFormatError(f"label file too short for an IDX header ({len(ldata)} bytes)")
-        lmagic, lcount = struct.unpack(">II", ldata[:8])
-        if lmagic != IDX_LABEL_MAGIC:
-            raise IdxFormatError(f"bad label magic 0x{lmagic:08x}, expected 0x{IDX_LABEL_MAGIC:08x}")
-        if len(ldata) != 8 + lcount:
-            raise IdxFormatError(f"label file truncated or padded: expected {8 + lcount} bytes, got {len(ldata)}")
+        ldata = _read_idx(labels_path, "label", 8, _label_size)
+        lcount = len(ldata) - 8
         if lcount != count:
             raise IdxFormatError(f"image/label count mismatch: {count} images vs {lcount} labels")
-        labels = np.frombuffer(ldata, dtype=np.uint8, offset=8).astype(np.int64)
+        labels = ldata[8:].astype(np.int64)
 
     return Dataset(samples=samples, labels=labels, name="idx")
 

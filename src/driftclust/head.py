@@ -98,9 +98,11 @@ class FeatureHead:
         y = np.maximum(u_out, 0.0)
         return ForwardTrace(x, u_hidden, h, u_out, y)
 
-    def hidden_batch(self, xs: np.ndarray) -> np.ndarray:
-        """Hidden features for a stack of inputs (rows), read-only weights."""
-        return np.maximum(xs @ self.w_hidden.T, 0.0)
+    def hidden_batch(self, xs: np.ndarray, out=None) -> np.ndarray:
+        """Hidden features for a stack of inputs (rows), read-only weights;
+        written into out, one row per input, if given."""
+        h = np.matmul(xs, self.w_hidden.T, out=out)
+        return np.maximum(h, 0.0, out=h)
 
     def backward(self, trace: ForwardTrace, label: int, out=None):
         """Loss gradients w.r.t. both weight matrices for one sample, t = one_hot(label).
@@ -143,7 +145,8 @@ class FeatureHead:
         if self.last_delta_hidden is None or self.last_delta_out is None:
             raise NoHistoryError("no SGD step recorded yet, nothing to roll back")
         w_prev = self.w_hidden + self.eta * self.last_delta_hidden
-        return np.maximum(xs @ w_prev.T, 0.0)
+        h = xs @ w_prev.T
+        return np.maximum(h, 0.0, out=h)
 
 
 def init_head(input_dim: int, hidden_dim: int, k: int, eta: float, rng: SeededRng) -> FeatureHead:

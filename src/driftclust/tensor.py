@@ -1,5 +1,5 @@
-"""Validated dense float64 matrices, a portable seeded RNG, and the error
-classes the other modules share.
+"""Validated dense float64 matrices, the row chunks of whole-set passes, a
+portable seeded RNG, and the error classes the other modules share.
 
 Matrices are 2-D row-major numpy float64 arrays; the constructor below
 validates shape and finiteness so the rest of the package can assume
@@ -14,6 +14,7 @@ import numpy as np
 MASK64 = 0xFFFFFFFFFFFFFFFF
 _LANE = 128  # words per lane of a bulk draw, a power of two: numpy steps per pass
 _CHUNK = 128 * _LANE  # words per bulk pass; bounds the temporaries of a large draw
+ROW_CHUNK = 1024  # rows per slice of a whole-set pass: 1 MiB of float64 at 128 columns
 
 
 class DimensionError(ValueError):
@@ -37,6 +38,21 @@ def matrix(data) -> np.ndarray:
         raise DimensionError(f"expected a 2-D matrix with positive dims, got shape {m.shape}")
     _check_finite(m, "matrix")
     return m
+
+
+def row_chunks(n: int) -> list:
+    """Slices of ROW_CHUNK rows each (one slice of all n rows when n is
+    smaller) that cover rows 0..n-1 in order. The last slice ends at n and so
+    may overlap the one before: a pass over them computes some rows twice,
+    with the same bits, and must write its results row by row.
+
+    Every slice has the same length, so no product is left with a short
+    tail. OpenBLAS multiplies a product of a few rows (under about 1,200
+    output entries in 0.3.31) with another kernel and other bits; on these
+    slices a product row has the bits of the whole-set product.
+    """
+    last = max(n - ROW_CHUNK, 0)
+    return [slice(lo, min(lo + ROW_CHUNK, n)) for lo in [*range(0, last, ROW_CHUNK), last]]
 
 
 def _splitmix64(x: int) -> int:

@@ -26,12 +26,12 @@ from typing import Optional
 
 import numpy as np
 
-from .backbone import BackboneSpec, build_backbone
+from .backbone import BackboneSpec, build_backbone, to_float
 from .clustering import CentroidBank, assign_batch, lloyd_kmeans, seed_kmeanspp, update_centroid
 from .dataio import CheckpointError, Dataset, TrainerState
 from .head import LOSS_LIMIT, FeatureHead, init_head
 from .metrics import nmi
-from .tensor import ConfigError, SeededRng
+from .tensor import ConfigError, SeededRng, row_chunks
 
 MODES = ("full", "baseline1", "baseline2", "baseline3")
 ROLLBACK_MODES = ("last_step", "snapshot")
@@ -102,6 +102,12 @@ class JointTrainer:
     config seed. With a TrainerState the trainer continues from the state
     to_checkpoint wrote; with the stored RNG state this makes a resumed run
     indistinguishable from an unbroken one.
+
+    The trainer holds no whole-set float64 copy of its input: `inputs` is the
+    backbone's head_inputs, which for flatten are the samples in their own
+    dtype, and _rows converts the rows a step needs. A pass over the whole
+    set runs in row_chunks; only seeding (and Lloyd) needs all n x hidden
+    features at once.
     """
 
     def __init__(self, dataset: Dataset, backbone_spec: BackboneSpec, config: TrainerConfig,
@@ -117,8 +123,8 @@ class JointTrainer:
         self.config = config
         self.truth = ground_truth
         self.extractor = build_backbone(backbone_spec)
-        # the backbone is frozen, so extract every sample once up front
-        self.inputs = self.extractor.extract_batch(dataset.samples)
+        # the backbone is frozen, so what is not elementwise is extracted once up front
+        self.inputs = self.extractor.head_inputs(dataset.samples)
         self.rng = SeededRng(config.seed)
         if resume is not None:
             self._restore(resume)
@@ -133,8 +139,7 @@ class JointTrainer:
         if config.mode == "baseline3":
             self.bank = None  # produced by the Lloyd pass in run()
         else:
-            features = self.head.hidden_batch(self.inputs)
-            self.bank = seed_kmeanspp(features, config.k, self.rng)
+            self.bank = seed_kmeanspp(self._features(), config.k, self.rng)
 
     def _restore(self, state: TrainerState):
         """Inverse of to_checkpoint, and the one place resumed state is checked.
@@ -202,15 +207,27 @@ class JointTrainer:
     def _capped(self):
         return self.config.max_iters > 0 and self.iterations >= self.config.max_iters
 
+    def _rows(self, rows):
+        """Head inputs (float64) of the samples that an index list or slice picks."""
+        return to_float(self.inputs[rows])
+
+    def _features(self) -> np.ndarray:
+        """Hidden features of every sample under the current head."""
+        out = np.empty((self.dataset.n, self.head.hidden_dim))
+        for rows in row_chunks(self.dataset.n):
+            self.head.hidden_batch(self._rows(rows), out=out[rows])
+        return out
+
     def assign_all(self) -> np.ndarray:
-        labels, _ = assign_batch(self.bank, self.head.hidden_batch(self.inputs))
+        labels = np.empty(self.dataset.n, dtype=np.int64)
+        for rows in row_chunks(self.dataset.n):
+            labels[rows], _ = assign_batch(self.bank, self.head.hidden_batch(self._rows(rows)))
         return labels
 
     def run(self, epoch_callback=None) -> RunResult:
         started = time.perf_counter()
         if self.config.mode == "baseline3":
-            features = self.head.hidden_batch(self.inputs)
-            labels, self.bank = lloyd_kmeans(features, self.config.k, self.rng,
+            labels, self.bank = lloyd_kmeans(self._features(), self.config.k, self.rng,
                                              max_iters=self.config.lloyd_iters,
                                              tol=self.config.lloyd_tol)
             if self.truth is not None:
@@ -240,7 +257,7 @@ class JointTrainer:
             if self._capped():
                 return False
             batch = order[start:start + cfg.n_m]
-            xs = self.inputs[batch]
+            xs = self._rows(batch)
             hidden = self.head.hidden_batch(xs)
             labels, dists = assign_batch(self.bank, hidden)
 
@@ -274,10 +291,11 @@ class JointTrainer:
         step, the weights once after the pass: before any centroid update reads them."""
         head = self.head
         pre_pass_head = head.copy()
+        xs = self._rows([sample_idx for sample_idx, _ in pairs])
         # an overflowing step is reported below as DivergenceError, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            for sample_idx, label in pairs:
-                loss = head.sgd_step(self.inputs[sample_idx], label)
+            for x, (_, label) in zip(xs, pairs):
+                loss = head.sgd_step(x, label)
                 if not loss <= LOSS_LIMIT:
                     raise DivergenceError(f"fine-tune loss {loss} exceeded {LOSS_LIMIT:g} "
                                           f"at iteration {self.iterations}")

@@ -24,6 +24,22 @@ def write_idx_fixture(tmp_path, pixels, labels=None):
     return img_path, lab_path
 
 
+def mnist_like(n, seed, side=28, classes=10, sigma=64.0, chunk=10_000):
+    """(uint8 images (n, side, side), labels (n,)): each image is one of
+    `classes` prototypes (pixels uniform in [0, 255]) plus Gaussian pixel
+    noise, rounded and clipped. Drawn `chunk` images at a time, so a 60k set
+    never holds its float64 noise at once."""
+    rng = np.random.default_rng(seed)
+    protos = rng.uniform(0.0, 255.0, size=(classes, side, side))
+    labels = rng.integers(0, classes, size=n)
+    images = np.empty((n, side, side), dtype=np.uint8)
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
+        noisy = protos[labels[lo:hi]] + rng.normal(0.0, sigma, size=(hi - lo, side, side))
+        images[lo:hi] = np.clip(np.rint(noisy), 0, 255)
+    return images, labels
+
+
 def small_blob_setup(seed=0, k=4, points=50, dim=8, separation=25.0, sigma=0.5,
                      **config_overrides):
     """Tiny, crisply separated benchmark for fast trainer-level tests."""

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+from conftest import mnist_like
 from driftclust.backbone import (_EXTRACT_CHUNK, BackboneSpec, TinyConvBackbone, build_backbone,
                                  to_float)
 
@@ -64,6 +65,45 @@ def test_uint8_samples_are_scaled():
     spec = BackboneSpec("flatten", (1, 2, 1), 2, seed=0)
     sample = np.array([0, 255], dtype=np.uint8).reshape(1, 2, 1)
     assert np.array_equal(extract_one(build_backbone(spec), sample), np.array([0.0, 1.0]))
+
+
+def test_to_float_into_a_buffer_matches_a_fresh_conversion():
+    pixels = np.arange(256, dtype=np.uint8).reshape(4, 8, 8, 1)
+    out = np.empty(pixels.shape)
+    assert to_float(pixels, out) is out
+    assert out.tobytes() == (pixels.astype(np.float64) / 255.0).tobytes()
+    assert to_float(pixels).tobytes() == out.tobytes()
+
+
+def test_flatten_head_inputs_keep_the_samples_and_convert_to_the_features():
+    bb = build_backbone(BackboneSpec("flatten", (28, 28, 1), 784, seed=0))
+    pixels, _ = mnist_like(40, seed=1)
+    samples = pixels.reshape(40, 28, 28, 1)
+    kept = bb.head_inputs(samples)
+    assert kept.dtype == np.uint8 and np.shares_memory(kept, samples)
+    rows = [3, 17, 0, 39]
+    assert to_float(kept[rows]).tobytes() == bb.extract_batch(samples)[rows].tobytes()
+
+
+def test_randproj_chunks_match_the_whole_set_product():
+    # row_chunks of 1024 rows, the last overlapping the one before; chunks of 32
+    # would end in one of 8 rows, a product with other bits in OpenBLAS
+    bb = build_backbone(BackboneSpec("randproj", (28, 28, 1), 128, seed=1))
+    pixels, _ = mnist_like(5992, seed=3)
+    samples = pixels.reshape(5992, 28, 28, 1)
+    whole = to_float(samples).reshape(5992, -1) @ bb.projection.T
+    assert bb.extract_batch(samples).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_randproj_chunks_match_the_whole_set_product_under_blas_threads(threads):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{Path(__file__).resolve()}::test_randproj_chunks_match_the_whole_set_product"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
 
 
 def test_randproj_matches_matvec_of_flatten():

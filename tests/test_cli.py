@@ -1,16 +1,20 @@
 import dataclasses
 import gzip
 import hashlib
+import os
 import struct
+import subprocess
+import sys
 import warnings
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import write_idx_fixture
+from conftest import mnist_like, write_idx_fixture
 from driftclust import cli
 from driftclust.cli import main
 from driftclust.dataio import load_checkpoint, load_labels, save_labels
@@ -616,3 +620,30 @@ def test_resume_rejects_different_config(tmp_path, capsys):
                                     "--out-metrics", str(tmp_path / "m2.txt")])
     assert rc == 2
     assert "configuration" in capsys.readouterr().err
+
+
+@pytest.mark.slow
+def test_60k_pixel_epoch_peaks_below_200_mb(tmp_path):
+    # The paper's scale in bounded memory: 60k 28x28 images (47 MB of
+    # pixels), flatten, one epoch, in a fresh process. The child reports its
+    # own VmHWM; its ru_maxrss would start from this process's peak.
+    pixels, labels = mnist_like(60_000, seed=5)
+    img, lab = write_idx_fixture(tmp_path, pixels, labels)
+    del pixels, labels
+    root = Path(__file__).resolve().parents[1]
+    child = ("import sys\n"
+             "from driftclust.cli import main\n"
+             "code = main(sys.argv[1:])\n"
+             "print(next(line for line in open('/proc/self/status') if line.startswith('VmHWM:')))\n"
+             "sys.exit(code)\n")
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "cluster", "--data", "mnist", "--images", str(img),
+         "--labels", str(lab), "--backbone", "flatten", "--mode", "baseline2", "--epochs", "1",
+         "--k", "10", "--seed", "0", "--out-labels", str(tmp_path / "labels.csv"),
+         "--out-metrics", str(tmp_path / "metrics.txt")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    name, kib, unit = proc.stdout.strip().splitlines()[-1].split()
+    assert (name, unit) == ("VmHWM:", "kB")
+    assert int(kib) * 1024 < 200e6, f"peak {int(kib) * 1024 / 1e6:.0f} MB"

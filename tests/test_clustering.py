@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from driftclust import clustering
+from driftclust import clustering, tensor
 from driftclust.clustering import (CentroidBank, assign_batch, lloyd_kmeans, seed_kmeanspp,
                                    update_centroid)
 from driftclust.metrics import build_contingency
@@ -125,8 +125,8 @@ def test_assign_batch_memory_stays_bounded():
 
 
 def test_seed_kmeanspp_memory_stays_bounded():
-    # one n x d difference buffer for all k seeds: 4 MiB here, where a fresh
-    # difference per seed held two at once (8 MiB)
+    # one difference buffer of ROW_CHUNK rows for all k seeds: 1 MiB here,
+    # where an n x d buffer was 4 MiB and a fresh one per seed held two (8 MiB)
     feats = np.random.default_rng(1).normal(size=(4096, 128))
     tracemalloc.start()
     try:
@@ -134,7 +134,21 @@ def test_seed_kmeanspp_memory_stays_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * feats.nbytes
+    assert peak < 0.5 * feats.nbytes
+
+
+@pytest.mark.parametrize("rows", [7, 10**6])
+def test_seed_kmeanspp_row_bound_leaves_the_seeds(monkeypatch, rows):
+    # the difference pass is elementwise and row by row, so any chunking of
+    # the rows gives the one-chunk seeds and draws the same random numbers
+    feats = np.random.default_rng(2).normal(size=(1000, 12))
+    expected_rng = SeededRng(4)
+    expected = seed_kmeanspp(feats, 10, expected_rng)
+    monkeypatch.setattr(tensor, "ROW_CHUNK", rows)
+    rng = SeededRng(4)
+    bank = seed_kmeanspp(feats, 10, rng)
+    assert bank.centroids.tobytes() == expected.centroids.tobytes()
+    assert rng.state() == expected_rng.state()
 
 
 def test_lloyd_memory_stays_bounded():

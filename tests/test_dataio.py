@@ -1,6 +1,7 @@
 import gzip
 import hashlib
 import os
+import re
 import struct
 import threading
 import tracemalloc
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import write_idx_fixture
+from driftclust import dataio
 from driftclust.clustering import lloyd_kmeans
 from driftclust.dataio import (CheckpointError, CsvFormatError, IdxFormatError, TrainerState,
                                atomic_write_bytes, gen_blobs, load_checkpoint, load_csv,
@@ -47,6 +49,61 @@ def test_idx_load_holds_one_copy_of_the_pixels(tmp_path):
     assert peak < 1.5 * pixels.nbytes  # a second copy of the file would reach 2x
     assert ds.samples.flags.writeable
     assert np.array_equal(ds.samples.reshape(pixels.shape), pixels)
+
+
+def test_idx_gzip_load_peaks_below_twice_the_pixels(tmp_path):
+    # streamed into one buffer sized from the header; decompressing the whole
+    # file at once peaked at 3.9x the pixel bytes
+    pixels = np.random.RandomState(0).randint(0, 256, size=(5000, 28, 28)).astype(np.uint8)
+    img, _ = write_idx_fixture(tmp_path, pixels)
+    gz = tmp_path / "images.idx.gz"
+    gz.write_bytes(gzip.compress(img.read_bytes()))
+    tracemalloc.start()
+    try:
+        ds = load_idx(gz)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * pixels.nbytes
+    assert ds.samples.flags.writeable
+    assert np.array_equal(ds.samples.reshape(pixels.shape), pixels)
+
+
+@pytest.mark.parametrize("piece", [7, 1 << 16])
+def test_idx_gzip_members_and_zero_padding_read_piece_by_piece(tmp_path, monkeypatch, piece):
+    # gzip.decompress reads concatenated members and skips zeros after one
+    monkeypatch.setattr(dataio, "_GZIP_PIECE", piece)
+    pixels = np.arange(3 * 5 * 4, dtype=np.uint8).reshape(3, 5, 4)
+    img, lab = write_idx_fixture(tmp_path, pixels, labels=[4, 0, 9])
+    raw = img.read_bytes()
+    img_gz, lab_gz = tmp_path / "images.gz", tmp_path / "labels.gz"
+    img_gz.write_bytes(gzip.compress(raw[:21]) + bytes(9) + gzip.compress(raw[21:]) + bytes(40))
+    lab_gz.write_bytes(gzip.compress(lab.read_bytes()))
+    ds = load_idx(img_gz, lab_gz)
+    assert np.array_equal(ds.samples.reshape(pixels.shape), pixels)
+    assert ds.labels.tolist() == [4, 0, 9]
+
+
+_IDX_2X2X2 = struct.pack(">IIII", 0x00000803, 2, 2, 2) + bytes(range(8))
+
+
+@pytest.mark.parametrize("body,message", [
+    (gzip.compress(_IDX_2X2X2)[:-6], "bad gzip stream"),  # cut in the trailer
+    (gzip.compress(_IDX_2X2X2)[:-8] + bytes(8), "bad gzip stream"),  # wrong CRC and length
+    (gzip.compress(_IDX_2X2X2) + b"junk", "bad gzip stream"),
+    (gzip.compress(_IDX_2X2X2 + b"\x01"), "expected 24 bytes, got 25"),
+    (gzip.compress(_IDX_2X2X2[:-3]), "expected 24 bytes, got 21"),
+    (gzip.compress(_IDX_2X2X2[:9]), "too short for an IDX header (9 bytes)"),
+    (gzip.compress(b"\x00" * 24), "bad image magic"),
+    (gzip.compress(b"\x00" * 24)[:-6], "bad gzip stream"),  # the stream is reported first
+    (gzip.compress(struct.pack(">IIII", 0x00000803, 2**32 - 1, 2**32 - 1, 2**32 - 1)),
+     "expected 79228162458924105385300197391 bytes, got 16"),
+])
+def test_idx_gzip_malformed_input_is_an_idx_error(tmp_path, body, message):
+    path = tmp_path / "bad.idx.gz"
+    path.write_bytes(body)
+    with pytest.raises(IdxFormatError, match=re.escape(message)):
+        load_idx(path)
 
 
 def test_idx_reads_through_a_pipe(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftclust.tensor import _CHUNK, _LANE, DimensionError, SeededRng, matrix
+from driftclust.tensor import _CHUNK, _LANE, ROW_CHUNK, DimensionError, SeededRng, matrix, row_chunks
 
 MASK = (1 << 64) - 1
 
@@ -17,6 +17,17 @@ def test_vector_and_matrix_validation():
     assert m.flags["C_CONTIGUOUS"] and m.dtype == np.float64
     with pytest.raises(ValueError):
         matrix([[np.inf, 0.0]])
+
+
+@pytest.mark.parametrize("n", [1, 7, ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1, 2 * ROW_CHUNK, 5000])
+def test_row_chunks_cover_the_rows_in_order_with_no_short_chunk(n):
+    chunks = row_chunks(n)
+    # a short chunk would take OpenBLAS's small-product kernel, and its bits
+    assert [rows.stop - rows.start for rows in chunks] == [min(n, ROW_CHUNK)] * len(chunks)
+    starts = [rows.start for rows in chunks]
+    assert starts[0] == 0 and chunks[-1].stop == n and starts == sorted(set(starts))
+    assert all(nxt.start <= rows.stop for rows, nxt in zip(chunks, chunks[1:]))  # no gap
+    assert len(chunks) == -(-n // ROW_CHUNK)
 
 
 def test_rng_streams_are_reproducible():

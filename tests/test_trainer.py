@@ -1,14 +1,16 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import acceptance_blob_setup, small_blob_setup
+from conftest import acceptance_blob_setup, mnist_like, small_blob_setup
+from driftclust import tensor
 from driftclust import trainer as trainer_module
-from driftclust.backbone import build_backbone
+from driftclust.backbone import BackboneSpec, build_backbone, to_float
 from driftclust.cli import main
 from driftclust.clustering import CentroidBank, assign_batch, lloyd_kmeans, update_centroid
-from driftclust.dataio import gen_blobs, load_checkpoint, save_checkpoint
+from driftclust.dataio import Dataset, gen_blobs, load_checkpoint, save_checkpoint
 from driftclust.head import FeatureHead, init_head, one_hot
 from driftclust.tensor import DimensionError, SeededRng
 from driftclust.trainer import LOSS_LIMIT, DivergenceError, JointTrainer, TrainerConfig, _top_indices
@@ -375,3 +377,70 @@ def test_counts_accumulate_across_epochs():
     result = JointTrainer(dataset, spec, config).run()
     # seeds start at 1 and every sample visit adds 1 per epoch
     assert result.centroid_bank.counts.sum() == config.k + 3 * dataset.n
+
+
+def pixel_setup(n, seed, **config_overrides):
+    """n MNIST-shaped uint8 images with labels, a flatten spec and a config."""
+    pixels, labels = mnist_like(n, seed=seed)
+    spec = BackboneSpec("flatten", (28, 28, 1), 784, seed=seed + 1)
+    config = TrainerConfig(k=10, seed=seed, **config_overrides)
+    return pixels.reshape(n, 28, 28, 1), labels, spec, config
+
+
+@pytest.mark.parametrize("mode", ["full", "baseline2", "baseline3"])
+def test_uint8_flatten_run_equals_the_run_on_scaled_pixels(tmp_path, mode):
+    # the trainer keeps uint8 pixels as they are and scales the rows it uses
+    samples, labels, spec, config = pixel_setup(600, seed=2, mode=mode, epochs=2)
+    runs = []
+    for data in (samples, to_float(samples)):
+        trainer = JointTrainer(Dataset(data, labels, "idx"), spec, config, ground_truth=labels)
+        result = trainer.run()
+        path = tmp_path / f"{len(runs)}.ckpt"
+        save_checkpoint(path, trainer.to_checkpoint("cfg"))
+        runs.append((trainer, result, path.read_bytes()))
+    (raw, raw_result, raw_ckpt), (scaled, scaled_result, scaled_ckpt) = runs
+    assert raw.inputs.dtype == np.uint8 and scaled.inputs.dtype == np.float64
+    assert raw_result.labels.tobytes() == scaled_result.labels.tobytes()
+    assert raw_result.nmi_history == scaled_result.nmi_history
+    assert raw_result.centroid_bank.centroids.tobytes() == scaled_result.centroid_bank.centroids.tobytes()
+    for name in ("w_hidden", "w_out"):
+        assert getattr(raw_result.head, name).tobytes() == getattr(scaled_result.head, name).tobytes()
+    assert raw_ckpt == scaled_ckpt
+    assert (raw_result.finetunes > 0) == (mode == "full")
+
+
+@pytest.mark.parametrize("rows", [300, 10**6])
+def test_row_bound_leaves_seeding_assignment_and_lloyd_bits(monkeypatch, rows):
+    # 5000 rows: one chunk, or 17 chunks of 300 rows. A bound of a few rows is
+    # not tried here: OpenBLAS multiplies products that small with another
+    # kernel, whose bits differ (at 7 rows, this set's seeded centroids do),
+    # and row_chunks makes chunks that small only of sets that small.
+    def outputs():
+        dataset, spec, config = acceptance_blob_setup(2, epochs=1, max_iters=20)
+        trainer = JointTrainer(dataset, spec, config)
+        seeded = trainer.bank.centroids.copy()
+        labels = trainer.run().labels
+        lloyd = JointTrainer(dataset, spec, dataclasses.replace(config, mode="baseline3")).run()
+        return [seeded, labels, lloyd.labels, lloyd.centroid_bank.centroids]
+
+    expected = outputs()
+    monkeypatch.setattr(tensor, "ROW_CHUNK", rows)
+    assert [a.tobytes() for a in outputs()] == [a.tobytes() for a in expected]
+
+
+def test_trainer_memory_per_sample_follows_hidden_dim_not_pixels():
+    # seeding holds n x hidden_dim features (8 * 128 bytes a sample); a
+    # float64 copy of the 28x28 pixels held 6272 bytes a sample more
+    peaks = []
+    for n in (2000, 4000):
+        samples, _, spec, config = pixel_setup(n, seed=4, epochs=1)
+        dataset = Dataset(samples, None, "idx")
+        tracemalloc.start()
+        try:
+            JointTrainer(dataset, spec, config).run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    per_sample = (peaks[1] - peaks[0]) / 2000
+    assert per_sample < 2 * 8 * config.hidden_dim, per_sample
