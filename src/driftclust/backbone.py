@@ -6,6 +6,8 @@ conv layers with ReLU and 2x2 mean pooling, then a fixed projection).
 Parameters are drawn once from the spec seed and never trained.
 """
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +18,11 @@ BACKBONE_KINDS = ("flatten", "randproj", "tinyconv")
 
 _CONV1_CHANNELS = 8
 _CONV2_CHANNELS = 16
-_EXTRACT_CHUNK = 32  # samples per _transform call; keeps im2col temporaries at a few MB
+# samples per _transform call: each extraction worker's im2col buffers stay at
+# a few MB, and the chunks, hence the features, are the same for any worker count
+_EXTRACT_CHUNK = 32
+# the variables OpenBLAS reads its thread count from, in the order it reads them
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -84,14 +90,61 @@ def _buffer(scratch, name, shape):
     return buf
 
 
+def _extract_workers():
+    """Threads for one extraction: the usable CPUs over the BLAS thread count
+    of the first variable in _BLAS_THREAD_VARS that holds a positive integer,
+    so that workers times BLAS threads stays within the CPUs. With no such
+    variable OpenBLAS already runs every product on all CPUs, and more
+    workers would only contend with it, so the count is 1."""
+    for var in _BLAS_THREAD_VARS:
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            break
+    else:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, cpus // int(value))
+
+
+def _runs(chunks, workers):
+    """The chunks split into at most `workers` contiguous runs of about equal
+    length. A chunk that overlaps the one before stays in that chunk's run,
+    so no two runs write the same row."""
+    blocks = []
+    for rows in chunks:
+        if blocks and rows.start < blocks[-1][-1].stop:
+            blocks[-1].append(rows)
+        else:
+            blocks.append([rows])
+    workers = max(1, min(workers, len(blocks)))
+    bounds = [len(blocks) * i // workers for i in range(workers + 1)]
+    return [[rows for block in blocks[lo:hi] for rows in block] for lo, hi in zip(bounds, bounds[1:])]
+
+
 class Backbone:
     """Base class; a kind either overrides extract_batch or defines
     _transform(x, out, scratch), which writes the features of a float batch
     x (b, h, w, c) into out (b, output_dim), one row per sample.
     extract_batch calls it on the row slices of _chunks (_EXTRACT_CHUNK
-    samples each unless a kind says otherwise) with one scratch dict per
-    call, where the chunk's pixels are scaled and a kind can keep its
-    working buffers from chunk to chunk."""
+    samples each unless a kind says otherwise), where the chunk's pixels are
+    scaled and a kind keeps its working buffers in a scratch dict from chunk
+    to chunk.
+
+    The chunks are split into contiguous runs, one per worker thread. The
+    worker count is the usable CPUs divided by the BLAS thread count that
+    OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS gives, capped
+    at the number of chunks; with none of them set it is 1, as OpenBLAS then
+    already runs each product on every CPU. The calling thread extracts the
+    first run and pool threads the others, each with its own scratch dict,
+    so scratch memory is one chunk's buffers per worker, a few MB each.
+    numpy releases the GIL in the products and elementwise loops, so the
+    runs overlap. Each chunk makes the same calls into its own rows of the
+    result whatever the worker count, so the features do not depend on it.
+    Workers call only _transform, to_float and _buffer, none of which the
+    benchmark's tracer wraps: its span stack is not thread-safe."""
 
     def __init__(self, spec: BackboneSpec):
         self.spec = spec
@@ -100,12 +153,24 @@ class Backbone:
         """Features of every sample along the leading axis, one row each."""
         self._check_batch(samples)
         out = np.empty((samples.shape[0], self.spec.output_dim))
-        scratch = {}
-        for rows in self._chunks(samples.shape[0]):
-            x = samples[rows]
-            if x.dtype == np.uint8:  # scaled into one buffer per chunk shape
-                x = to_float(x, _buffer(scratch, "pixels", x.shape))
-            self._transform(to_float(x), out[rows], scratch)
+
+        def extract(run):
+            scratch = {}
+            for rows in run:
+                x = samples[rows]
+                if x.dtype == np.uint8:  # scaled into one buffer per chunk shape
+                    x = to_float(x, _buffer(scratch, "pixels", x.shape))
+                self._transform(to_float(x), out[rows], scratch)
+
+        first, *rest = _runs(self._chunks(samples.shape[0]), _extract_workers())
+        if not rest:
+            extract(first)
+            return out
+        with ThreadPoolExecutor(len(rest)) as pool:
+            futures = [pool.submit(extract, run) for run in rest]
+            extract(first)
+            for future in futures:
+                future.result()
         return out
 
     def head_inputs(self, samples: np.ndarray) -> np.ndarray:
@@ -179,11 +244,14 @@ class TinyConvBackbone(Backbone):
         """Valid 3x3 conv of a channel-major batch (c_in, b, h, w) as one
         im2col GEMM, then ReLU and 2x2 stride-2 mean pooling; an odd axis
         drops its last row or column and an axis shorter than 2 passes
-        through. The result is channel-major and is one of the scratch
-        buffers."""
+        through. The dropped row or column is never computed, and the
+        outputs that are keep the bits of the full product
+        (tests/test_backbone.py checks odd and even shapes). The result is
+        channel-major and is one of the scratch buffers."""
         c_in, b, h, wd = x.shape
         c_out = kernel.shape[1]
-        oh, ow = h - 2, wd - 2
+        # conv outputs that pooling reads: an even count, or the 1 that passes
+        oh, ow = (n // 2 * 2 if n >= 2 else n for n in (h - 2, wd - 2))
         # K-major patches: row (dy, dx, c_in) of the 9 * c_in rows holds input
         # channel c_in shifted by (dy, dx), so each tap is one slice copy.
         patches = _buffer(scratch, "patches", (9, c_in, b, oh, ow))
@@ -198,14 +266,12 @@ class TinyConvBackbone(Backbone):
         np.matmul(kernel.T, patches.reshape(9 * c_in, -1), out=y.reshape(c_out, -1))
         np.maximum(y, 0.0, out=y)
         if oh >= 2:
-            end = oh // 2 * 2
-            pooled = _buffer(scratch, "pool_h", (c_out, b, end // 2, ow))
-            y = np.add(y[:, :, 0:end:2], y[:, :, 1:end:2], out=pooled)
+            pooled = _buffer(scratch, "pool_h", (c_out, b, oh // 2, ow))
+            y = np.add(y[:, :, 0::2], y[:, :, 1::2], out=pooled)
             y *= 0.5
         if ow >= 2:
-            end = ow // 2 * 2
-            pooled = _buffer(scratch, "pool_w", y.shape[:3] + (end // 2,))
-            y = np.add(y[..., 0:end:2], y[..., 1:end:2], out=pooled)
+            pooled = _buffer(scratch, "pool_w", y.shape[:3] + (ow // 2,))
+            y = np.add(y[..., 0::2], y[..., 1::2], out=pooled)
             y *= 0.5
         return y
 

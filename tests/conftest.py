@@ -1,5 +1,7 @@
 import functools
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -7,6 +9,17 @@ from driftclust.backbone import BackboneSpec
 from driftclust.dataio import gen_blobs
 from driftclust.tensor import SeededRng
 from driftclust.trainer import TrainerConfig
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def blas_pinned_env(threads):
+    """Environment for a child Python process: this one's, with OpenBLAS
+    pinned to `threads` threads (read once, at its start) and the
+    checkout's src/ first on PYTHONPATH."""
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=path)
 
 
 def write_idx_fixture(tmp_path, pixels, labels=None):

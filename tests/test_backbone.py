@@ -2,15 +2,18 @@ import hashlib
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from conftest import mnist_like
+from conftest import blas_pinned_env, mnist_like
+from driftclust import backbone
 from driftclust.backbone import (_EXTRACT_CHUNK, BackboneSpec, TinyConvBackbone, build_backbone,
                                  to_float)
+from driftclust.tensor import row_chunks
 
 
 def extract_one(backbone, sample):
@@ -98,7 +101,7 @@ def test_randproj_chunks_match_the_whole_set_product():
 @pytest.mark.parametrize("threads", [1, 2])
 def test_randproj_chunks_match_the_whole_set_product_under_blas_threads(threads):
     root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+    env = blas_pinned_env(threads)
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          f"{Path(__file__).resolve()}::test_randproj_chunks_match_the_whole_set_product"],
@@ -228,7 +231,7 @@ def test_tinyconv_matches_im2col_reference_under_blas_threads(threads):
     # The conv GEMM's operand layout must not make any thread count leave the
     # im2col bits; each count needs its own process, as OpenBLAS reads it once.
     root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+    env = blas_pinned_env(threads)
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          f"{Path(__file__).resolve()}::test_tinyconv_matches_im2col_reference_bit_for_bit"],
@@ -254,6 +257,147 @@ def test_tinyconv_extracts_through_base_extract_batch():
     # Backbone.extract_batch is the traced span that extraction timings are
     # read from; tinyconv supplies only the batched _transform kernel.
     assert "extract_batch" not in vars(TinyConvBackbone)
+
+
+@pytest.mark.parametrize("shape", [(13, 17, 1), (14, 14, 1), (10, 11, 3), (8, 8, 2)])
+def test_tinyconv_uncomputed_pool_remainders_keep_the_im2col_bits(shape):
+    # An odd conv output axis drops its last row or column before the GEMM;
+    # the reference computes it and drops it after.
+    bb = build_backbone(BackboneSpec("tinyconv", shape, 12, seed=21))
+    samples = np.random.RandomState(9).randint(0, 256, size=(2 * _EXTRACT_CHUNK + 3, *shape))
+    samples = samples.astype(np.uint8)
+    assert np.array_equal(bb.extract_batch(samples), tinyconv_im2col_reference(bb, samples))
+
+
+@pytest.mark.parametrize("env,workers", [
+    ({}, 1),  # OpenBLAS already runs on every CPU
+    ({"OPENBLAS_NUM_THREADS": "1"}, 4),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
+    ({"GOTO_NUM_THREADS": "3", "OMP_NUM_THREADS": "1"}, 1),
+    ({"OMP_NUM_THREADS": "1"}, 4),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, 2),
+    ({"OPENBLAS_NUM_THREADS": "many"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "8"}, 1),
+])
+def test_extract_workers_divide_the_cpus_by_the_blas_threads(monkeypatch, env, workers):
+    for var in backbone._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    assert backbone._extract_workers() == workers
+
+
+def test_runs_keep_an_overlapping_chunk_with_the_one_before():
+    runs = backbone._runs(row_chunks(3000), 4)  # [0, 1024), [1024, 2048), [1976, 3000)
+    assert runs == [[slice(0, 1024)], [slice(1024, 2048), slice(1976, 3000)]]
+    chunks = [slice(lo, lo + _EXTRACT_CHUNK) for lo in range(0, 5 * _EXTRACT_CHUNK, _EXTRACT_CHUNK)]
+    assert [len(run) for run in backbone._runs(chunks, 2)] == [2, 3]
+    assert backbone._runs(chunks, 1) == [chunks]
+    assert backbone._runs([], 2) == [[]]
+
+
+def _tinyconv_batch(n):
+    bb = build_backbone(BackboneSpec("tinyconv", (10, 10, 1), 6, seed=17))
+    return bb, np.random.RandomState(10).rand(n, 10, 10, 1)
+
+
+@pytest.mark.parametrize("where", ["caller", "worker"])
+def test_extraction_error_reaches_the_caller_and_the_pool_stops(monkeypatch, where):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    if backbone._extract_workers() < 2:
+        pytest.skip("fewer than 2 CPUs available: extraction runs on the calling thread alone")
+    bb, samples = _tinyconv_batch(8 * _EXTRACT_CHUNK + 5)
+    error = RuntimeError(f"chunk failed on the {where}")
+    transform = bb._transform
+
+    def failing(x, out, scratch):
+        if (threading.current_thread() is threading.main_thread()) == (where == "caller"):
+            raise error
+        transform(x, out, scratch)
+
+    monkeypatch.setattr(bb, "_transform", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as raised:
+        bb.extract_batch(samples)
+    assert raised.value is error
+    assert threading.active_count() == before
+
+
+def test_extraction_runs_on_pool_threads_only_when_blas_is_pinned(monkeypatch):
+    bb, samples = _tinyconv_batch(8 * _EXTRACT_CHUNK + 5)
+    transform = bb._transform
+    seen = []
+
+    def recording(x, out, scratch):
+        seen.append((threading.current_thread() is threading.main_thread(), threading.active_count()))
+        transform(x, out, scratch)
+
+    monkeypatch.setattr(bb, "_transform", recording)
+    before = threading.active_count()
+    for var in backbone._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    bb.extract_batch(samples)
+    assert seen == [(True, before)] * 9  # no thread was started
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    if backbone._extract_workers() < 2:
+        pytest.skip("fewer than 2 CPUs available: extraction runs on the calling thread alone")
+    seen.clear()
+    bb.extract_batch(samples)
+    assert not all(on_caller for on_caller, _ in seen)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("kind,shape,n", [("tinyconv", (10, 10, 1), 8 * _EXTRACT_CHUNK + 5),
+                                           ("randproj", (8, 8, 1), 3000)])
+def test_more_workers_than_cores_write_every_row_once(monkeypatch, kind, shape, n):
+    bb = build_backbone(BackboneSpec(kind, shape, 6, seed=17))
+    samples = np.random.RandomState(11).randint(0, 256, size=(n, *shape)).astype(np.uint8)
+    for var in backbone._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    expected = bb.extract_batch(samples)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = bb.extract_batch(samples)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got.tobytes() == expected.tobytes()
+
+
+_WIDTH_CHILD = """
+import hashlib, os, sys
+if sys.argv[2] != "all":
+    os.sched_setaffinity(0, {int(sys.argv[2])})
+import numpy as np
+from driftclust import backbone
+samples = np.load(sys.argv[1])
+print("workers", backbone._extract_workers())
+for kind in ("tinyconv", "randproj"):
+    bb = backbone.build_backbone(backbone.BackboneSpec(kind, (28, 28, 1), 128, seed=1))
+    print(kind, hashlib.sha256(bb.extract_batch(samples).tobytes()).hexdigest())
+"""
+
+
+def test_features_do_not_depend_on_the_worker_count(tmp_path):
+    # 3000 images: 94 tinyconv chunks, the last of 24, and randproj row_chunks
+    # whose overlapping last slice runs on a pool thread.
+    cpus = sorted(os.sched_getaffinity(0))
+    if len(cpus) < 2:
+        pytest.skip("fewer than 2 CPUs available: every extraction runs one worker")
+    pixels, _ = mnist_like(3000, seed=4)
+    np.save(tmp_path / "samples.npy", pixels.reshape(3000, 28, 28, 1))
+    outputs = []
+    for cpu in ("all", str(cpus[0])):
+        proc = subprocess.run([sys.executable, "-c", _WIDTH_CHILD, str(tmp_path / "samples.npy"), cpu],
+                              env=blas_pinned_env(1), capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-3000:]
+        outputs.append(dict(line.split() for line in proc.stdout.splitlines()))
+    wide, narrow = outputs
+    assert (int(wide.pop("workers")), int(narrow.pop("workers"))) == (len(cpus), 1)
+    assert wide == narrow
 
 
 @pytest.mark.parametrize("spec,attr,digest", [

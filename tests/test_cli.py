@@ -1,20 +1,18 @@
 import dataclasses
 import gzip
 import hashlib
-import os
 import struct
 import subprocess
 import sys
 import warnings
 import zlib
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mnist_like, write_idx_fixture
+from conftest import blas_pinned_env, mnist_like, write_idx_fixture
 from driftclust import cli
 from driftclust.cli import main
 from driftclust.dataio import load_checkpoint, load_labels, save_labels
@@ -630,13 +628,12 @@ def test_60k_pixel_epoch_peaks_below_200_mb(tmp_path):
     pixels, labels = mnist_like(60_000, seed=5)
     img, lab = write_idx_fixture(tmp_path, pixels, labels)
     del pixels, labels
-    root = Path(__file__).resolve().parents[1]
     child = ("import sys\n"
              "from driftclust.cli import main\n"
              "code = main(sys.argv[1:])\n"
              "print(next(line for line in open('/proc/self/status') if line.startswith('VmHWM:')))\n"
              "sys.exit(code)\n")
-    env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1")
+    env = blas_pinned_env(1)
     proc = subprocess.run(
         [sys.executable, "-c", child, "cluster", "--data", "mnist", "--images", str(img),
          "--labels", str(lab), "--backbone", "flatten", "--mode", "baseline2", "--epochs", "1",
