@@ -90,23 +90,44 @@ def _buffer(scratch, name, shape):
     return buf
 
 
+def _blas_threads(environ):
+    """The BLAS thread count from the first variable in _BLAS_THREAD_VARS
+    that holds a positive integer, or None when none does."""
+    for var in _BLAS_THREAD_VARS:
+        value = environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return None
+
+
+# read once, when this module loads, as OpenBLAS reads them once when numpy
+# (imported above) loads: a variable set later changes neither of them
+_BLAS_THREADS = _blas_threads(os.environ)
+# processes that run extractions side by side on this process's CPUs
+_cpu_sharers = 1
+
+
+def share_cpus(processes):
+    """Make this process's extraction workers its share of the CPUs when
+    `processes` processes, itself included, extract side by side on them, as
+    the workers of `driftclust sweep --parallel` do."""
+    global _cpu_sharers
+    _cpu_sharers = max(1, int(processes))
+
+
 def _extract_workers():
     """Threads for one extraction: the usable CPUs over the BLAS thread count
-    of the first variable in _BLAS_THREAD_VARS that holds a positive integer,
-    so that workers times BLAS threads stays within the CPUs. With no such
-    variable OpenBLAS already runs every product on all CPUs, and more
+    and over the processes that share the CPUs, so that all their workers
+    times BLAS threads stay within the CPUs. With no BLAS variable set at
+    start-up OpenBLAS already runs every product on all CPUs, and more
     workers would only contend with it, so the count is 1."""
-    for var in _BLAS_THREAD_VARS:
-        value = os.environ.get(var, "").strip()
-        if value.isdigit() and int(value) > 0:
-            break
-    else:
+    if _BLAS_THREADS is None:
         return 1
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
-    return max(1, cpus // int(value))
+    return max(1, cpus // (_BLAS_THREADS * _cpu_sharers))
 
 
 def _runs(chunks, workers):
@@ -135,11 +156,13 @@ class Backbone:
 
     The chunks are split into contiguous runs, one per worker thread. The
     worker count is the usable CPUs divided by the BLAS thread count that
-    OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS gives, capped
-    at the number of chunks; with none of them set it is 1, as OpenBLAS then
-    already runs each product on every CPU. The calling thread extracts the
-    first run and pool threads the others, each with its own scratch dict,
-    so scratch memory is one chunk's buffers per worker, a few MB each.
+    OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS gives when the
+    process starts, and by the processes that share_cpus names, capped at
+    the number of chunks; with none of the variables set it is 1, as
+    OpenBLAS then already runs each product on every CPU. The calling
+    thread extracts the first run and pool threads the others, each with
+    its own scratch dict, so scratch memory is one chunk's buffers per
+    worker, a few MB each.
     numpy releases the GIL in the products and elementwise loops, so the
     runs overlap. Each chunk makes the same calls into its own rows of the
     result whatever the worker count, so the features do not depend on it.
@@ -163,10 +186,8 @@ class Backbone:
                 self._transform(to_float(x), out[rows], scratch)
 
         first, *rest = _runs(self._chunks(samples.shape[0]), _extract_workers())
-        if not rest:
-            extract(first)
-            return out
-        with ThreadPoolExecutor(len(rest)) as pool:
+        # the pool starts a thread per submit, so a single run starts none
+        with ThreadPoolExecutor(max(1, len(rest))) as pool:
             futures = [pool.submit(extract, run) for run in rest]
             extract(first)
             for future in futures:

@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .backbone import BACKBONE_KINDS, BackboneSpec
+from .backbone import BACKBONE_KINDS, BackboneSpec, share_cpus
 from .dataio import (CheckpointError, CsvFormatError, IdxFormatError, atomic_write_text,
                      gen_blobs, load_checkpoint, load_csv, load_idx, load_labels,
                      save_checkpoint, save_labels)
@@ -268,8 +268,11 @@ def cmd_sweep(ns) -> int:
                 cells.append(cell)
 
     if ns.parallel and ns.parallel > 1:
-        # fork starts every worker at the first task, so start no more than there are cells
-        with ProcessPoolExecutor(max_workers=min(ns.parallel, len(cells))) as pool:
+        # fork starts every worker at the first task, so start no more than there are
+        # cells; the workers extract side by side, so each takes its share of the CPUs
+        workers = min(ns.parallel, len(cells))
+        with ProcessPoolExecutor(max_workers=workers, initializer=share_cpus,
+                                 initargs=(workers,)) as pool:
             rows = list(pool.map(run_sweep_cell, cells))
     else:
         rows = [run_sweep_cell(cell) for cell in cells]

@@ -269,21 +269,34 @@ def test_tinyconv_uncomputed_pool_remainders_keep_the_im2col_bits(shape):
     assert np.array_equal(bb.extract_batch(samples), tinyconv_im2col_reference(bb, samples))
 
 
-@pytest.mark.parametrize("env,workers", [
-    ({}, 1),  # OpenBLAS already runs on every CPU
-    ({"OPENBLAS_NUM_THREADS": "1"}, 4),
+@pytest.mark.parametrize("env,threads", [
+    ({}, None),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 1),
     ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
-    ({"GOTO_NUM_THREADS": "3", "OMP_NUM_THREADS": "1"}, 1),
-    ({"OMP_NUM_THREADS": "1"}, 4),
+    ({"GOTO_NUM_THREADS": "3", "OMP_NUM_THREADS": "1"}, 3),
+    ({"OMP_NUM_THREADS": "1"}, 1),
     ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, 2),
-    ({"OPENBLAS_NUM_THREADS": "many"}, 1),
-    ({"OPENBLAS_NUM_THREADS": "8"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "many"}, None),
 ])
-def test_extract_workers_divide_the_cpus_by_the_blas_threads(monkeypatch, env, workers):
-    for var in backbone._BLAS_THREAD_VARS:
-        monkeypatch.delenv(var, raising=False)
-    for var, value in env.items():
-        monkeypatch.setenv(var, value)
+def test_blas_threads_come_from_the_first_variable_openblas_reads(env, threads):
+    assert backbone._blas_threads(env) == threads
+
+
+@pytest.mark.parametrize("threads,sharers,workers", [
+    (None, 1, 1),  # OpenBLAS already runs on every CPU
+    (1, 1, 4),
+    (2, 1, 2),
+    (3, 1, 1),
+    (8, 1, 1),
+    (1, 2, 2),  # two sweep workers on the same 4 CPUs
+    (2, 2, 1),
+    (1, 8, 1),
+])
+def test_extract_workers_divide_the_cpus_by_blas_threads_and_sharers(monkeypatch, threads,
+                                                                       sharers, workers):
+    monkeypatch.setattr(backbone, "_BLAS_THREADS", threads)
+    monkeypatch.setattr(backbone, "_cpu_sharers", 1)
+    backbone.share_cpus(sharers)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     assert backbone._extract_workers() == workers
 
@@ -304,9 +317,7 @@ def _tinyconv_batch(n):
 
 @pytest.mark.parametrize("where", ["caller", "worker"])
 def test_extraction_error_reaches_the_caller_and_the_pool_stops(monkeypatch, where):
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    if backbone._extract_workers() < 2:
-        pytest.skip("fewer than 2 CPUs available: extraction runs on the calling thread alone")
+    monkeypatch.setattr(backbone, "_extract_workers", lambda: 2)
     bb, samples = _tinyconv_batch(8 * _EXTRACT_CHUNK + 5)
     error = RuntimeError(f"chunk failed on the {where}")
     transform = bb._transform
@@ -334,14 +345,12 @@ def test_extraction_runs_on_pool_threads_only_when_blas_is_pinned(monkeypatch):
         transform(x, out, scratch)
 
     monkeypatch.setattr(bb, "_transform", recording)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     before = threading.active_count()
-    for var in backbone._BLAS_THREAD_VARS:
-        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setattr(backbone, "_BLAS_THREADS", None)
     bb.extract_batch(samples)
     assert seen == [(True, before)] * 9  # no thread was started
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    if backbone._extract_workers() < 2:
-        pytest.skip("fewer than 2 CPUs available: extraction runs on the calling thread alone")
+    monkeypatch.setattr(backbone, "_BLAS_THREADS", 1)
     seen.clear()
     bb.extract_batch(samples)
     assert not all(on_caller for on_caller, _ in seen)
@@ -353,11 +362,9 @@ def test_extraction_runs_on_pool_threads_only_when_blas_is_pinned(monkeypatch):
 def test_more_workers_than_cores_write_every_row_once(monkeypatch, kind, shape, n):
     bb = build_backbone(BackboneSpec(kind, shape, 6, seed=17))
     samples = np.random.RandomState(11).randint(0, 256, size=(n, *shape)).astype(np.uint8)
-    for var in backbone._BLAS_THREAD_VARS:
-        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setattr(backbone, "_extract_workers", lambda: 1)
     expected = bb.extract_batch(samples)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.setattr(backbone, "_extract_workers", lambda: 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

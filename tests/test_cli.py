@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import blas_pinned_env, mnist_like, write_idx_fixture
-from driftclust import cli
+from driftclust import backbone, cli
 from driftclust.cli import main
 from driftclust.dataio import load_checkpoint, load_labels, save_labels
 from driftclust.metrics import nmi
@@ -370,7 +370,7 @@ def test_sweep_starts_no_more_workers_than_cells(tmp_path, monkeypatch):
     requested = []
 
     class InProcessPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None, initargs=()):
             requested.append(max_workers)
 
         def __enter__(self):
@@ -388,6 +388,24 @@ def test_sweep_starts_no_more_workers_than_cells(tmp_path, monkeypatch):
     assert main(sweep_args(tmp_path, out, extra)) == 0
     assert requested == [2]
     assert len(out.read_text().splitlines()) == 3
+
+
+def _cell_extract_workers(cell):
+    # a sweep cell that reports the extraction workers of the process it runs in
+    return dict(km=cell["km"], epochs=cell["epochs"], seed=cell["seed"], nmi=0.0, finetunes=0,
+                wall_ms=backbone._extract_workers())
+
+
+def test_sweep_workers_share_the_cpus_for_extraction(tmp_path, monkeypatch):
+    # the forked workers inherit these patches: 4 CPUs, BLAS pinned to 1 thread
+    monkeypatch.setattr(backbone, "_BLAS_THREADS", 1)
+    monkeypatch.setattr(backbone.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setattr(cli, "run_sweep_cell", _cell_extract_workers)
+    out = tmp_path / "sweep.csv"
+    extra = ["--km-list", "5,10", "--epochs-list", "1", "--parallel", "2"]
+    assert main(sweep_args(tmp_path, out, extra)) == 0
+    assert [row.split(",")[-1] for row in out.read_text().splitlines()[1:]] == ["2", "2"]
+    assert backbone._extract_workers() == 4  # this process keeps every CPU
 
 
 # 4 blobs of 55 points: k_m=7 with n_m=20 leaves pairs in the fine-tune
