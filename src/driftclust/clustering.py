@@ -76,20 +76,22 @@ def seed_kmeanspp(features, k: int, rng: SeededRng) -> CentroidBank:
     return CentroidBank(x[chosen].copy(), np.ones(k, dtype=np.int64))
 
 
-def assign_batch(bank: CentroidBank, feats: np.ndarray):
+def assign_batch(bank: CentroidBank, feats: np.ndarray, sq_norms=None):
     """Nearest centroid and its squared Euclidean distance for every feature
     row; ties go to the lowest centroid index. Rows go in chunks of at most
-    _PASS_ENTRIES n x k entries to bound memory; the bank is not modified."""
+    _PASS_ENTRIES n x k entries to bound memory; the bank is not modified.
+    sq_norms are the squared row norms of feats, computed here if not given."""
     x = _as_feature_array(feats)
     if x.shape[1] != bank.dim:
         raise DimensionError(f"feature dim {x.shape[1]} does not match bank dim {bank.dim}")
     n = x.shape[0]
+    xx = np.einsum("ij,ij->i", x, x) if sq_norms is None else sq_norms
     chunk = max(1, _PASS_ENTRIES // bank.k)
     labels = np.empty(n, dtype=np.int64)
     dists = np.empty(n)
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
-        d2 = _sq_dists_to_centroids(x[lo:hi], bank.centroids)
+        d2 = _sq_dists_to_centroids(x[lo:hi], xx[lo:hi], bank.centroids)
         labels[lo:hi] = np.argmin(d2, axis=1)
         dists[lo:hi] = d2[np.arange(hi - lo), labels[lo:hi]]
     return labels, dists
@@ -119,10 +121,10 @@ def update_centroid(bank: CentroidBank, labels, feats) -> None:
         c += step
 
 
-def _sq_dists_to_centroids(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """n x k squared distances via the expanded form; fast for large n, tiny
-    negatives from cancellation are clamped to zero."""
-    xx = np.einsum("ij,ij->i", x, x)
+def _sq_dists_to_centroids(x: np.ndarray, xx: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """n x k squared distances via the expanded form, given the squared row
+    norms xx of x; fast for large n, tiny negatives from cancellation are
+    clamped to zero."""
     cc = np.einsum("ij,ij->i", centroids, centroids)
     d2 = xx[:, None] + cc[None, :] - 2.0 * (x @ centroids.T)
     np.maximum(d2, 0.0, out=d2)
@@ -149,9 +151,10 @@ def lloyd_kmeans(features, k: int, rng: SeededRng, max_iters: int = 100,
     x = _as_feature_array(features)
     n = x.shape[0]
     bank = seed_kmeanspp(x, k, rng)
+    xx = np.einsum("ij,ij->i", x, x)  # the features do not change between sweeps
     step = max(1, _PASS_ENTRIES // k)
     for _ in range(max_iters):
-        labels, own = assign_batch(bank, x)
+        labels, own = assign_batch(bank, x, xx)
         if history_out is not None:
             history_out.append(float(own.sum()))
         counts = np.bincount(labels, minlength=k)
@@ -172,6 +175,6 @@ def lloyd_kmeans(features, k: int, rng: SeededRng, max_iters: int = 100,
         bank.centroids = new_centroids
         if fixed or movement < tol:
             break
-    labels, _ = assign_batch(bank, x)
+    labels, _ = assign_batch(bank, x, xx)
     bank.counts = np.maximum(np.bincount(labels, minlength=k), 1)
     return labels, bank

@@ -71,6 +71,7 @@ class FeatureHead:
                 raise DimensionError(f"stored delta shape {delta.shape} does not match weights {w.shape}")
         self._grads = (np.empty_like(self.w_hidden), np.empty_like(self.w_out))
         self._scaled = (np.empty_like(self.w_hidden), np.empty_like(self.w_out))
+        self._w_prev = None  # W1 + eta * last_delta1, built on the first rollback after a step
 
     @property
     def input_dim(self):
@@ -131,6 +132,7 @@ class FeatureHead:
         if not loss <= LOSS_LIMIT:
             return loss
         self.last_delta_hidden, self.last_delta_out = self.backward(trace, label, out=self._grads)
+        self._w_prev = None
         self.w_hidden -= np.multiply(self.last_delta_hidden, self.eta, out=self._scaled[0])
         self.w_out -= np.multiply(self.last_delta_out, self.eta, out=self._scaled[1])
         return loss
@@ -144,8 +146,9 @@ class FeatureHead:
         """
         if self.last_delta_hidden is None or self.last_delta_out is None:
             raise NoHistoryError("no SGD step recorded yet, nothing to roll back")
-        w_prev = self.w_hidden + self.eta * self.last_delta_hidden
-        h = xs @ w_prev.T
+        if self._w_prev is None:
+            self._w_prev = self.w_hidden + self.eta * self.last_delta_hidden
+        h = xs @ self._w_prev.T
         return np.maximum(h, 0.0, out=h)
 
 

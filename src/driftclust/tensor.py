@@ -12,8 +12,7 @@ import math
 import numpy as np
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
-_LANE = 128  # words per lane of a bulk draw, a power of two: numpy steps per pass
-_CHUNK = 128 * _LANE  # words per bulk pass; bounds the temporaries of a large draw
+_LANES = 512  # most lanes of a bulk pass, and most words per lane: 2 MiB of words
 ROW_CHUNK = 1024  # rows per slice of a whole-set pass: 1 MiB of float64 at 128 columns
 
 
@@ -70,7 +69,7 @@ def _rotl(x: int, k: int) -> int:
 
 def _to_bits(states: np.ndarray) -> np.ndarray:
     """(L, 4) uint64 states as (L, 256) rows of bits, word by word, low bit first."""
-    return np.unpackbits(states.astype("<u8").view(np.uint8), axis=1, bitorder="little")
+    return np.unpackbits(np.ascontiguousarray(states, dtype="<u8").view(np.uint8), axis=1, bitorder="little")
 
 
 def _from_bits(bits: np.ndarray) -> np.ndarray:
@@ -78,31 +77,37 @@ def _from_bits(bits: np.ndarray) -> np.ndarray:
 
 
 def _gf2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b over GF(2) for 0/1 arrays, through the float64 GEMM the rest of
-    the package already uses; sums of at most 256 ones are exact."""
-    return ((a.astype(np.float64) @ b.astype(np.float64)).astype(np.int32) & 1).astype(np.uint8)
+    """a @ b over GF(2) for 0/1 arrays, through a float32 GEMM: sums of at
+    most 256 ones are exact in float32."""
+    return ((a.astype(np.float32) @ b.astype(np.float32)).astype(np.uint16) & 1).astype(np.uint8)
+
+
+def _advance(s0, s1, s2, s3, t) -> None:
+    """One state update of every lane in place (next_u64's, on arrays); t is scratch."""
+    np.left_shift(s1, 17, out=t)
+    s2 ^= s0
+    s3 ^= s1
+    s1 ^= s2
+    s0 ^= s3
+    s2 ^= t
+    np.left_shift(s3, 45, out=t)
+    s3 >>= 19
+    s3 |= t
 
 
 @functools.lru_cache(maxsize=None)
-def _lane_jumps():
-    """GF(2) matrices that advance a bit row by _LANE, 2*_LANE, 4*_LANE, ...
-    words: enough to start _CHUNK // _LANE lanes by doubling. Built once per
-    process from the recurrence itself and kept packed, 8 KiB each."""
-    rng = SeededRng(0)
-    step = np.empty((256, 256), dtype=np.uint8)
-    for bit in range(256):
-        unit = [0, 0, 0, 0]
-        unit[bit // 64] = 1 << (bit % 64)
-        rng.set_state(unit)
-        rng.next_u64()
-        step[bit] = _to_bits(np.array([rng.state()], dtype=np.uint64))[0]
-    jump = step  # row b is the image of bit b, so bits @ step advances one word
-    for _ in range(_LANE.bit_length() - 1):
-        jump = _gf2(jump, jump)
-    powers = [jump]
-    while len(powers) < (_CHUNK // _LANE - 1).bit_length():
-        powers.append(_gf2(powers[-1], powers[-1]))
-    return tuple(np.packbits(p, axis=1) for p in powers)
+def _jump(i: int) -> np.ndarray:
+    """The GF(2) matrix that advances a bit row 2^i words; row b is the image
+    of bit b. Up to J_16, the shortest lane, it is the 256 unit states
+    stepped 2^i times; each rung above squares the one below, so the ladder
+    grows only as far as draws reach. Kept packed, 8 KiB a rung."""
+    if i <= 4:
+        units = np.ascontiguousarray(_from_bits(np.eye(256, dtype=np.uint8)).T)
+        for _ in range(1 << i):
+            _advance(*units, np.empty(256, dtype=np.uint64))
+        return np.packbits(_to_bits(units.T), axis=1)
+    half = np.unpackbits(_jump(i - 1), axis=1)
+    return np.packbits(_gf2(half, half), axis=1)
 
 
 def _unit_floats(words: np.ndarray) -> np.ndarray:
@@ -133,10 +138,12 @@ class SeededRng:
 
     next_u64, random, randint and gauss() are the scalar reference. raw(n)
     yields the same n words in bulk: the state update is linear over GF(2)
-    (Blackman & Vigna, ACM TOMS 2021), so the 256x256 bit matrix of _LANE
-    steps jumps a state _LANE words ahead. raw starts one lane every _LANE
-    words from the jumped states, steps all lanes together in numpy uint64
-    arithmetic and leaves state() where n next_u64 calls would. gauss(size=),
+    (Blackman & Vigna, ACM TOMS 2021), so a 256x256 bit matrix jumps a state
+    2^i words ahead. raw cuts a draw into lanes of about sqrt(n) words (a
+    power of two in [16, _LANES]), starts up to _LANES lanes per pass from
+    states jumped by doubling over one ladder of such matrices, steps them
+    together in numpy uint64 arithmetic and leaves state() where n next_u64
+    calls would. gauss(size=),
     uniform(size=) and shuffle draw through raw and return bit-identical
     floats and indices to the scalar helpers: they keep the scalar operation
     order, Box-Muller's log and cos go through math (np.log can differ from
@@ -169,41 +176,34 @@ class SeededRng:
     def raw(self, n: int) -> np.ndarray:
         """The next n words of the stream as uint64, equal to n next_u64 calls,
         and the state left where those calls would leave it."""
-        out = np.empty(n, dtype=np.uint64)
-        for start in range(0, n, _CHUNK):
-            out[start:start + _CHUNK] = self._raw_chunk(min(_CHUNK, n - start))
-        return out
-
-    def _raw_chunk(self, n: int) -> np.ndarray:
-        lanes = -(-n // _LANE)
-        states = np.array([self._s], dtype=np.uint64)
-        for matrix in _lane_jumps()[:(lanes - 1).bit_length()]:
-            jumped = _gf2(_to_bits(states), np.unpackbits(matrix, axis=1))
-            states = np.concatenate([states, _from_bits(jumped)])
-        s0, s1, s2, s3 = (np.ascontiguousarray(col) for col in states[:lanes].T)
-        last = n - (lanes - 1) * _LANE  # words the last lane yields
-        words = np.empty((_LANE, lanes), dtype=np.uint64)
-        t = np.empty(lanes, dtype=np.uint64)
-        for i in range(min(n, _LANE)):
-            words[i] = s1
-            np.left_shift(s1, 17, out=t)
-            s2 ^= s0
-            s3 ^= s1
-            s1 ^= s2
-            s0 ^= s3
-            s2 ^= t
-            np.left_shift(s3, 45, out=t)
-            s3 >>= 19
-            s3 |= t
-            if i + 1 == last:
-                self._s = [int(s0[-1]), int(s1[-1]), int(s2[-1]), int(s3[-1])]
-        words = words.T.reshape(-1)[:n]
-        words *= 5
-        t = words << 7
-        words >>= 57
-        words |= t
-        words *= 9
-        return words
+        lane = min(_LANES, max(16, 1 << (n.bit_length() // 2)))  # about sqrt(n) words
+        out = np.empty(-(-n // lane) * lane, dtype=np.uint64)  # whole lanes: the last may run past n
+        for start in range(0, n, lane * _LANES):
+            block = out[start:start + lane * _LANES].reshape(-1, lane)  # a pass, one lane per row
+            lanes = block.shape[0]
+            last = min(n - start - (lanes - 1) * lane, lane)  # words the last lane yields
+            states = np.array([self._s], dtype=np.uint64)
+            for rung in range(lane.bit_length() - 1, lane.bit_length() - 1 + (lanes - 1).bit_length()):
+                jumped = _gf2(_to_bits(states), np.unpackbits(_jump(rung), axis=1))
+                states = np.concatenate([states, _from_bits(jumped)])
+            s = np.ascontiguousarray(states[:lanes].T)
+            s0, s1, s2, s3 = s
+            words = np.empty((lane, lanes), dtype=np.uint64)
+            t = np.empty(lanes, dtype=np.uint64)
+            for i in range(min(n - start, lane)):
+                words[i] = s1
+                _advance(s0, s1, s2, s3, t)
+                if i + 1 == last:
+                    self._s = s[:, -1].tolist()
+            np.copyto(block, words.T)
+            t = words.reshape(block.shape)  # copied out, the words' buffer is scratch
+            block *= 5
+            np.left_shift(block, 7, out=t)
+            block >>= 57
+            block |= t
+            block *= 9
+            del words, t  # before the next pass's lane starts and buffers
+        return out[:n]
 
     def random(self) -> float:
         """Uniform float64 in [0, 1) with 53 random bits."""

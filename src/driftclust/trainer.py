@@ -233,16 +233,19 @@ class JointTrainer:
             if self.truth is not None:
                 self.nmi_history = [nmi(self.truth, labels)]
         else:
+            labels = None  # the labels of the last completed epoch, when it computed them
             while self.epochs_done < self.config.epochs and not self._capped():
-                completed = self._run_epoch()
-                if not completed:
+                if not self._run_epoch():
+                    labels = None  # the cut epoch moved the head and the bank
                     break
                 self.epochs_done += 1
                 if self.truth is not None:
-                    self.nmi_history.append(nmi(self.truth, self.assign_all()))
+                    labels = self.assign_all()
+                    self.nmi_history.append(nmi(self.truth, labels))
                 if epoch_callback is not None:
                     epoch_callback(self)
-            labels = self.assign_all()
+            if labels is None:
+                labels = self.assign_all()
         wall_ms = int(round((time.perf_counter() - started) * 1000))
         return RunResult(labels=labels, nmi_history=list(self.nmi_history),
                          centroid_bank=self.bank, head=self.head,

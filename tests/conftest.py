@@ -4,7 +4,9 @@ import struct
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+from driftclust import tensor
 from driftclust.backbone import BackboneSpec
 from driftclust.dataio import gen_blobs
 from driftclust.tensor import SeededRng
@@ -20,6 +22,13 @@ def blas_pinned_env(threads):
     checkout's src/ first on PYTHONPATH."""
     path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
     return dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=path)
+
+
+@pytest.fixture
+def cold_jumps():
+    """An empty jump ladder, so a bulk draw in the test builds it from the
+    first rung whatever ran before."""
+    tensor._jump.cache_clear()
 
 
 def write_idx_fixture(tmp_path, pixels, labels=None):

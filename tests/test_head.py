@@ -212,6 +212,20 @@ def test_rollback_reproduces_previous_hidden_feature():
         assert np.max(np.abs(rolled - expected)) < 1e-9
 
 
+def test_rollback_weights_follow_every_step_and_are_built_once_per_step():
+    rng = SeededRng(36)
+    head = random_head(rng, eta=0.05)
+    xs = np.array([[rng.gauss() for _ in range(5)] for _ in range(6)])
+    for label in (0, 2, 1, 1):
+        head.sgd_step(xs[label], label)
+        expected = np.maximum(xs @ (head.w_hidden + head.eta * head.last_delta_hidden).T, 0.0)
+        assert head.rollback_hidden_batch(xs).tobytes() == expected.tobytes()
+        built = head._w_prev
+        assert head.rollback_hidden_batch(xs[2:]).tobytes() == expected[2:].tobytes()
+        assert head._w_prev is built
+        assert head.copy().rollback_hidden_batch(xs).tobytes() == expected.tobytes()
+
+
 def test_rollback_with_zero_delta_equals_current():
     rng = SeededRng(32)
     head = random_head(rng)

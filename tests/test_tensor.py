@@ -1,11 +1,13 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftclust.tensor import _CHUNK, _LANE, ROW_CHUNK, DimensionError, SeededRng, matrix, row_chunks
+from driftclust import tensor
+from driftclust.tensor import _LANES, ROW_CHUNK, DimensionError, SeededRng, matrix, row_chunks
 
 MASK = (1 << 64) - 1
 
@@ -146,10 +148,14 @@ def _scalar_shuffle(rng, seq):
 STATES = st.tuples(*[st.integers(0, MASK)] * 4).filter(any)
 # planting replaces s1, so s0, s2 and s3 must keep the state nonzero
 PLANT_STATES = STATES.filter(lambda s: s[0] | s[2] | s[3])
-# one word, around one lane, several lanes, and more than one bulk pass
-SIZES = st.sampled_from([1, _LANE - 1, _LANE, _LANE + 1, 7 * _LANE + 5, _CHUNK + _LANE + 1])
-POSITIONS = st.sampled_from([0, 1, _LANE - 1, _LANE, 3 * _LANE + 2, _CHUNK // 2 - 1, _CHUNK // 2 + 2,
-                             _CHUNK + 1])
+# raw(n) steps lanes of about sqrt(n) words, LANE for n under 512 and _LANES
+# from 2**18 on, at most _LANES lanes per pass, so PASS words is the most
+# one pass yields
+LANE, PASS = 16, _LANES * _LANES
+# one word, around one lane, several lanes, and (for gauss's two words an
+# item) more than one bulk pass
+SIZES = st.sampled_from([1, LANE - 1, LANE, LANE + 1, 7 * LANE + 5, PASS // 2 + LANE + 1])
+POSITIONS = st.sampled_from([0, 1, LANE - 1, LANE, 3 * LANE + 2, PASS // 2 - 1, PASS // 2 + 2])
 
 
 def test_step_back_inverts_next_u64():
@@ -168,6 +174,36 @@ def test_raw_matches_next_u64(state, n):
     bulk, scalar = _rngs(state)
     assert bulk.raw(n).tolist() == [scalar.next_u64() for _ in range(n)]
     assert bulk.state() == scalar.state()
+
+
+@pytest.mark.parametrize("n", [1, 15, 16, 17, 255, 256, 257, 8191, 8192, 8193, PASS - 1, PASS + 1, 10 ** 6 + 3])
+def test_raw_matches_next_u64_at_lane_and_pass_boundaries(cold_jumps, n):
+    # the lane grows from 16 to 32 words at n = 512 and to 128 at 8192; PASS
+    # words fill one pass, and 10**6 + 3 ends in a partial pass and lane
+    bulk, scalar = SeededRng(n), SeededRng(n)
+    assert bulk.raw(n).tolist() == [scalar.next_u64() for _ in range(n)]
+    assert bulk.state() == scalar.state()
+
+
+def test_raw_holds_one_pass_of_temporaries_and_caches_packed_bits(cold_jumps):
+    n = 10 ** 6
+    tracemalloc.start()
+    try:
+        words = SeededRng(3).raw(n)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert words.size == n
+    # one pass of words (2 MiB) and the ladder's products beside the output
+    assert peak - 8 * n < 3 * 2 ** 20
+    # what outlives the call besides the output (padded to whole lanes) is the
+    # packed ladder, 8 KiB a rung, never float copies of it (256 KiB a rung):
+    # J_16 up to J_2**17, the jump to the last lane of a full pass
+    rungs = tensor._jump.cache_info().currsize
+    ladder = [tensor._jump(i) for i in range(4, 18)]
+    assert tensor._jump.cache_info().currsize == rungs == len(ladder)
+    assert all(m.shape == (256, 32) and m.dtype == np.uint8 for m in ladder)
+    assert kept - 8 * n < 8 * _LANES + rungs * 9 * 2 ** 10
 
 
 @settings(max_examples=20, deadline=None)

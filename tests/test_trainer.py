@@ -339,6 +339,42 @@ def test_max_iters_caps_minibatches():
     assert result.labels.shape == (dataset.n,)
 
 
+@pytest.mark.parametrize("epochs,max_iters,truth,passes", [
+    (3, 0, True, 3),  # one pass per epoch for its NMI; the last epoch's labels are returned
+    (3, 20, True, 2),  # the cap falls on the end of epoch 2, whose labels still hold
+    (3, 25, True, 3),  # the cap cuts epoch 3, which moved the head and the bank after epoch 2's pass
+    (3, 0, False, 1),  # no NMI passes: one pass for the labels
+    (0, 0, True, 1),  # no epoch ran
+])
+def test_run_returns_the_last_epochs_nmi_labels_without_another_pass(monkeypatch, epochs, max_iters,
+                                                                      truth, passes):
+    dataset, spec, config = small_blob_setup(epochs=epochs, max_iters=max_iters)
+    trainer = JointTrainer(dataset, spec, config, ground_truth=dataset.labels if truth else None)
+    calls = []
+    assign_all = JointTrainer.assign_all
+
+    def counted(self):
+        calls.append(1)
+        return assign_all(self)
+
+    monkeypatch.setattr(JointTrainer, "assign_all", counted)
+    result = trainer.run()
+    assert len(calls) == passes
+    assert result.labels.tobytes() == assign_all(trainer).tobytes()
+
+
+def test_rollback_after_resume_uses_the_restored_step():
+    dataset, spec, config = small_blob_setup(epochs=2)
+    trainer = JointTrainer(dataset, spec, config)
+    trainer.run()
+    xs = trainer._rows(slice(0, 30))
+    before = trainer.head.rollback_hidden_batch(xs)
+    resumed = JointTrainer(dataset, spec, config, resume=trainer.to_checkpoint("cfg"))
+    head = resumed.head
+    expected = np.maximum(xs @ (head.w_hidden + head.eta * head.last_delta_hidden).T, 0.0)
+    assert head.rollback_hidden_batch(xs).tobytes() == expected.tobytes() == before.tobytes()
+
+
 def test_checkpoint_resume_reproduces_unbroken_run(tmp_path):
     # k_m=7 with n_m=20 keeps pairs waiting in the buffer across epoch
     # boundaries, so the checkpoint must carry them
