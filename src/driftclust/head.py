@@ -13,6 +13,14 @@ applied, so the hidden feature under the previous weights can be
 reconstructed later as relu((W1 + eta * last_delta1) @ x); that rollback is
 what keeps centroid updates consistent with the features they were assigned
 under.
+
+Both layers live in one flat float64 buffer, `params`, with w_hidden and
+w_out as C-contiguous views of it; the gradients of the latest step fill a
+second flat buffer, whose views are last_delta_hidden and last_delta_out,
+and eta * grad a third. `sgd_pass` runs a whole fine-tune pass in one loop:
+each step computes forward, loss and backward inline, in the operation
+order of `forward`, `sse_loss` and `backward`, and updates both layers with
+one multiply and one subtract over the buffers.
 """
 
 from collections import namedtuple
@@ -54,23 +62,42 @@ def sse_loss(y: np.ndarray, label: int) -> float:
     return 0.5 * float(np.dot(d, d))
 
 
+def _layers(flat, shape_hidden, shape_out):
+    """The (hidden, output) layer views of a flat buffer, hidden layer first."""
+    split = shape_hidden[0] * shape_hidden[1]
+    return flat[:split].reshape(shape_hidden), flat[split:].reshape(shape_out)
+
+
 class FeatureHead:
     def __init__(self, w_hidden, w_out, eta, last_delta_hidden=None, last_delta_out=None):
-        self.w_hidden = matrix(w_hidden)
-        self.w_out = matrix(w_out)
-        if self.w_out.shape[1] != self.w_hidden.shape[0]:
-            raise DimensionError(f"output layer expects {self.w_out.shape[1]} hidden units, "
-                                 f"head has {self.w_hidden.shape[0]}")
+        layers = (matrix(w_hidden), matrix(w_out))
+        if layers[1].shape[1] != layers[0].shape[0]:
+            raise DimensionError(f"output layer expects {layers[1].shape[1]} hidden units, "
+                                 f"head has {layers[0].shape[0]}")
         if eta < 0:
             raise ValueError("learning rate must be nonnegative")
+        if (last_delta_hidden is None) != (last_delta_out is None):
+            raise ValueError("a head stores both step deltas or neither")
+        grads = None
+        if last_delta_hidden is not None:
+            deltas = (matrix(last_delta_hidden), matrix(last_delta_out))
+            for delta, w in zip(deltas, layers):
+                if delta.shape != w.shape:
+                    raise DimensionError(f"stored delta shape {delta.shape} does not match weights {w.shape}")
+            grads = np.concatenate([d.ravel() for d in deltas])
         self.eta = float(eta)
-        self.last_delta_hidden = None if last_delta_hidden is None else matrix(last_delta_hidden)
-        self.last_delta_out = None if last_delta_out is None else matrix(last_delta_out)
-        for delta, w in ((self.last_delta_hidden, self.w_hidden), (self.last_delta_out, self.w_out)):
-            if delta is not None and delta.shape != w.shape:
-                raise DimensionError(f"stored delta shape {delta.shape} does not match weights {w.shape}")
-        self._grads = (np.empty_like(self.w_hidden), np.empty_like(self.w_out))
-        self._scaled = (np.empty_like(self.w_hidden), np.empty_like(self.w_out))
+        self._adopt(np.concatenate([w.ravel() for w in layers]), grads,
+                    layers[0].shape, layers[1].shape)
+
+    def _adopt(self, params, grads, shape_hidden, shape_out):
+        """Take the flat buffers as this head's own: params, and grads (the latest
+        step's gradients, or None before any step)."""
+        self.params = params
+        self.w_hidden, self.w_out = _layers(params, shape_hidden, shape_out)
+        self._grads = np.empty_like(params) if grads is None else grads
+        self._grad_layers = _layers(self._grads, shape_hidden, shape_out)
+        self.last_delta_hidden, self.last_delta_out = (None, None) if grads is None else self._grad_layers
+        self._step = np.empty_like(params)  # eta * grad
         self._w_prev = None  # W1 + eta * last_delta1, built on the first rollback after a step
 
     @property
@@ -86,8 +113,11 @@ class FeatureHead:
         return self.w_out.shape[0]
 
     def copy(self):
-        deltas = (None if d is None else d.copy() for d in (self.last_delta_hidden, self.last_delta_out))
-        return FeatureHead(self.w_hidden.copy(), self.w_out.copy(), self.eta, *deltas)
+        head = object.__new__(FeatureHead)
+        head.eta = self.eta
+        grads = None if self.last_delta_hidden is None else self._grads.copy()
+        head._adopt(self.params.copy(), grads, self.w_hidden.shape, self.w_out.shape)
+        return head
 
     def forward(self, x: np.ndarray) -> ForwardTrace:
         x = np.asarray(x, dtype=np.float64)
@@ -105,37 +135,76 @@ class FeatureHead:
         h = np.matmul(xs, self.w_hidden.T, out=out)
         return np.maximum(h, 0.0, out=h)
 
-    def backward(self, trace: ForwardTrace, label: int, out=None):
+    def backward(self, trace: ForwardTrace, label: int):
         """Loss gradients w.r.t. both weight matrices for one sample, t = one_hot(label).
 
         grad_out[j, i]  = (y_j - t_j) * 1[u_out_j > 0] * h_i
         grad_hidden[i, m]  = sum_j[(y_j - t_j) * 1[u_out_j > 0] * w_out[j, i]]
-                          * 1[u_hidden_i > 0] * x_m
-        written into `out`, a (grad_hidden, grad_out) pair of arrays, if given."""
+                          * 1[u_hidden_i > 0] * x_m"""
         if (trace.x.shape[0], trace.h.shape[0], trace.y.shape[0]) != (self.input_dim, self.hidden_dim, self.k):
             raise DimensionError("trace does not match this head's shapes")
-        grad_hidden, grad_out = out or (np.empty_like(self.w_hidden), np.empty_like(self.w_out))
         delta_out = _residual(trace.y, label)
         delta_out *= np.sign(trace.y)  # 1[u_out > 0] as 1.0 / 0.0: y = relu(u_out)
-        np.multiply(delta_out[:, None], trace.h, out=grad_out)
+        grad_out = np.multiply(delta_out[:, None], trace.h)
         delta_hidden = np.dot(self.w_out.T, delta_out)
         delta_hidden *= np.sign(trace.h)
-        np.multiply(delta_hidden[:, None], trace.x, out=grad_hidden)
+        grad_hidden = np.multiply(delta_hidden[:, None], trace.x)
         return grad_hidden, grad_out
 
+    def sgd_pass(self, xs: np.ndarray, labels) -> tuple:
+        """Per-sample SGD over the rows of xs in order: w <- w - eta * grad on both
+        layers for each row and one_hot of its label. Returns (steps applied, loss
+        of the last step computed, before its update).
+
+        The pass stops at the first step whose loss is non-finite or above
+        LOSS_LIMIT and leaves that step unapplied, so the head holds the last
+        good step. The gradients of that step stay in this head's buffer as
+        last_delta_*; the next step overwrites them.
+        """
+        xs = np.asarray(xs, dtype=np.float64)
+        if xs.ndim != 2 or xs.shape[1] != self.input_dim or len(labels) != len(xs):
+            raise DimensionError(f"inputs of shape {xs.shape} with {len(labels)} labels do not "
+                                 f"match head input dim {self.input_dim}")
+        k = self.k
+        for label in labels:
+            if not 0 <= label < k:
+                raise ValueError(f"label {label} out of range for {k} classes")
+        dot, maximum, multiply, sign = np.dot, np.maximum, np.multiply, np.sign
+        w_hidden, w_out, w_out_t = self.w_hidden, self.w_out, self.w_out.T
+        params, grads, step, eta = self.params, self._grads, self._step, self.eta
+        grad_hidden, grad_out = self._grad_layers
+        h, mask_hidden, delta_hidden = (np.empty(self.hidden_dim) for _ in range(3))
+        d, mask_out = np.empty(k), np.empty(k)  # d: y, then y - t, then delta_out
+        d_col, delta_hidden_col = d[:, None], delta_hidden[:, None]
+        done, loss = 0, 0.0
+        for x, label in zip(xs, labels):
+            dot(w_hidden, x, out=h)
+            maximum(h, 0.0, out=h)
+            dot(w_out, h, out=d)
+            maximum(d, 0.0, out=d)
+            sign(d, out=mask_out)  # 1[u_out > 0] as 1.0 / 0.0: y = relu(u_out)
+            d[label] -= 1.0
+            loss = 0.5 * float(dot(d, d))
+            if not loss <= LOSS_LIMIT:
+                break
+            multiply(d, mask_out, out=d)
+            # the outer products stay np.multiply: einsum and matmul write +0.0 for -0.0
+            multiply(d_col, h, out=grad_out)
+            dot(w_out_t, d, out=delta_hidden)
+            multiply(delta_hidden, sign(h, out=mask_hidden), out=delta_hidden)
+            multiply(delta_hidden_col, x, out=grad_hidden)
+            multiply(grads, eta, out=step)
+            params -= step
+            done += 1
+        if done:
+            self.last_delta_hidden, self.last_delta_out = grad_hidden, grad_out
+            self._w_prev = None
+        return done, loss
+
     def sgd_step(self, x: np.ndarray, label: int) -> float:
-        """w <- w - eta * grad on both layers for x and one_hot(label). Returns the loss
-        before the step, and leaves the head untouched if it is non-finite or above
-        LOSS_LIMIT. The gradients stay in this head's buffers as last_delta_*."""
-        trace = self.forward(x)
-        loss = sse_loss(trace.y, label)
-        if not loss <= LOSS_LIMIT:
-            return loss
-        self.last_delta_hidden, self.last_delta_out = self.backward(trace, label, out=self._grads)
-        self._w_prev = None
-        self.w_hidden -= np.multiply(self.last_delta_hidden, self.eta, out=self._scaled[0])
-        self.w_out -= np.multiply(self.last_delta_out, self.eta, out=self._scaled[1])
-        return loss
+        """The pass over the one pair (x, label). Returns its loss; a loss that is
+        non-finite or above LOSS_LIMIT leaves the head untouched."""
+        return self.sgd_pass(np.asarray(x)[None], (label,))[1]
 
     def rollback_hidden_batch(self, xs: np.ndarray) -> np.ndarray:
         """Hidden features of a stack of inputs (rows) under the pre-step

@@ -290,19 +290,19 @@ class JointTrainer:
         return assigned_hidden
 
     def _finetune_pass(self, pairs):
-        """Per-sample SGD on the pairs, one sgd_step each. The loss is checked every
-        step, the weights once after the pass: before any centroid update reads them."""
+        """Per-sample SGD on the pairs, one sgd_pass call. The pass stops at a step
+        whose loss is non-finite or above LOSS_LIMIT; the weights are checked once
+        after the pass, before any centroid update reads them."""
         head = self.head
         pre_pass_head = head.copy()
         xs = self._rows([sample_idx for sample_idx, _ in pairs])
         # an overflowing step is reported below as DivergenceError, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            for x, (_, label) in zip(xs, pairs):
-                loss = head.sgd_step(x, label)
-                if not loss <= LOSS_LIMIT:
-                    raise DivergenceError(f"fine-tune loss {loss} exceeded {LOSS_LIMIT:g} "
-                                          f"at iteration {self.iterations}")
-        if not (np.isfinite(head.w_hidden).all() and np.isfinite(head.w_out).all()):
+            done, loss = head.sgd_pass(xs, [label for _, label in pairs])
+        if done < len(pairs):
+            raise DivergenceError(f"fine-tune loss {loss} exceeded {LOSS_LIMIT:g} "
+                                  f"at iteration {self.iterations}")
+        if not np.isfinite(head.params).all():
             raise DivergenceError(f"non-finite weights after SGD at iteration {self.iterations}")
         self.snapshot_head = pre_pass_head
         self.finetunes += 1

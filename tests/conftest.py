@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import os
 import struct
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 
 from driftclust import tensor
 from driftclust.backbone import BackboneSpec
+from driftclust.cli import main
 from driftclust.dataio import gen_blobs
 from driftclust.tensor import SeededRng
 from driftclust.trainer import TrainerConfig
@@ -22,6 +24,15 @@ def blas_pinned_env(threads):
     checkout's src/ first on PYTHONPATH."""
     path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
     return dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=path)
+
+
+def cli_digests(tmp_path, argv):
+    """Run the CLI on argv with labels.csv, metrics.txt and run.ckpt written
+    into tmp_path; {file name: sha256} of the three outputs."""
+    names = ("labels.csv", "metrics.txt", "run.ckpt")
+    flags = ("--out-labels", "--out-metrics", "--checkpoint")
+    assert main(argv + [str(a) for flag, name in zip(flags, names) for a in (flag, tmp_path / name)]) == 0
+    return {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in names}
 
 
 @pytest.fixture

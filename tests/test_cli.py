@@ -1,6 +1,5 @@
 import dataclasses
 import gzip
-import hashlib
 import struct
 import subprocess
 import sys
@@ -12,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import blas_pinned_env, mnist_like, write_idx_fixture
+from conftest import blas_pinned_env, cli_digests, mnist_like, write_idx_fixture
 from driftclust import backbone, cli
 from driftclust.cli import main
 from driftclust.dataio import load_checkpoint, load_labels, save_labels
@@ -574,19 +573,39 @@ def test_tinyconv_lloyd_outputs_are_pinned(tmp_path):
     truth = rng.randint(0, 10, size=300)
     pixels = np.clip(np.rint(protos[truth] + rng.normal(0.0, 64.0, size=(300, 14, 14))), 0, 255)
     img, lab = write_idx_fixture(tmp_path, pixels, truth)
-    assert main(["cluster", "--data", "mnist", "--images", str(img), "--labels", str(lab),
-                 "--k", "10", "--seed", "3", "--mode", "baseline3", "--backbone", "tinyconv",
-                 "--lloyd-tol", "0", "--lloyd-iters", "200",
-                 "--checkpoint", str(tmp_path / "run.ckpt"),
-                 "--out-labels", str(tmp_path / "labels.csv"),
-                 "--out-metrics", str(tmp_path / "metrics.txt")]) == 0
-    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-               for name in ("labels.csv", "metrics.txt", "run.ckpt")}
+    digests = cli_digests(tmp_path, [
+        "cluster", "--data", "mnist", "--images", str(img), "--labels", str(lab),
+        "--k", "10", "--seed", "3", "--mode", "baseline3", "--backbone", "tinyconv",
+        "--lloyd-tol", "0", "--lloyd-iters", "200"])
     assert digests == {
         "labels.csv": "89e35c0c664f4e1e66993ed98b6f97da2ac406b1172ba707bc51dff15cf95568",
         "metrics.txt": "ee9fffc42c8dcaac50ddc44e0075f67f72dcc6440bc70c20c7f92c9b8a7bff9c",
         "run.ckpt": "6f0fd959afefd9742a417b5842d59c179be54026be9106fbedb64e79d66284e1",
     }
+
+
+@pytest.mark.parametrize("mode, pins", [
+    (["--mode", "full"], {
+        "labels.csv": "2b458060e379ac3fab181e76ba05208c2552efe907a78d73abb422863306a273",
+        "metrics.txt": "ee58b6c64f5825366fd9ccec0d0c2d801d382c3ef7c07a19521219657a7a711d",
+        "run.ckpt": "6949ce85e3d2983d18945b9b373ca5bc8a7427c625e06cd92ab56f6072c62c88"}),
+    (["--mode", "full", "--drift-rollback", "snapshot", "--eta", "0.5"], {
+        "labels.csv": "eddad0201a5846a71ce50fe8db203409f631cf3dfdd33de2ce241c9ff041e5f5",
+        "metrics.txt": "96741eb2e3b9349f325faffc81eebd9698ba1d75ecddf0d0728d143a40cd6c5b",
+        "run.ckpt": "dbdf2ad50d91f7213214af62b153e691f753c868472937720097f511d92cadf6"}),
+    (["--mode", "baseline1"], {
+        "labels.csv": "8ebbd0046d9a82663fd92e12d47c050b3e71455178634f9daafb544474579246",
+        "metrics.txt": "80905d305c62dfcab191b3990d6e999e5bf98986554222e08ce28218747f913a",
+        "run.ckpt": "c6336cd5234d2e46950ea0c6e629fd3918f76ae4034cc4bc8b789b6cb1c079e4"}),
+], ids=["full", "snapshot", "baseline1"])
+def test_blob_joint_outputs_are_pinned(tmp_path, mode, pins):
+    # four loosely separated blobs, so almost every SGD step applies a nonzero
+    # gradient and the checkpoint's step deltas hold signed zeros; a blob run
+    # gives these bytes under 1 and 2 OpenBLAS threads
+    argv = ["cluster", "--data", "blobs", "--k", "4", "--blob-points", "40", "--blob-dim", "8",
+            "--blob-separation", "2.0", "--eta", "0.05", "--nm", "20", "--km", "5",
+            "--epochs", "2", "--seed", "3", "--hidden-dim", "16"]
+    assert cli_digests(tmp_path, argv + mode) == pins
 
 
 @pytest.mark.parametrize("backbone", ["randproj", "tinyconv"])

@@ -177,7 +177,7 @@ def update_batches(draw):
     k = draw(st.integers(1, 6))
     dim = draw(st.integers(1, 5))
     n = draw(st.integers(1, 30))
-    value = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    value = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0])
     centroids = np.array(draw(st.lists(st.lists(value, min_size=dim, max_size=dim),
                                        min_size=k, max_size=k)))
     counts = np.array(draw(st.lists(st.integers(1, 100), min_size=k, max_size=k)))
@@ -192,16 +192,19 @@ def update_batches(draw):
 @example((np.array([[0.0, 1.0]]), np.array([3]), np.array([0]), np.array([[4.0, -2.0]])))
 @example((np.array([[0.0], [5.0], [9.0]]), np.array([1, 2, 1]), np.array([2, 0, 2, 2, 0]),
           np.array([[1.0], [2.0], [3.0], [-4.0], [0.5]])))
+@example((np.array([[-0.0, 0.0], [0.0, -0.0]]), np.array([1, 4]), np.array([0, 1, 0]),
+          np.array([[-0.0, -0.0], [-0.0, 0.0], [0.0, -0.0]])))
 def test_update_centroid_batch_matches_per_row_oracle(batch):
     centroids, counts, labels, feats = batch
     bank = CentroidBank(centroids.copy(), counts.copy())
     update_centroid(bank, labels, feats)
     want_c, want_n = centroids.copy(), counts.astype(np.int64)
     per_row_update(want_c, want_n, labels.tolist(), feats)
-    assert np.array_equal(bank.centroids, want_c)
+    # bytes, not np.array_equal, which takes -0.0 and +0.0 as equal
+    assert bank.centroids.tobytes() == want_c.tobytes()
     assert np.array_equal(bank.counts, want_n)
     untouched = np.setdiff1d(np.arange(len(counts)), labels)
-    assert np.array_equal(bank.centroids[untouched], centroids[untouched])
+    assert bank.centroids[untouched].tobytes() == centroids[untouched].tobytes()
 
 
 def test_update_centroid_midpoint_then_tenth():

@@ -304,3 +304,115 @@ def test_hidden_batch_matches_forward():
     batch = head.hidden_batch(xs)
     for i in range(9):
         assert np.allclose(batch[i], head.forward(xs[i]).h, atol=1e-12)
+
+
+def reference_pass(head, xs, labels):
+    """A fine-tune pass built from forward, sse_loss, backward and the two-layer
+    update on a copy of `head`: (steps applied, last loss, the stepped copy)."""
+    ref = FeatureHead(head.w_hidden, head.w_out, head.eta,
+                      head.last_delta_hidden, head.last_delta_out)
+    done, loss = 0, 0.0
+    for x, label in zip(xs, labels):
+        trace = ref.forward(x)
+        loss = sse_loss(trace.y, label)
+        if not loss <= LOSS_LIMIT:
+            break
+        grad_hidden, grad_out = ref.backward(trace, label)
+        ref.w_hidden -= ref.eta * grad_hidden
+        ref.w_out -= ref.eta * grad_out
+        ref.last_delta_hidden, ref.last_delta_out = grad_hidden, grad_out
+        done += 1
+    return done, loss, ref
+
+
+STATE = ("w_hidden", "w_out", "last_delta_hidden", "last_delta_out")
+
+
+def assert_pass_matches_reference(head, xs, labels):
+    want_done, want_loss, ref = reference_pass(head, xs, labels)
+    with np.errstate(over="ignore", invalid="ignore"):
+        done, loss = head.sgd_pass(xs, labels)
+    assert done == want_done
+    assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+    for name in STATE:
+        got, want = getattr(head, name), getattr(ref, name)
+        assert (got is None) == (want is None), name
+        assert got is None or got.tobytes() == want.tobytes(), name
+    return done
+
+
+def signed_zeros(a):
+    return int(np.count_nonzero((a == 0.0) & np.signbit(a)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sgd_pass_matches_forward_loss_backward_reference(seed):
+    # seeded heads and passes; zero rows, and output layers with dead units,
+    # so that steps write -0.0 into the gradients
+    rng = SeededRng(900 + seed)
+    dims = [2 + rng.randint(9) for _ in range(3)]
+    eta = (0.0, 0.05, 0.5)[seed % 3]
+    head = init_head(*dims, eta=eta, rng=rng)
+    head.w_out[rng.randint(dims[2])] *= -1.0
+    zeros = 0
+    for _ in range(4):
+        n = 1 + rng.randint(12)
+        xs = np.array([[rng.gauss() for _ in range(dims[0])] for _ in range(n)])
+        xs[rng.randint(n)] = 0.0
+        labels = [rng.randint(dims[2]) for _ in range(n)]
+        assert assert_pass_matches_reference(head, xs, labels) == n
+        zeros += signed_zeros(head.last_delta_hidden) + signed_zeros(head.last_delta_out)
+    assert zeros > 0
+
+
+def test_sgd_pass_stops_at_the_first_diverging_step_and_keeps_the_last_good_one():
+    head = FeatureHead(np.eye(2) * 2e3, np.eye(2) * 2e3, eta=0.1)
+    head.sgd_step(np.array([1e-7, 0.0]), 0)
+    xs = np.array([[2e-7, 0.0], [0.0, 1e-7], [1.0, 0.0], [1e-7, 0.0]])
+    labels = [0, 1, 1, 0]
+    before = head.rollback_hidden_batch(xs)  # builds the rollback weights of the first step
+    assert assert_pass_matches_reference(head, xs, labels) == 2  # y = (4e6, 0) at step 3
+    after = np.maximum(xs @ (head.w_hidden + head.eta * head.last_delta_hidden).T, 0.0)
+    assert head.rollback_hidden_batch(xs).tobytes() == after.tobytes()
+    assert before.tobytes() != after.tobytes()
+
+    for nan_at in (0, 2):
+        xs[nan_at] = [np.nan, 0.0]
+        assert assert_pass_matches_reference(head, xs, labels) == nan_at
+        xs[nan_at] = [1e-7, 0.0]
+
+
+def test_sgd_pass_checks_its_inputs_once():
+    head = random_head(SeededRng(37))
+    with pytest.raises(DimensionError):
+        head.sgd_pass(np.ones((3, 4)), [0, 1, 2])
+    with pytest.raises(DimensionError):
+        head.sgd_pass(np.ones((3, 5)), [0, 1])
+    with pytest.raises(DimensionError):
+        head.sgd_step(np.ones((1, 5)), 0)
+    w1, w2 = head.w_hidden.copy(), head.w_out.copy()
+    with pytest.raises(ValueError, match="label 3"):
+        head.sgd_pass(np.ones((3, 5)), [0, 1, 3])  # no step is taken before the bad label
+    assert head.w_hidden.tobytes() == w1.tobytes() and head.w_out.tobytes() == w2.tobytes()
+    assert head.last_delta_hidden is None
+    with pytest.raises(ValueError, match="both step deltas or neither"):
+        FeatureHead(head.w_hidden, head.w_out, 0.1, last_delta_hidden=head.w_hidden)
+
+
+def test_head_owns_flat_buffers_of_c_contiguous_layers():
+    rng = SeededRng(38)
+    w1 = np.array([[rng.gauss() for _ in range(5)] for _ in range(4)])
+    w2 = np.array([[rng.gauss() for _ in range(4)] for _ in range(3)])
+    caller = w1.copy()
+    head = FeatureHead(w1, w2, eta=0.1)
+    head.sgd_step(np.array([rng.gauss() for _ in range(5)]), 1)
+    assert w1.tobytes() == caller.tobytes()  # the head trains its own copy
+    assert not np.shares_memory(head.w_hidden, w1)
+    arrays = [getattr(head, name) for name in STATE]
+    assert all(a.flags.c_contiguous for a in arrays)
+    assert np.shares_memory(head.w_hidden, head.params) and np.shares_memory(head.w_out, head.params)
+    twin = head.copy()
+    twins = [getattr(twin, name) for name in STATE] + [twin.params]
+    assert all(a.flags.c_contiguous for a in twins)
+    assert not any(np.shares_memory(a, b) for a in twins for b in arrays + [head.params])
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(twins, arrays))

@@ -157,11 +157,21 @@ def watch_centroid_updates(monkeypatch, check):
     pre_step_heads holds a copy of the head taken before each SGD step so far,
     xs the batch's inputs and feats the rows that update the centroids."""
     pre_step_heads, batch = [], {}
-    sgd_step, update_features = FeatureHead.sgd_step, JointTrainer._update_features
+    sgd_pass, update_features = FeatureHead.sgd_pass, JointTrainer._update_features
 
-    def recording_sgd_step(head, x, label):
-        pre_step_heads.append(head.copy())
-        return sgd_step(head, x, label)
+    def recording_sgd_pass(head, xs, labels):
+        # replay the pass pair by pair through sgd_step, which is itself a
+        # one-pair sgd_pass: the unpatched one while replaying
+        done, loss = 0, 0.0
+        with monkeypatch.context() as replay:
+            replay.setattr(FeatureHead, "sgd_pass", sgd_pass)
+            for x, label in zip(xs, labels):
+                pre_step_heads.append(head.copy())
+                loss = head.sgd_step(x, label)
+                if not loss <= LOSS_LIMIT:
+                    break
+                done += 1
+        return done, loss
 
     def recording_update_features(trainer, xs, assigned_hidden, mode):
         batch.update(trainer=trainer, xs=xs)
@@ -171,7 +181,7 @@ def watch_centroid_updates(monkeypatch, check):
         check(batch["trainer"], pre_step_heads, batch["xs"], feats)
         update_centroid(bank, labels, feats)
 
-    monkeypatch.setattr(FeatureHead, "sgd_step", recording_sgd_step)
+    monkeypatch.setattr(FeatureHead, "sgd_pass", recording_sgd_pass)
     monkeypatch.setattr(JointTrainer, "_update_features", recording_update_features)
     monkeypatch.setattr(trainer_module, "update_centroid", checking_update_centroid)
 
