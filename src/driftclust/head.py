@@ -20,7 +20,12 @@ second flat buffer, whose views are last_delta_hidden and last_delta_out,
 and eta * grad a third. `sgd_pass` runs a whole fine-tune pass in one loop:
 each step computes forward, loss and backward inline, in the operation
 order of `forward`, `sse_loss` and `backward`, and updates both layers with
-one multiply and one subtract over the buffers.
+one multiply and one subtract over the buffers. Its two outer products go
+through BLAS as a column times a row, which writes +0.0 where a factor is
+zero and the elementwise product (as `backward` computes it) is -0.0, and
+the product's bits everywhere else. The stored deltas therefore hold no -0.0;
+weights, and with them labels and metrics, keep their bits, because
+w - eta * (+-0.0) == w for every nonzero weight.
 """
 
 from collections import namedtuple
@@ -74,8 +79,8 @@ class FeatureHead:
         if layers[1].shape[1] != layers[0].shape[0]:
             raise DimensionError(f"output layer expects {layers[1].shape[1]} hidden units, "
                                  f"head has {layers[0].shape[0]}")
-        if eta < 0:
-            raise ValueError("learning rate must be nonnegative")
+        if not np.isfinite(eta) or eta < 0:
+            raise ValueError(f"learning rate must be finite and nonnegative, got {eta}")
         if (last_delta_hidden is None) != (last_delta_out is None):
             raise ValueError("a head stores both step deltas or neither")
         grads = None
@@ -175,7 +180,7 @@ class FeatureHead:
         grad_hidden, grad_out = self._grad_layers
         h, mask_hidden, delta_hidden = (np.empty(self.hidden_dim) for _ in range(3))
         d, mask_out = np.empty(k), np.empty(k)  # d: y, then y - t, then delta_out
-        d_col, delta_hidden_col = d[:, None], delta_hidden[:, None]
+        d_col, delta_hidden_col, h_row = d[:, None], delta_hidden[:, None], h[None]
         done, loss = 0, 0.0
         for x, label in zip(xs, labels):
             dot(w_hidden, x, out=h)
@@ -188,11 +193,10 @@ class FeatureHead:
             if not loss <= LOSS_LIMIT:
                 break
             multiply(d, mask_out, out=d)
-            # the outer products stay np.multiply: einsum and matmul write +0.0 for -0.0
-            multiply(d_col, h, out=grad_out)
+            dot(d_col, h_row, out=grad_out)  # BLAS outer products: +0.0 where a factor is 0
             dot(w_out_t, d, out=delta_hidden)
             multiply(delta_hidden, sign(h, out=mask_hidden), out=delta_hidden)
-            multiply(delta_hidden_col, x, out=grad_hidden)
+            dot(delta_hidden_col, x[None], out=grad_hidden)
             multiply(grads, eta, out=step)
             params -= step
             done += 1

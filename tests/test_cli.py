@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from conftest import blas_pinned_env, cli_digests, mnist_like, write_idx_fixture
 from driftclust import backbone, cli
 from driftclust.cli import main
-from driftclust.dataio import load_checkpoint, load_labels, save_labels
+from driftclust.dataio import load_checkpoint, load_labels, save_checkpoint, save_labels
 from driftclust.metrics import nmi
 from driftclust.tensor import DimensionError
 from driftclust.trainer import TrainerConfig
@@ -584,28 +584,61 @@ def test_tinyconv_lloyd_outputs_are_pinned(tmp_path):
     }
 
 
+BLOB_JOINT = ["cluster", "--data", "blobs", "--k", "4", "--blob-points", "40", "--blob-dim", "8",
+              "--blob-separation", "2.0", "--eta", "0.05", "--nm", "20", "--km", "5",
+              "--epochs", "2", "--seed", "3", "--hidden-dim", "16"]
+
+
 @pytest.mark.parametrize("mode, pins", [
     (["--mode", "full"], {
         "labels.csv": "2b458060e379ac3fab181e76ba05208c2552efe907a78d73abb422863306a273",
         "metrics.txt": "ee58b6c64f5825366fd9ccec0d0c2d801d382c3ef7c07a19521219657a7a711d",
-        "run.ckpt": "6949ce85e3d2983d18945b9b373ca5bc8a7427c625e06cd92ab56f6072c62c88"}),
+        "run.ckpt": "2e4bc31ba6bc685667f1ea85d4991884352f79bfe13be4ab30b545ed341be8e0"}),
     (["--mode", "full", "--drift-rollback", "snapshot", "--eta", "0.5"], {
         "labels.csv": "eddad0201a5846a71ce50fe8db203409f631cf3dfdd33de2ce241c9ff041e5f5",
         "metrics.txt": "96741eb2e3b9349f325faffc81eebd9698ba1d75ecddf0d0728d143a40cd6c5b",
-        "run.ckpt": "dbdf2ad50d91f7213214af62b153e691f753c868472937720097f511d92cadf6"}),
+        "run.ckpt": "276ba8b19ee4b3fb3b15b1d13feb1e0f89ee679bb4b71b175f5fffc35163887c"}),
     (["--mode", "baseline1"], {
         "labels.csv": "8ebbd0046d9a82663fd92e12d47c050b3e71455178634f9daafb544474579246",
         "metrics.txt": "80905d305c62dfcab191b3990d6e999e5bf98986554222e08ce28218747f913a",
-        "run.ckpt": "c6336cd5234d2e46950ea0c6e629fd3918f76ae4034cc4bc8b789b6cb1c079e4"}),
+        "run.ckpt": "51f0c3c1a473c3c474765228df36d3ee0bb7a45f62c49fbf95e11dd00ce7fdbf"}),
 ], ids=["full", "snapshot", "baseline1"])
 def test_blob_joint_outputs_are_pinned(tmp_path, mode, pins):
     # four loosely separated blobs, so almost every SGD step applies a nonzero
-    # gradient and the checkpoint's step deltas hold signed zeros; a blob run
-    # gives these bytes under 1 and 2 OpenBLAS threads
-    argv = ["cluster", "--data", "blobs", "--k", "4", "--blob-points", "40", "--blob-dim", "8",
-            "--blob-separation", "2.0", "--eta", "0.05", "--nm", "20", "--km", "5",
-            "--epochs", "2", "--seed", "3", "--hidden-dim", "16"]
-    assert cli_digests(tmp_path, argv + mode) == pins
+    # gradient and the checkpoint's step deltas hold zeros, all of them +0.0
+    # (the head's BLAS outer products never write -0.0 for a zero factor); a
+    # blob run gives these bytes under 1 and 2 OpenBLAS threads
+    assert cli_digests(tmp_path, BLOB_JOINT + mode) == pins
+
+
+@pytest.mark.parametrize("mode", [["--mode", "full"],
+                                  ["--mode", "full", "--drift-rollback", "snapshot", "--eta", "0.5"]],
+                         ids=["last_step", "snapshot"])
+def test_checkpoints_with_negative_zero_deltas_resume_the_same(tmp_path, mode):
+    # checkpoints written while the head's outer products were numpy broadcasts
+    # store -0.0 for some zero entries of last_delta_*; flipping every zero
+    # there to -0.0 must not change the resumed run
+    epoch1 = tmp_path / "epoch1.ckpt"
+    assert main(BLOB_JOINT + mode + ["--epochs", "1", "--checkpoint", str(epoch1),
+                                     "--out-labels", str(tmp_path / "l.csv"),
+                                     "--out-metrics", str(tmp_path / "m.txt")]) == 0
+    state = load_checkpoint(epoch1)
+    names = ("last_delta_hidden", "last_delta_out")
+    deltas = [getattr(state, name) for name in names]
+    assert all(np.any(d == 0.0) and not np.any(np.signbit(d[d == 0.0])) for d in deltas)
+    negative = tmp_path / "negative.ckpt"
+    save_checkpoint(negative, dataclasses.replace(
+        state, **{name: np.where(d == 0.0, -0.0, d) for name, d in zip(names, deltas)}))
+    assert negative.read_bytes() != epoch1.read_bytes()
+    runs = []
+    for ckpt in (epoch1, negative):
+        out = tmp_path / ckpt.stem
+        out.mkdir()
+        digests = cli_digests(out, BLOB_JOINT + mode + ["--resume", str(ckpt)])
+        final = load_checkpoint(out / "run.ckpt")
+        runs.append((digests["labels.csv"], digests["metrics.txt"],
+                     final.w_hidden.tobytes(), final.w_out.tobytes()))
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("backbone", ["randproj", "tinyconv"])

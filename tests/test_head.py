@@ -20,6 +20,14 @@ def two_loop_forward(w1, w2, x):
     return h, y
 
 
+@pytest.mark.parametrize("eta", [-0.1, np.nan, np.inf, -np.inf])
+def test_head_rejects_a_negative_or_non_finite_learning_rate(eta):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        FeatureHead(np.ones((2, 3)), np.ones((2, 2)), eta)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        init_head(3, 2, 2, eta, SeededRng(0))
+
+
 def test_forward_zero_weights_annihilates():
     head = FeatureHead(np.zeros((3, 2)), np.zeros((2, 3)), eta=0.1)
     trace = head.forward(np.array([5.0, -1.0]))
@@ -172,7 +180,8 @@ def test_step_buffers_hold_the_latest_gradients_and_copies_own_theirs():
         want = head.backward(head.forward(x), label)
         head.sgd_step(x, label)
         got = (head.last_delta_hidden, head.last_delta_out)
-        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want)), i
+        assert all(g.tobytes() == plus_zeros(w).tobytes() for g, w in zip(got, want)), i
+        assert not any(signed_zeros(g) for g in got), i
         if i == 3:
             mid = head.copy()
             frozen = [a.copy() for a in (mid.w_hidden, mid.w_out, mid.last_delta_hidden,
@@ -325,10 +334,24 @@ def reference_pass(head, xs, labels):
     return done, loss, ref
 
 
-STATE = ("w_hidden", "w_out", "last_delta_hidden", "last_delta_out")
+def signed_zeros(a):
+    return int(np.count_nonzero((a == 0.0) & np.signbit(a)))
+
+
+def plus_zeros(a):
+    """a with every -0.0 made +0.0 and every other bit kept."""
+    return a + 0.0
+
+
+DELTAS = ("last_delta_hidden", "last_delta_out")
+STATE = ("w_hidden", "w_out") + DELTAS
 
 
 def assert_pass_matches_reference(head, xs, labels):
+    """Run head.sgd_pass and check it against reference_pass: steps, loss and
+    weights bit for bit, deltas bit for bit after `+ 0.0` (the head's BLAS outer
+    products write +0.0 where backward's broadcasts write -0.0), and no -0.0 in
+    the head's deltas. Returns (steps applied, the reference head)."""
     want_done, want_loss, ref = reference_pass(head, xs, labels)
     with np.errstate(over="ignore", invalid="ignore"):
         done, loss = head.sgd_pass(xs, labels)
@@ -337,32 +360,32 @@ def assert_pass_matches_reference(head, xs, labels):
     for name in STATE:
         got, want = getattr(head, name), getattr(ref, name)
         assert (got is None) == (want is None), name
+        if got is not None and name in DELTAS:
+            assert signed_zeros(got) == 0, name
+            want = plus_zeros(want)
         assert got is None or got.tobytes() == want.tobytes(), name
-    return done
-
-
-def signed_zeros(a):
-    return int(np.count_nonzero((a == 0.0) & np.signbit(a)))
+    return done, ref
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_sgd_pass_matches_forward_loss_backward_reference(seed):
     # seeded heads and passes; zero rows, and output layers with dead units,
-    # so that steps write -0.0 into the gradients
+    # so that the oracle's gradients hold -0.0 in both layers
     rng = SeededRng(900 + seed)
     dims = [2 + rng.randint(9) for _ in range(3)]
     eta = (0.0, 0.05, 0.5)[seed % 3]
     head = init_head(*dims, eta=eta, rng=rng)
     head.w_out[rng.randint(dims[2])] *= -1.0
-    zeros = 0
+    zeros = np.zeros(2, dtype=int)  # -0.0 entries of the oracle's hidden and output gradients
     for _ in range(4):
         n = 1 + rng.randint(12)
         xs = np.array([[rng.gauss() for _ in range(dims[0])] for _ in range(n)])
         xs[rng.randint(n)] = 0.0
         labels = [rng.randint(dims[2]) for _ in range(n)]
-        assert assert_pass_matches_reference(head, xs, labels) == n
-        zeros += signed_zeros(head.last_delta_hidden) + signed_zeros(head.last_delta_out)
-    assert zeros > 0
+        done, ref = assert_pass_matches_reference(head, xs, labels)
+        assert done == n
+        zeros += [signed_zeros(getattr(ref, name)) for name in DELTAS]
+    assert np.all(zeros > 0)
 
 
 def test_sgd_pass_stops_at_the_first_diverging_step_and_keeps_the_last_good_one():
@@ -371,14 +394,14 @@ def test_sgd_pass_stops_at_the_first_diverging_step_and_keeps_the_last_good_one(
     xs = np.array([[2e-7, 0.0], [0.0, 1e-7], [1.0, 0.0], [1e-7, 0.0]])
     labels = [0, 1, 1, 0]
     before = head.rollback_hidden_batch(xs)  # builds the rollback weights of the first step
-    assert assert_pass_matches_reference(head, xs, labels) == 2  # y = (4e6, 0) at step 3
+    assert assert_pass_matches_reference(head, xs, labels)[0] == 2  # y = (4e6, 0) at step 3
     after = np.maximum(xs @ (head.w_hidden + head.eta * head.last_delta_hidden).T, 0.0)
     assert head.rollback_hidden_batch(xs).tobytes() == after.tobytes()
     assert before.tobytes() != after.tobytes()
 
     for nan_at in (0, 2):
         xs[nan_at] = [np.nan, 0.0]
-        assert assert_pass_matches_reference(head, xs, labels) == nan_at
+        assert assert_pass_matches_reference(head, xs, labels)[0] == nan_at
         xs[nan_at] = [1e-7, 0.0]
 
 
