@@ -1,10 +1,9 @@
 """Centroid bank with k-means++ seeding, streaming per-centroid updates, and a
 full-set Lloyd baseline.
 
-The streaming update uses a per-centroid rate gamma = 1/count, with the count
-incremented before the rate is computed. Seeds start at count 1, so feeding
-points p_1..p_n into one centroid initialised at p_1 telescopes to their
-exact running mean.
+The streaming update gives each centroid the rate 1/count (mini-batch k-means,
+Sculley, WWW 2010). The rates telescope to the running mean, so one step per
+mini-batch does the same: c <- (n0 * c + S) / (n0 + m), see update_centroid.
 """
 
 import math
@@ -25,8 +24,10 @@ class CentroidBank:
             raise DimensionError(f"centroids must be a non-empty 2-D array, got shape {c.shape}")
         if not np.all(np.isfinite(c)):
             raise ValueError("centroids contain non-finite entries")
-        n = np.asarray(counts, dtype=np.int64)
-        if n.shape != (c.shape[0],) or np.any(n < 0):
+        given = np.asarray(counts)
+        with np.errstate(invalid="ignore"):  # a NaN or out-of-range count fails the checks below
+            n = given.astype(np.int64)
+        if n.shape != (c.shape[0],) or np.any(n < 0) or not np.array_equal(n, given):
             raise ValueError("counts must be one nonnegative integer per centroid")
         self.centroids = c
         self.counts = n
@@ -98,8 +99,10 @@ def assign_batch(bank: CentroidBank, feats: np.ndarray, sq_norms=None):
 
 
 def update_centroid(bank: CentroidBank, labels, feats) -> None:
-    """Streaming mean step for each row of a mini-batch, in row order: count += 1
-    first, then c <- (1 - gamma) * c + gamma * h in place, with gamma = 1/count."""
+    """Running-mean step per mini-batch: each centroid the batch touches becomes
+    (n0 * c + S) / (n0 + m), with n0 its count, m its number of rows and S their
+    sum 0.0 + h_1 + h_2 + ... in row order; counts grow by m. S is a bincount,
+    not a BLAS product, so its bits do not depend on the BLAS thread count."""
     labs = np.asarray(labels)
     h = np.asarray(feats, dtype=np.float64)
     if labs.ndim != 1 or h.shape != (labs.shape[0], bank.dim):
@@ -107,18 +110,15 @@ def update_centroid(bank: CentroidBank, labels, feats) -> None:
                              f"and bank dim {bank.dim}")
     if labs.size and not (np.issubdtype(labs.dtype, np.integer) and 0 <= labs.min() <= labs.max() < bank.k):
         raise ValueError(f"labels must be integers in [0, {bank.k}), got {labs.tolist()}")
-    rows = labs.tolist()
-    counts = dict(zip(rows, bank.counts[rows].tolist()))
-    gammas = []
-    for label in rows:
-        counts[label] += 1
-        gammas.append(1.0 / counts[label])
-    bank.counts[list(counts)] = list(counts.values())
-    gamma = np.array(gammas)
-    for label, keep, step in zip(rows, 1.0 - gamma, gamma[:, None] * h):
-        c = bank.centroids[label]
-        c *= keep
-        c += step
+    k, dim = bank.k, bank.dim
+    labs = labs.astype(np.intp)  # [] arrives as float64, and small int dtypes would wrap below
+    m = np.bincount(labs, minlength=k)
+    sums = np.bincount((labs[:, None] * dim + np.arange(dim)).ravel(), weights=h.ravel(),
+                       minlength=k * dim).reshape(k, dim)
+    hit = np.flatnonzero(m)
+    n0 = bank.counts[hit]
+    bank.centroids[hit] = (n0[:, None] * bank.centroids[hit] + sums[hit]) / (n0 + m[hit])[:, None]
+    bank.counts[hit] = n0 + m[hit]
 
 
 def _sq_dists_to_centroids(x: np.ndarray, xx: np.ndarray, centroids: np.ndarray) -> np.ndarray:

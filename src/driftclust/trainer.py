@@ -4,8 +4,8 @@ One epoch shuffles the dataset and walks it in mini-batches. Per batch:
 every sample is assigned to its nearest centroid; the k_m samples closest to
 their centroids are buffered as (sample, pseudo-label) pairs; whenever the
 buffer holds a full batch worth of pairs, the head is fine-tuned on them by
-per-sample SGD; finally the batch updates its assigned centroids with one
-streaming-mean call, row by row in batch order.
+per-sample SGD; finally the batch moves each centroid it was assigned to in
+one running-mean step, as if its rows had been fed one by one at rate 1/count.
 
 Once any fine-tune has happened, "full" mode compensates feature drift by
 updating centroids with features reconstructed under rolled-back weights
@@ -146,9 +146,9 @@ class JointTrainer:
         The head, the bank and the RNG check their own inputs; this adds what
         only the run knows: shapes against the config and the input dimension,
         rollback state present exactly when a fine-tune pass happened, buffer
-        bounds, and progress counters that agree with each other, the config
-        and the dataset (checkpoints are written at epoch ends). A state that
-        does not fit raises CheckpointError."""
+        bounds, and progress counters and centroid counts that agree with each
+        other, the config and the dataset (checkpoints are written at epoch
+        ends). A state that does not fit raises CheckpointError."""
         state = copy.deepcopy(state)  # training mutates what it adopts; the caller's state stays
         cfg, n = self.config, self.dataset.n
         tuned = state.finetunes > 0
@@ -183,6 +183,12 @@ class JointTrainer:
             raise CheckpointError(f"checkpoint progress (epochs_done={epochs}, finetunes={state.finetunes}, "
                                   f"iterations={state.iterations}, {len(state.buffer)} buffered pairs) "
                                   f"does not match {epochs} epochs over {n} samples")
+        # each seed starts at 1 and every epoch assigns every sample once; the sum
+        # is taken in Python ints, so crafted counts cannot wrap it
+        if cfg.mode != "baseline3" and (np.any(self.bank.counts < 1)
+                                        or sum(self.bank.counts.tolist()) != cfg.k + epochs * n):
+            raise CheckpointError(f"checkpoint counts must each be at least 1 and sum to "
+                                  f"k + epochs_done * n = {cfg.k + epochs * n}")
         if len(state.nmi_history) != (epochs if self.truth is not None else 0) \
                 or not all(0.0 <= v <= 1.0 for v in state.nmi_history):
             raise CheckpointError("checkpoint NMI history must hold one value in [0, 1] per "

@@ -476,9 +476,9 @@ def overwrite(body, offset, fmt, value):
     return body[:offset] + struct.pack(fmt, value) + body[offset + struct.calcsize(fmt):]
 
 
-def bump(body, offset):
-    """The u64 counter at offset, plus one."""
-    return overwrite(body, offset, "<Q", struct.unpack_from("<Q", body, offset)[0] + 1)
+def bump(body, offset, by=1):
+    """The u64 counter at offset, plus `by`."""
+    return overwrite(body, offset, "<Q", struct.unpack_from("<Q", body, offset)[0] + by)
 
 
 COUNTS, RNG, PROGRESS, BUFFER, NMI = 8, 9, 10, 11, 12
@@ -486,6 +486,8 @@ COUNTS, RNG, PROGRESS, BUFFER, NMI = 8, 9, 10, 11, 12
 
 @pytest.mark.parametrize("section,mutate", [
     (COUNTS, lambda body: body[:-8]),  # one count short of its header
+    (COUNTS, lambda body: body[:4] + bytes(len(body) - 4)),  # every count 0
+    (COUNTS, lambda body: bump(body, 4, 1000)),  # the first count raised by 1000
     (RNG, lambda body: struct.pack("<I", 3) + body[4:-8]),  # 3 RNG words
     (BUFFER, lambda body: overwrite(body, 4, "<Q", 10 ** 6)),  # sample index 10^6
     (BUFFER, lambda body: overwrite(body, 12, "<I", 99)),  # label 99 at k=4
@@ -499,9 +501,9 @@ COUNTS, RNG, PROGRESS, BUFFER, NMI = 8, 9, 10, 11, 12
     (NMI, lambda body: overwrite(body, 4, "<d", float("nan"))),
     (NMI, lambda body: overwrite(body, 4, "<d", 1.5)),
     (NMI, lambda body: overwrite(body, 4, "<d", -0.25)),
-], ids=["short-counts", "three-rng-words", "buffer-index", "buffer-label", "w-hidden-2x2",
-        "half-delta", "half-snapshot", "epochs-done-zero", "finetunes-plus-one",
-        "iterations-plus-one", "nmi-short", "nmi-nan", "nmi-above-one", "nmi-negative"])
+], ids=["short-counts", "count-zero", "count-plus-one", "three-rng-words", "buffer-index",
+        "buffer-label", "w-hidden-2x2", "half-delta", "half-snapshot", "epochs-done-zero",
+        "finetunes-plus-one", "iterations-plus-one", "nmi-short", "nmi-nan", "nmi-above-one", "nmi-negative"])
 def test_malformed_checkpoint_gives_io_exit(epoch2_checkpoint, section, mutate, capsys):
     work, blob = epoch2_checkpoint
     sections = split_sections(blob)
@@ -593,21 +595,22 @@ BLOB_JOINT = ["cluster", "--data", "blobs", "--k", "4", "--blob-points", "40", "
     (["--mode", "full"], {
         "labels.csv": "2b458060e379ac3fab181e76ba05208c2552efe907a78d73abb422863306a273",
         "metrics.txt": "ee58b6c64f5825366fd9ccec0d0c2d801d382c3ef7c07a19521219657a7a711d",
-        "run.ckpt": "2e4bc31ba6bc685667f1ea85d4991884352f79bfe13be4ab30b545ed341be8e0"}),
+        "run.ckpt": "42d4ee348b3b3612043f0b2c34f5932e25f52fba2a9dfa7ac06235411bdf8c68"}),
     (["--mode", "full", "--drift-rollback", "snapshot", "--eta", "0.5"], {
         "labels.csv": "eddad0201a5846a71ce50fe8db203409f631cf3dfdd33de2ce241c9ff041e5f5",
         "metrics.txt": "96741eb2e3b9349f325faffc81eebd9698ba1d75ecddf0d0728d143a40cd6c5b",
-        "run.ckpt": "276ba8b19ee4b3fb3b15b1d13feb1e0f89ee679bb4b71b175f5fffc35163887c"}),
+        "run.ckpt": "5c8e126bf95240d5ef9ebb4614d06d0a87efab59e83bae6a914242e032cbaee4"}),
     (["--mode", "baseline1"], {
         "labels.csv": "8ebbd0046d9a82663fd92e12d47c050b3e71455178634f9daafb544474579246",
         "metrics.txt": "80905d305c62dfcab191b3990d6e999e5bf98986554222e08ce28218747f913a",
-        "run.ckpt": "51f0c3c1a473c3c474765228df36d3ee0bb7a45f62c49fbf95e11dd00ce7fdbf"}),
+        "run.ckpt": "085bdebd2eaf2442a673da924144dec5fa1fb4679210fb6023edc11503c488cf"}),
 ], ids=["full", "snapshot", "baseline1"])
 def test_blob_joint_outputs_are_pinned(tmp_path, mode, pins):
     # four loosely separated blobs, so almost every SGD step applies a nonzero
     # gradient and the checkpoint's step deltas hold zeros, all of them +0.0
-    # (the head's BLAS outer products never write -0.0 for a zero factor); a
-    # blob run gives these bytes under 1 and 2 OpenBLAS threads
+    # (the head's BLAS outer products never write -0.0 for a zero factor), and
+    # its centroids those of update_centroid's one running-mean step per batch;
+    # a blob run gives these bytes under 1 and 2 OpenBLAS threads
     assert cli_digests(tmp_path, BLOB_JOINT + mode) == pins
 
 

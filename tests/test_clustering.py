@@ -1,3 +1,5 @@
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import blas_pinned_env
 from driftclust import clustering, tensor
 from driftclust.clustering import (CentroidBank, assign_batch, lloyd_kmeans, seed_kmeanspp,
                                    update_centroid)
@@ -165,11 +168,24 @@ def test_lloyd_memory_stays_bounded():
 
 
 def per_row_update(centroids, counts, labels, feats):
-    """The streaming-mean oracle: one update per row, in row order."""
+    """The per-row streaming-mean oracle: one 1/count step per row, in row order."""
     for label, h in zip(labels, feats):
         counts[label] += 1
         gamma = 1.0 / float(counts[label])
         centroids[label] = (1.0 - gamma) * centroids[label] + gamma * h
+
+
+def batch_mean_update(centroids, counts, labels, feats):
+    """The batch rule, label by label: S = 0.0 + h_1 + h_2 + ... over the
+    label's rows in row order, then c <- (n0 * c + S) / (n0 + m)."""
+    for label in set(labels):
+        rows = [h for lab, h in zip(labels, feats) if lab == label]
+        total = np.zeros(centroids.shape[1])
+        for h in rows:
+            total = total + h
+        n0 = counts[label]
+        centroids[label] = (n0 * centroids[label] + total) / (n0 + len(rows))
+        counts[label] = n0 + len(rows)
 
 
 @st.composite
@@ -199,12 +215,55 @@ def test_update_centroid_batch_matches_per_row_oracle(batch):
     bank = CentroidBank(centroids.copy(), counts.copy())
     update_centroid(bank, labels, feats)
     want_c, want_n = centroids.copy(), counts.astype(np.int64)
-    per_row_update(want_c, want_n, labels.tolist(), feats)
+    batch_mean_update(want_c, want_n, labels.tolist(), feats)
     # bytes, not np.array_equal, which takes -0.0 and +0.0 as equal
     assert bank.centroids.tobytes() == want_c.tobytes()
     assert np.array_equal(bank.counts, want_n)
     untouched = np.setdiff1d(np.arange(len(counts)), labels)
     assert bank.centroids[untouched].tobytes() == centroids[untouched].tobytes()
+    # the batch rule is the per-row rule with its rounding done once per batch
+    per_row_c = centroids.copy()
+    per_row_update(per_row_c, counts.astype(np.int64), labels.tolist(), feats)
+    assert np.max(np.abs(bank.centroids - per_row_c)) < 1e-9
+
+
+def test_update_centroid_takes_any_integer_label_dtype():
+    # dim 130: a uint8 label of 2 or more times 130 would wrap past 255
+    rng = np.random.default_rng(0)
+    centroids, counts = rng.normal(size=(4, 130)), np.array([1, 7, 3, 2])
+    labels, feats = [3, 0, 3, 1, 1, 3], rng.normal(size=(6, 130))
+    digests = set()
+    for labs in [np.array(labels, dtype=t) for t in (np.int32, np.uint8, np.uint64)] + [labels]:
+        bank = CentroidBank(centroids.copy(), counts.copy())
+        update_centroid(bank, labs, feats)
+        digests.add(bank.centroids.tobytes() + bank.counts.tobytes())
+    assert len(digests) == 1
+
+
+def test_update_centroid_empty_batch_leaves_the_bank():
+    centroids = np.array([[-0.0, 1.5], [2.0, -3.0]])
+    bank = CentroidBank(centroids.copy(), np.array([2, 5]))
+    update_centroid(bank, [], np.zeros((0, 2)))
+    assert bank.centroids.tobytes() == centroids.tobytes()
+    assert bank.counts.tolist() == [2, 5]
+
+
+UPDATE_DIGEST = """
+import hashlib
+import numpy as np
+from driftclust.clustering import CentroidBank, update_centroid
+rng = np.random.default_rng(17)
+bank = CentroidBank(rng.normal(size=(10, 128)), rng.integers(1, 500, size=10))
+update_centroid(bank, rng.integers(0, 10, size=2000), rng.normal(size=(2000, 128)))
+print(hashlib.sha256(bank.centroids.tobytes()).hexdigest())
+"""
+
+
+def test_update_centroid_bits_do_not_depend_on_blas_threads():
+    digests = {subprocess.run([sys.executable, "-c", UPDATE_DIGEST], env=blas_pinned_env(threads),
+                              capture_output=True, text=True, check=True, timeout=120).stdout
+               for threads in (1, 2)}
+    assert len(digests) == 1
 
 
 def test_update_centroid_midpoint_then_tenth():
@@ -373,5 +432,9 @@ def test_bank_rejects_bad_shapes():
         CentroidBank(np.ones(3), np.array([1]))
     with pytest.raises(ValueError):
         CentroidBank(np.ones((2, 2)), np.array([1, -1]))
+    for counts in ([1.5, 2], [1, np.nan], [1, 1e30]):
+        with pytest.raises(ValueError):
+            CentroidBank(np.ones((2, 2)), np.array(counts))
+    assert CentroidBank(np.ones((2, 2)), np.array([1.0, 2.0])).counts.tolist() == [1, 2]
     with pytest.raises(ValueError):
         CentroidBank(np.array([[np.nan, 1.0]]), np.array([1]))
