@@ -1,13 +1,15 @@
 """Command-line front end for reproducible clustering runs.
 
 Subcommands: cluster (one run), eval (NMI between two label files), sweep
-(k_m / epoch / seed grid to CSV). Settings resolve as flag > config file >
+(one run per cell of the repeatable `--grid key=v1,v2,...`, a product over any
+run or input settings, to CSV). Settings resolve as flag > config file >
 default; config files are flat key=value lines and unknown keys are errors.
 
 Exit codes: 0 success, 2 config error, 3 divergence, 4 I/O error.
 """
 
 import argparse
+import itertools
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -85,8 +87,7 @@ def _parse_config_file(path):
             continue
         if "=" not in line:
             raise ConfigError(f"config line {lineno} is not key=value: {line!r}")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
+        key, _, value = map(str.strip, line.partition("="))
         if key not in SETTINGS:
             raise ConfigError(f"unknown config key: {key}")
         values[key] = _convert(key, value)
@@ -94,11 +95,14 @@ def _parse_config_file(path):
 
 
 def _convert(key, text):
-    typ = SETTINGS[key].type
+    row = SETTINGS[key]
     try:
-        return typ(text)
+        value = row.type(text)
     except ValueError:
-        raise ConfigError(f"config key {key} expects {typ.__name__}, got {text!r}") from None
+        raise ConfigError(f"setting {key} expects {row.type.__name__}, got {text!r}") from None
+    if row.choices and value not in row.choices:
+        raise ConfigError(f"setting {key} must be one of {'|'.join(row.choices)}, got {text!r}")
+    return value
 
 
 def resolve_settings(ns):
@@ -122,8 +126,6 @@ def check_dataset_source(settings):
         raise ConfigError("mnist data needs an IDX image file (key: images)")
     if source == "csv" and not settings["csv"]:
         raise ConfigError("csv data needs a file path (key: csv)")
-    if source not in SETTINGS["data"].choices:
-        raise ConfigError(f"unknown data source {source!r} (key: data)")
     return source
 
 
@@ -225,47 +227,43 @@ def cmd_eval(ns) -> int:
     return 0
 
 
-def _parse_int_list(text, flag):
-    try:
-        values = [int(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError:
-        raise ConfigError(f"{flag} expects a comma-separated integer list, got {text!r}") from None
-    if not values:
-        raise ConfigError(f"{flag} must not be empty")
-    return values
+def _parse_grid(entries):
+    """--grid "key=v1,v2,..." entries as {key: values}, keys in flag order."""
+    grid = {}
+    for entry in entries or ():
+        key, _, text = entry.partition("=")
+        if key not in SETTINGS or SETTINGS[key].role == "output":
+            raise ConfigError(f"--grid key {key!r} is not a run or input setting")
+        if key in grid:
+            raise ConfigError(f"--grid key {key} is given twice")
+        grid[key] = [_convert(key, v.strip()) for v in text.split(",") if v.strip()]
+        if not grid[key]:
+            raise ConfigError(f"--grid key {key} has no values")
+    return grid
 
 
 def run_sweep_cell(settings) -> dict:
+    """nmi, finetunes and wall_ms of one run; a ConfigError or DivergenceError is its "error"."""
     started = time.perf_counter()
-    row = {"km": settings["km"], "epochs": settings["epochs"], "seed": settings["seed"],
-           "nmi": "nan", "finetunes": 0}
+    row = {"nmi": "nan", "finetunes": 0, "error": None}
     try:
         dataset, spec, config = build_run(settings)
         result = JointTrainer(dataset, spec, config, ground_truth=dataset.labels).run()
         if result.nmi_history:
             row["nmi"] = f"{result.nmi_history[-1]:.6f}"
         row["finetunes"] = result.finetunes
-    except (ConfigError, DivergenceError) as exc:  # a cell the grid cannot run
-        print(f"sweep cell km={row['km']} epochs={row['epochs']} seed={row['seed']} "
-              f"failed: {exc}", file=sys.stderr)
+    except (ConfigError, DivergenceError) as exc:
+        row["error"] = str(exc)
     row["wall_ms"] = int(round((time.perf_counter() - started) * 1000))
     return row
 
 
 def cmd_sweep(ns) -> int:
     settings = resolve_settings(ns)
-    check_dataset_source(settings)  # an error every cell would share exits 2, as cluster does
-    km_values = _parse_int_list(ns.km_list, "--km-list") if ns.km_list else [settings["km"]]
-    epoch_values = _parse_int_list(ns.epochs_list, "--epochs-list") if ns.epochs_list else [settings["epochs"]]
-    seeds = _parse_int_list(ns.seeds, "--seeds") if ns.seeds else [settings["seed"]]
-
-    cells = []
-    for km in km_values:
-        for epochs in epoch_values:
-            for seed in seeds:
-                cell = dict(settings)
-                cell.update(km=km, epochs=epochs, seed=seed)
-                cells.append(cell)
+    grid = _parse_grid(ns.grid)
+    cells = [{**settings, **dict(zip(grid, values))} for values in itertools.product(*grid.values())]
+    for cell in cells:  # an error that cluster would stop on exits 2 before any cell runs
+        check_dataset_source(cell)
 
     if ns.parallel and ns.parallel > 1:
         # fork starts every worker at the first task, so start no more than there are
@@ -277,9 +275,13 @@ def cmd_sweep(ns) -> int:
     else:
         rows = [run_sweep_cell(cell) for cell in cells]
 
-    out = ["km,epochs,seed,nmi,finetunes,wall_ms"]
-    out += [f"{r['km']},{r['epochs']},{r['seed']},{r['nmi']},{r['finetunes']},{r['wall_ms']}"
-            for r in rows]
+    out = [",".join([*grid, "nmi", "finetunes", "wall_ms"])]
+    for cell, row in zip(cells, rows):
+        values = [str(cell[key]) for key in grid]
+        if row.get("error"):  # in cell order, whichever worker ran the cell
+            print("sweep cell", *map("=".join, zip(grid, values)), f"failed: {row['error']}",
+                  file=sys.stderr)
+        out.append(",".join(values + [str(row[key]) for key in ("nmi", "finetunes", "wall_ms")]))
     atomic_write_text(ns.out, "\n".join(out) + "\n")
     print(f"sweep wrote {len(rows)} rows to {ns.out}")
     return 0
@@ -309,9 +311,8 @@ def build_parser():
 
     p_sweep = sub.add_parser("sweep", help="grid of runs, results to CSV")
     _add_setting_flags(p_sweep, ("run", "input"))
-    p_sweep.add_argument("--km-list", dest="km_list", help="comma-separated k_m values")
-    p_sweep.add_argument("--epochs-list", dest="epochs_list", help="comma-separated epoch counts")
-    p_sweep.add_argument("--seeds", help="comma-separated seeds")
+    p_sweep.add_argument("--grid", action="append", metavar="KEY=V1,V2,...",
+                         help="values of a run or input setting to sweep; repeatable")
     p_sweep.add_argument("--out", default="sweep.csv")
     p_sweep.add_argument("--parallel", type=int, default=0, help="run cells in N worker processes")
     p_sweep.set_defaults(func=cmd_sweep)
@@ -322,7 +323,7 @@ def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
     try:
         return ns.func(ns)
-    except (IdxFormatError, CsvFormatError, CheckpointError) as exc:
+    except (IdxFormatError, CsvFormatError, CheckpointError, OSError) as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 4
     except DivergenceError as exc:
@@ -331,9 +332,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return 4
 
 
 if __name__ == "__main__":

@@ -298,11 +298,13 @@ def save_labels(path, labels) -> None:
 
 
 def load_labels(path) -> np.ndarray:
-    """Read a label file; accepts "index,label" lines or bare labels. A label
-    that is not a 64-bit integer, or a file with none, raises CsvFormatError."""
+    """Read a file of "index,label" lines or bare labels. Any other line, a label
+    that is not a 64-bit integer, or a file with no labels raises CsvFormatError."""
     out = []
     for lineno, line in _text_lines(path):
-        text = line.split(",")[-1].strip()
+        *index, text = [s.strip() for s in line.split(",")]
+        if len(index) > 1 or index and not index[0].removeprefix("-").isdecimal():
+            raise CsvFormatError(f"{path} line {lineno}: {line!r} is not index,label or a bare label")
         try:
             label = int(text)
         except ValueError:
@@ -313,8 +315,6 @@ def load_labels(path) -> np.ndarray:
     if not out:
         raise CsvFormatError(f"no labels found in {path}")
     return np.asarray(out, dtype=np.int64)
-
-
 
 
 class _Codec(NamedTuple):

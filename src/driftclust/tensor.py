@@ -267,13 +267,14 @@ class SeededRng:
             raise ValueError("weights must be a non-empty 1-D sequence")
         if np.any(w < 0) or not np.all(np.isfinite(w)):
             raise ValueError("weights must be finite and nonnegative")
-        total = float(w.sum())
+        # draw below the end of the sequential sum, not below w.sum() (pairwise, it
+        # can be larger); nextafter keeps a draw on a subnormal total below it too
+        cum = np.cumsum(w)
+        total = float(cum[-1])
         if total <= 0.0:
             raise ValueError("weights sum to zero")
-        r = self.random() * total
-        cum = np.cumsum(w)
-        idx = int(np.searchsorted(cum, r, side="right"))
-        return min(idx, w.size - 1)
+        r = min(self.random() * total, np.nextafter(total, 0.0))
+        return int(np.searchsorted(cum, r, side="right"))
 
     def state(self):
         return tuple(self._s)

@@ -3,6 +3,7 @@ import gzip
 import struct
 import subprocess
 import sys
+import time
 import warnings
 import zlib
 
@@ -76,7 +77,8 @@ def test_every_setting_is_set_by_its_flag():
     assert cli.resolve_settings(cli.build_parser().parse_args(argv)) == expected
 
 
-@pytest.mark.parametrize("flag", ["--out-labels", "--out-metrics", "--checkpoint", "--resume"])
+@pytest.mark.parametrize("flag", ["--out-labels", "--out-metrics", "--checkpoint", "--resume",
+                                  "--km-list", "--epochs-list", "--seeds"])
 def test_sweep_rejects_output_flags(flag, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.build_parser().parse_args(["sweep", "--data", "blobs", flag, "x"])
@@ -159,6 +161,8 @@ def test_bad_input_gets_its_exit_code(tmp_path, monkeypatch, capsys, files, args
     ("0,1\n1,x\n", "line 2"),
     ("0,1\n1,99999999999999999999\n", "64-bit"),
     ("\n", "no labels"),
+    ("0,1\n1,2,3\n", "line 2: '1,2,3' is not index,label"),
+    ("0,1\nx,3\n", "line 2: 'x,3' is not index,label"),
 ])
 def test_bad_label_file_gives_io_exit(tmp_path, capsys, body, message):
     bad, good = tmp_path / "bad.csv", tmp_path / "good.csv"
@@ -290,34 +294,47 @@ def sweep_args(tmp, out, extra):
             "--nm", "50", "--hidden-dim", "16", "--out", str(out)] + extra
 
 
-def test_sweep_single_cell_matches_cluster(tmp_path, capsys):
+def grid(*entries):
+    return [arg for entry in entries for arg in ("--grid", entry)]
+
+
+@pytest.mark.parametrize("extra_grid", [
+    [],
+    ["eta=0.001,0.01"],                      # a float key; it overrides the --eta flag
+    ["drift_rollback=last_step,snapshot"],   # a str key
+])
+def test_sweep_single_cell_matches_cluster(tmp_path, capsys, extra_grid):
     out = tmp_path / "sweep.csv"
-    rc = main(sweep_args(tmp_path, out, ["--km-list", "10", "--epochs-list", "2",
-                                         "--seeds", "5"]))
+    rc = main(sweep_args(tmp_path, out, grid("km=10", "epochs=2", "seed=5", *extra_grid)))
     assert rc == 0
     lines = out.read_text().strip().splitlines()
-    assert lines[0] == "km,epochs,seed,nmi,finetunes,wall_ms"
-    assert len(lines) == 2
-    km, epochs, seed, nmi_str, finetunes, wall = lines[1].split(",")
-    assert (km, epochs, seed) == ("10", "2", "5")
+    extra_keys = [entry.split("=")[0] for entry in extra_grid]
+    assert lines[0] == ",".join(["km", "epochs", "seed", *extra_keys, "nmi", "finetunes", "wall_ms"])
+    extra_values = [entry.split("=")[1].split(",") for entry in extra_grid]
+    assert len(lines) == 1 + (len(extra_values[0]) if extra_values else 1)
 
-    capsys.readouterr()
-    metrics = tmp_path / "m.txt"
-    rc = main(["cluster", "--data", "blobs", "--k", "4", "--blob-points", "125",
-               "--blob-dim", "8", "--blob-separation", "25.0", "--eta", "0.001",
-               "--nm", "50", "--km", "10", "--epochs", "2", "--seed", "5",
-               "--hidden-dim", "16",
-               "--out-labels", str(tmp_path / "l.csv"), "--out-metrics", str(metrics)])
-    assert rc == 0
-    text = metrics.read_text()
-    assert f"nmi={nmi_str}" in text
-    assert f"finetunes={finetunes}" in text
+    for i, line in enumerate(lines[1:]):
+        km, epochs, seed, *extra, nmi_str, finetunes, wall = line.split(",")
+        assert (km, epochs, seed) == ("10", "2", "5")
+        assert extra == [values[i] for values in extra_values]
+        capsys.readouterr()
+        metrics = tmp_path / "m.txt"
+        flags = [arg for key, value in zip(extra_keys, extra)
+                 for arg in ("--" + key.replace("_", "-"), value)]
+        rc = main(["cluster", "--data", "blobs", "--k", "4", "--blob-points", "125",
+                   "--blob-dim", "8", "--blob-separation", "25.0", "--eta", "0.001",
+                   "--nm", "50", "--km", "10", "--epochs", "2", "--seed", "5",
+                   "--hidden-dim", "16", *flags,
+                   "--out-labels", str(tmp_path / "l.csv"), "--out-metrics", str(metrics)])
+        assert rc == 0
+        text = metrics.read_text()
+        assert f"nmi={nmi_str}" in text
+        assert f"finetunes={finetunes}" in text
 
 
 def test_sweep_km_grid_cadence(tmp_path):
     out = tmp_path / "sweep.csv"
-    rc = main(sweep_args(tmp_path, out, ["--km-list", "1,10,50", "--epochs-list", "5",
-                                         "--seeds", "2"]))
+    rc = main(sweep_args(tmp_path, out, grid("km=1,10,50", "epochs=5", "seed=2")))
     assert rc == 0
     rows = [ln.split(",") for ln in out.read_text().strip().splitlines()[1:]]
     finetunes = {int(r[0]): int(r[4]) for r in rows}
@@ -327,28 +344,72 @@ def test_sweep_km_grid_cadence(tmp_path):
 
 def test_sweep_parallel_matches_sequential(tmp_path):
     seq, par = tmp_path / "seq.csv", tmp_path / "par.csv"
-    extra = ["--km-list", "5,10", "--epochs-list", "1", "--seeds", "1,2"]
+    extra = grid("km=5,10", "epochs=1", "seed=1,2")
     assert main(sweep_args(tmp_path, seq, extra)) == 0
     assert main(sweep_args(tmp_path, par, extra + ["--parallel", "2"])) == 0
     strip_wall = lambda text: [ln.rsplit(",", 1)[0] for ln in text.strip().splitlines()]
     assert strip_wall(seq.read_text()) == strip_wall(par.read_text())
 
 
-def test_sweep_records_a_cell_the_grid_cannot_run(tmp_path, capsys):
+@pytest.mark.parametrize("parallel", [[], ["--parallel", "2"]])
+def test_sweep_records_a_cell_the_grid_cannot_run(tmp_path, capsys, parallel):
     # k_m = 60 is above n_m = 50: that cell's ConfigError becomes a nan row
     out = tmp_path / "sweep.csv"
-    rc = main(sweep_args(tmp_path, out, ["--km-list", "5,60", "--epochs-list", "1",
-                                         "--seeds", "1"]))
+    rc = main(sweep_args(tmp_path, out, grid("km=5,60", "epochs=1", "seed=1") + parallel))
     assert rc == 0
     rows = [ln.split(",") for ln in out.read_text().strip().splitlines()[1:]]
     assert [(r[0], r[3] == "nan") for r in rows] == [("5", False), ("60", True)]
     assert "sweep cell km=60 epochs=1 seed=1 failed" in capsys.readouterr().err
 
 
+def _cell_fails_late_for_seed_1(cell):
+    # a sweep cell that fails; seed 1, the first cell, finishes last
+    if cell["seed"] == 1:
+        time.sleep(0.3)
+    return dict(nmi="nan", finetunes=0, wall_ms=0, error=f"stand-in {cell['seed']}")
+
+
+def test_sweep_reports_failed_cells_in_cell_order(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_sweep_cell", _cell_fails_late_for_seed_1)
+    out = tmp_path / "sweep.csv"
+    extra = grid("seed=1,2", "drift_rollback=snapshot") + ["--parallel", "2"]
+    assert main(sweep_args(tmp_path, out, extra)) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "sweep cell seed=1 drift_rollback=snapshot failed: stand-in 1",
+        "sweep cell seed=2 drift_rollback=snapshot failed: stand-in 2"]
+
+
+@pytest.mark.parametrize("entries,message", [
+    (["bogus=1"], "--grid key 'bogus' is not a run or input setting"),
+    (["out_labels=a.csv"], "--grid key 'out_labels' is not a run or input setting"),
+    (["km=5", "seed=1", "km=10"], "--grid key km is given twice"),
+    (["km="], "--grid key km has no values"),
+    (["km=5,x"], "setting km expects int, got 'x'"),
+    (["mode=full,bogus"], "setting mode must be one of"),
+    (["data=blobs,csv"], "csv data needs a file path"),  # checked on every cell
+])
+def test_sweep_rejects_a_bad_grid_before_any_cell(tmp_path, monkeypatch, capsys, entries, message):
+    ran = []
+    monkeypatch.setattr(cli, "run_sweep_cell", ran.append)
+    out = tmp_path / "sweep.csv"
+    assert main(sweep_args(tmp_path, out, grid(*entries))) == 2
+    assert ran == [] and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}") and err.count("\n") == 1
+
+
+def test_sweep_without_a_grid_runs_one_cell(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(sweep_args(tmp_path, out, ["--epochs", "1"])) == 0
+    header, row = out.read_text().strip().splitlines()
+    assert header == "nmi,finetunes,wall_ms"
+    assert row.split(",")[0] != "nan"
+
+
 def test_sweep_without_a_data_source_exits_2_and_writes_nothing(tmp_path, capsys):
     # an error every cell would share is a config error of the whole sweep
     out = tmp_path / "sweep.csv"
-    assert main(["sweep", "--k", "4", "--km-list", "5,10", "--out", str(out)]) == 2
+    assert main(["sweep", "--k", "4", *grid("km=5,10"), "--out", str(out)]) == 2
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("config error: no dataset source") and err.count("\n") == 1
@@ -360,7 +421,7 @@ def test_sweep_lets_an_internal_error_end_in_a_traceback(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "JointTrainer", broken)
     with pytest.raises(DimensionError):
-        main(sweep_args(tmp_path, tmp_path / "sweep.csv", ["--epochs-list", "1"]))
+        main(sweep_args(tmp_path, tmp_path / "sweep.csv", grid("epochs=1")))
 
 
 def test_sweep_starts_no_more_workers_than_cells(tmp_path, monkeypatch):
@@ -383,7 +444,7 @@ def test_sweep_starts_no_more_workers_than_cells(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
     out = tmp_path / "sweep.csv"
-    extra = ["--km-list", "5,10", "--epochs-list", "1", "--parallel", "64"]
+    extra = grid("km=5,10", "epochs=1") + ["--parallel", "64"]
     assert main(sweep_args(tmp_path, out, extra)) == 0
     assert requested == [2]
     assert len(out.read_text().splitlines()) == 3
@@ -401,7 +462,7 @@ def test_sweep_workers_share_the_cpus_for_extraction(tmp_path, monkeypatch):
     monkeypatch.setattr(backbone.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     monkeypatch.setattr(cli, "run_sweep_cell", _cell_extract_workers)
     out = tmp_path / "sweep.csv"
-    extra = ["--km-list", "5,10", "--epochs-list", "1", "--parallel", "2"]
+    extra = grid("km=5,10", "epochs=1") + ["--parallel", "2"]
     assert main(sweep_args(tmp_path, out, extra)) == 0
     assert [row.split(",")[-1] for row in out.read_text().splitlines()[1:]] == ["2", "2"]
     assert backbone._extract_workers() == 4  # this process keeps every CPU
@@ -668,7 +729,7 @@ def test_sweep_km_direction_on_blob_benchmark(tmp_path):
     out = tmp_path / "sweep.csv"
     rc = main(["sweep", "--data", "blobs", "--k", "10", "--blob-points", "500",
                "--blob-dim", "50", "--blob-separation", "10.0", "--blob-sigma", "1.0",
-               "--km-list", "1,50", "--seeds", "0,1,2,3,4", "--out", str(out)])
+               *grid("km=1,50", "epochs=10", "seed=0,1,2,3,4"), "--out", str(out)])
     assert rc == 0
     rows = [ln.split(",") for ln in out.read_text().strip().splitlines()[1:]]
     by_km = {}

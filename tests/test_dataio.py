@@ -340,6 +340,20 @@ def test_labels_roundtrip(tmp_path):
     assert load_labels(bare).tolist() == [3, 1, 4]
 
 
+@pytest.mark.parametrize("body,message", [
+    ("0,1\n1,2,3\n", "line 2: '1,2,3' is not index,label"),
+    ("a,b,3\n", "line 1: 'a,b,3' is not index,label"),
+    ("0,1\nx,3\n", "line 2: 'x,3' is not index,label"),
+    (",3\n", "line 1: ',3' is not index,label"),
+    ("0.5,3\n", "line 1: '0.5,3' is not index,label"),
+])
+def test_labels_reject_malformed_lines(tmp_path, body, message):
+    path = tmp_path / "labels.csv"
+    path.write_text(body)
+    with pytest.raises(CsvFormatError, match=message):
+        load_labels(path)
+
+
 def test_atomic_write_leaves_no_target_on_failure(tmp_path, monkeypatch):
     target = tmp_path / "out.bin"
 

@@ -94,6 +94,17 @@ def test_rng_weighted_index_follows_weights():
         rng.weighted_index(np.zeros(4))
 
 
+@pytest.mark.parametrize("weights,last_positive", [
+    ([0.1] * 10 + [0.0], 9),  # w.sum() is 1.0, the sequential sum 0.9999999999999999
+    ([5e-324, 0.0], 0),       # a subnormal total: u * total rounds up to total
+])
+def test_rng_weighted_index_never_picks_a_zero_weight(monkeypatch, weights, last_positive):
+    # the largest draw random() can return lands on the last positive weight
+    rng = SeededRng(0)
+    monkeypatch.setattr(rng, "random", lambda: 1.0 - 2.0 ** -53)
+    assert rng.weighted_index(np.array(weights)) == last_positive
+
+
 def test_rng_state_roundtrip():
     rng = SeededRng(99)
     for _ in range(10):
