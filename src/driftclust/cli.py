@@ -87,7 +87,8 @@ def _parse_config_file(path):
             continue
         if "=" not in line:
             raise ConfigError(f"config line {lineno} is not key=value: {line!r}")
-        key, _, value = map(str.strip, line.partition("="))
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
         if key not in SETTINGS:
             raise ConfigError(f"unknown config key: {key}")
         values[key] = _convert(key, value)

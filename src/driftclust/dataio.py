@@ -305,16 +305,15 @@ def load_labels(path) -> np.ndarray:
         *index, text = [s.strip() for s in line.split(",")]
         if len(index) > 1 or index and not index[0].removeprefix("-").isdecimal():
             raise CsvFormatError(f"{path} line {lineno}: {line!r} is not index,label or a bare label")
-        try:
-            label = int(text)
-        except ValueError:
-            label = None
-        if label is None or not -2 ** 63 <= label < 2 ** 63:
-            raise CsvFormatError(f"{path} line {lineno}: label {text!r} is not a 64-bit integer")
-        out.append(label)
+        try:  # np.int64 parses as int() does and raises OverflowError outside 64 bits
+            out.append(np.int64(text))
+        except (ValueError, OverflowError):
+            raise CsvFormatError(f"{path} line {lineno}: label {text!r} is not a 64-bit integer") from None
     if not out:
         raise CsvFormatError(f"no labels found in {path}")
     return np.asarray(out, dtype=np.int64)
+
+
 
 
 class _Codec(NamedTuple):

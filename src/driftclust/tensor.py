@@ -271,8 +271,8 @@ class SeededRng:
         # can be larger); nextafter keeps a draw on a subnormal total below it too
         cum = np.cumsum(w)
         total = float(cum[-1])
-        if total <= 0.0:
-            raise ValueError("weights sum to zero")
+        if not 0.0 < total < np.inf:  # an overflowing sum would search past the end
+            raise ValueError("weights must sum to a positive finite total")
         r = min(self.random() * total, np.nextafter(total, 0.0))
         return int(np.searchsorted(cum, r, side="right"))
 

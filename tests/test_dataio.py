@@ -336,8 +336,8 @@ def test_labels_roundtrip(tmp_path):
     assert path.read_text() == "0,3\n1,1\n2,4\n3,1\n4,5\n"
     assert load_labels(path).tolist() == [3, 1, 4, 1, 5]
     bare = tmp_path / "bare.txt"
-    bare.write_text("3\n1\n4\n")
-    assert load_labels(bare).tolist() == [3, 1, 4]
+    bare.write_text("3\n1\n4\n-9223372036854775808\n9223372036854775807\n")
+    assert load_labels(bare).tolist() == [3, 1, 4, -2 ** 63, 2 ** 63 - 1]
 
 
 @pytest.mark.parametrize("body,message", [
@@ -346,6 +346,9 @@ def test_labels_roundtrip(tmp_path):
     ("0,1\nx,3\n", "line 2: 'x,3' is not index,label"),
     (",3\n", "line 1: ',3' is not index,label"),
     ("0.5,3\n", "line 1: '0.5,3' is not index,label"),
+    ("0,9223372036854775808\n", "line 1: label '9223372036854775808' is not a 64-bit"),
+    ("-9223372036854775809\n", "line 1: label '-9223372036854775809' is not a 64-bit"),
+    ("0,3.0\n", "line 1: label '3.0' is not a 64-bit"),
 ])
 def test_labels_reject_malformed_lines(tmp_path, body, message):
     path = tmp_path / "labels.csv"

@@ -82,6 +82,7 @@ def test_rng_gauss_moments():
     assert abs(draws.std() - 1.0) < 0.02
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_rng_weighted_index_follows_weights():
     rng = SeededRng(77)
     weights = np.array([0.0, 1.0, 3.0])
@@ -92,6 +93,9 @@ def test_rng_weighted_index_follows_weights():
     assert abs(counts[2] / counts[1] - 3.0) < 0.15
     with pytest.raises(ValueError):
         rng.weighted_index(np.zeros(4))
+    rng.random = lambda: 0.0  # finite weights summing to inf: 0.0 * inf is a nan draw
+    with pytest.raises(ValueError, match="positive finite total"):
+        rng.weighted_index(np.array([1e308, 1e308]))
 
 
 @pytest.mark.parametrize("weights,last_positive", [
