@@ -18,8 +18,9 @@ BACKBONE_KINDS = ("flatten", "randproj", "tinyconv")
 
 _CONV1_CHANNELS = 8
 _CONV2_CHANNELS = 16
-# samples per _transform call: each extraction worker's im2col buffers stay at
-# a few MB, and the chunks, hence the features, are the same for any worker count
+# samples per tinyconv _transform call, in full tensor.row_chunks: every product
+# has one shape, so a sample's features do not depend on the set size, and each
+# extraction worker's im2col buffers stay at a few MB
 _EXTRACT_CHUNK = 32
 # the variables OpenBLAS reads its thread count from, in the order it reads them
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -63,12 +64,16 @@ def _conv_stack_dim(h, w):
 
 
 def to_float(sample: np.ndarray, out=None) -> np.ndarray:
-    """Image bytes scaled to [0, 1], into the float64 array out if given;
-    float inputs pass through as float64 and leave out unused. Elementwise,
-    so any part of a sample converts to the bits of that part of the whole."""
+    """Image bytes scaled to [0, 1], other inputs as float64, written into the
+    float64 array out if given; without out, float64 inputs pass through.
+    Elementwise, so any part of a sample converts to the bits of that part of
+    the whole, in any layout."""
     if sample.dtype == np.uint8:
         return np.divide(sample, 255.0, out=out)
-    return np.asarray(sample, dtype=np.float64)
+    if out is None:
+        return np.asarray(sample, dtype=np.float64)
+    out[...] = sample
+    return out
 
 
 def _unit_rows(rows: int, cols: int, rng: SeededRng) -> np.ndarray:
@@ -147,12 +152,13 @@ def _runs(chunks, workers):
 
 class Backbone:
     """Base class; a kind either overrides extract_batch or defines
-    _transform(x, out, scratch), which writes the features of a float batch
-    x (b, h, w, c) into out (b, output_dim), one row per sample.
-    extract_batch calls it on the row slices of _chunks (_EXTRACT_CHUNK
-    samples each unless a kind says otherwise), where the chunk's pixels are
-    scaled and a kind keeps its working buffers in a scratch dict from chunk
-    to chunk.
+    _transform(x, out, scratch), which writes the features of a chunk of
+    samples x (b, h, w, c), in their own dtype, into out (b, output_dim), one
+    row per sample. extract_batch calls it on the tensor.row_chunks slices of
+    _chunk_rows samples (_EXTRACT_CHUNK unless a kind says otherwise): full
+    chunks, the last overlapping the one before, or one chunk of a set that
+    is smaller, and none of an empty one. A kind scales the chunk's pixels
+    itself and keeps its working buffers in a scratch dict from chunk to chunk.
 
     The chunks are split into contiguous runs, one per worker thread. The
     worker count is the usable CPUs divided by the BLAS thread count that
@@ -169,6 +175,8 @@ class Backbone:
     Workers call only _transform, to_float and _buffer, none of which the
     benchmark's tracer wraps: its span stack is not thread-safe."""
 
+    _chunk_rows = _EXTRACT_CHUNK
+
     def __init__(self, spec: BackboneSpec):
         self.spec = spec
 
@@ -180,12 +188,9 @@ class Backbone:
         def extract(run):
             scratch = {}
             for rows in run:
-                x = samples[rows]
-                if x.dtype == np.uint8:  # scaled into one buffer per chunk shape
-                    x = to_float(x, _buffer(scratch, "pixels", x.shape))
-                self._transform(to_float(x), out[rows], scratch)
+                self._transform(samples[rows], out[rows], scratch)
 
-        first, *rest = _runs(self._chunks(samples.shape[0]), _extract_workers())
+        first, *rest = _runs(row_chunks(samples.shape[0], self._chunk_rows), _extract_workers())
         # the pool starts a thread per submit, so a single run starts none
         with ThreadPoolExecutor(max(1, len(rest))) as pool:
             futures = [pool.submit(extract, run) for run in rest]
@@ -202,9 +207,6 @@ class Backbone:
         the rows in use are ever converted."""
         return self.extract_batch(samples)
 
-    def _chunks(self, n):
-        return [slice(lo, lo + _EXTRACT_CHUNK) for lo in range(0, n, _EXTRACT_CHUNK)]
-
     def _check_batch(self, samples):
         if tuple(samples.shape[1:]) != tuple(self.spec.input_shape):
             raise ValueError(
@@ -218,7 +220,7 @@ class FlattenBackbone(Backbone):
 
     def head_inputs(self, samples):
         self._check_batch(samples)
-        return samples.reshape(samples.shape[0], -1)
+        return samples.reshape(samples.shape[0], self.spec.flat_dim)
 
 
 class RandomProjectionBackbone(Backbone):
@@ -228,17 +230,18 @@ class RandomProjectionBackbone(Backbone):
 
     # bound here as well, where the benchmark's tracer looks for it
     extract_batch = Backbone.extract_batch
+    _chunk_rows = None  # tensor.ROW_CHUNK, read when the chunks are made
 
     def __init__(self, spec):
         super().__init__(spec)
         rng = SeededRng(spec.seed)
         self.projection = _unit_rows(spec.output_dim, spec.flat_dim, rng)
 
-    def _chunks(self, n):
-        return row_chunks(n)
-
     def _transform(self, x, out, scratch):
-        np.matmul(x.reshape(x.shape[0], -1), self.projection.T, out=out)
+        x = x.reshape(x.shape[0], self.spec.flat_dim)
+        if x.dtype != np.float64:  # scaled into one buffer per chunk shape
+            x = to_float(x, _buffer(scratch, "pixels", x.shape))
+        np.matmul(x, self.projection.T, out=out)
 
 
 class TinyConvBackbone(Backbone):
@@ -262,46 +265,51 @@ class TinyConvBackbone(Backbone):
 
     @staticmethod
     def _conv_relu_pool(x, kernel, scratch):
-        """Valid 3x3 conv of a channel-major batch (c_in, b, h, w) as one
+        """Valid 3x3 conv of a batch-innermost map (c_in, h, w, b) as one
         im2col GEMM, then ReLU and 2x2 stride-2 mean pooling; an odd axis
         drops its last row or column and an axis shorter than 2 passes
         through. The dropped row or column is never computed, and the
         outputs that are keep the bits of the full product
         (tests/test_backbone.py checks odd and even shapes). The result is
-        channel-major and is one of the scratch buffers."""
-        c_in, b, h, wd = x.shape
+        batch-innermost and is one of the scratch buffers."""
+        c_in, h, wd, b = x.shape
         c_out = kernel.shape[1]
         # conv outputs that pooling reads: an even count, or the 1 that passes
         oh, ow = (n // 2 * 2 if n >= 2 else n for n in (h - 2, wd - 2))
         # K-major patches: row (dy, dx, c_in) of the 9 * c_in rows holds input
-        # channel c_in shifted by (dy, dx), so each tap is one slice copy.
-        patches = _buffer(scratch, "patches", (9, c_in, b, oh, ow))
+        # channel c_in shifted by (dy, dx), so each tap is one slice copy in
+        # contiguous runs of ow * b elements, a whole shifted image row.
+        patches = _buffer(scratch, "patches", (9, c_in, oh, ow, b))
         for tap in range(9):
             dy, dx = divmod(tap, 3)
-            patches[tap] = x[:, :, dy:dy + oh, dx:dx + ow]
+            patches[tap] = x[:, dy:dy + oh, dx:dx + ow]
         # With kernel.T a transposed view, this product has the bits of the
         # row-major im2col product patches.T @ kernel under 1, 2 and 4 BLAS
         # threads (tests/test_backbone.py); a contiguous (c_out, 9 * c_in)
-        # kernel does not on small products.
-        y = _buffer(scratch, "conv", (c_out, b, oh, ow))
+        # kernel does not on small products. A sample's column moves with
+        # the layout, its dot products do not.
+        y = _buffer(scratch, "conv", (c_out, oh, ow, b))
         np.matmul(kernel.T, patches.reshape(9 * c_in, -1), out=y.reshape(c_out, -1))
         np.maximum(y, 0.0, out=y)
+        # rows pool in runs of ow * b elements, then columns in runs of b
         if oh >= 2:
-            pooled = _buffer(scratch, "pool_h", (c_out, b, oh // 2, ow))
-            y = np.add(y[:, :, 0::2], y[:, :, 1::2], out=pooled)
+            pooled = _buffer(scratch, "pool_h", (c_out, oh // 2, ow, b))
+            y = np.add(y[:, 0::2], y[:, 1::2], out=pooled)
             y *= 0.5
         if ow >= 2:
-            pooled = _buffer(scratch, "pool_w", y.shape[:3] + (ow // 2,))
-            y = np.add(y[..., 0::2], y[..., 1::2], out=pooled)
+            pooled = _buffer(scratch, "pool_w", y.shape[:2] + (ow // 2, b))
+            y = np.add(y[:, :, 0::2], y[:, :, 1::2], out=pooled)
             y *= 0.5
         return y
 
     def _transform(self, x, out, scratch):
-        y = x.transpose(3, 0, 1, 2)  # channel-major (c, b, h, w)
+        y = x.transpose(3, 1, 2, 0)  # batch-innermost (c, h, w, b) up to the last pool
+        y = to_float(y, _buffer(scratch, "pixels", y.shape))
         for kernel in self._kernels:
             y = self._conv_relu_pool(y, kernel, scratch)
-        flat = _buffer(scratch, "flat", y.shape[1:] + y.shape[:1])
-        flat[...] = y.transpose(1, 2, 3, 0)  # back to (b, h, w, c)
+        y = y.transpose(3, 1, 2, 0)  # one transpose back to (b, h, w, c)
+        flat = _buffer(scratch, "flat", y.shape)
+        flat[...] = y
         np.matmul(flat.reshape(x.shape[0], -1), self.projection.T, out=out)
 
 

@@ -87,12 +87,19 @@ def assign_batch(bank: CentroidBank, feats: np.ndarray, sq_norms=None):
         raise DimensionError(f"feature dim {x.shape[1]} does not match bank dim {bank.dim}")
     n = x.shape[0]
     xx = np.einsum("ij,ij->i", x, x) if sq_norms is None else sq_norms
+    cc = np.einsum("ij,ij->i", bank.centroids, bank.centroids)
     chunk = max(1, _PASS_ENTRIES // bank.k)
     labels = np.empty(n, dtype=np.int64)
     dists = np.empty(n)
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
-        d2 = _sq_dists_to_centroids(x[lo:hi], xx[lo:hi], bank.centroids)
+        # squared distances in the expanded form, xx + cc - 2 x.c, in place;
+        # tiny negatives from cancellation are clamped to zero
+        g = x[lo:hi] @ bank.centroids.T
+        g *= 2.0
+        d2 = xx[lo:hi, None] + cc
+        d2 -= g
+        np.maximum(d2, 0.0, out=d2)
         labels[lo:hi] = np.argmin(d2, axis=1)
         dists[lo:hi] = d2[np.arange(hi - lo), labels[lo:hi]]
     return labels, dists
@@ -119,16 +126,6 @@ def update_centroid(bank: CentroidBank, labels, feats) -> None:
     n0 = bank.counts[hit]
     bank.centroids[hit] = (n0[:, None] * bank.centroids[hit] + sums[hit]) / (n0 + m[hit])[:, None]
     bank.counts[hit] = n0 + m[hit]
-
-
-def _sq_dists_to_centroids(x: np.ndarray, xx: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """n x k squared distances via the expanded form, given the squared row
-    norms xx of x; fast for large n, tiny negatives from cancellation are
-    clamped to zero."""
-    cc = np.einsum("ij,ij->i", centroids, centroids)
-    d2 = xx[:, None] + cc[None, :] - 2.0 * (x @ centroids.T)
-    np.maximum(d2, 0.0, out=d2)
-    return d2
 
 
 def lloyd_kmeans(features, k: int, rng: SeededRng, max_iters: int = 100,

@@ -39,19 +39,22 @@ def matrix(data) -> np.ndarray:
     return m
 
 
-def row_chunks(n: int) -> list:
-    """Slices of ROW_CHUNK rows each (one slice of all n rows when n is
-    smaller) that cover rows 0..n-1 in order. The last slice ends at n and so
-    may overlap the one before: a pass over them computes some rows twice,
-    with the same bits, and must write its results row by row.
+def row_chunks(n: int, size=None) -> list:
+    """Slices of `size` rows each (ROW_CHUNK when None; one slice of all n
+    rows when n is smaller, none when n is 0) that cover rows 0..n-1 in
+    order. The last slice ends at n and so may overlap the one before: a pass
+    over them computes some rows twice, with the same bits, and must write
+    its results row by row.
 
     Every slice has the same length, so no product is left with a short
     tail. OpenBLAS multiplies a product of a few rows (under about 1,200
     output entries in 0.3.31) with another kernel and other bits; on these
     slices a product row has the bits of the whole-set product.
     """
-    last = max(n - ROW_CHUNK, 0)
-    return [slice(lo, min(lo + ROW_CHUNK, n)) for lo in [*range(0, last, ROW_CHUNK), last]]
+    size = ROW_CHUNK if size is None else size
+    last = max(n - size, 0)
+    starts = [*range(0, last, size), last] if n else []
+    return [slice(lo, min(lo + size, n)) for lo in starts]
 
 
 def _splitmix64(x: int) -> int:

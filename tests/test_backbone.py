@@ -174,7 +174,7 @@ def test_extract_batch_matches_extract():
 @pytest.mark.parametrize("shape", [(28, 28, 1), (9, 9, 1), (8, 11, 1), (10, 10, 3)])
 def test_tinyconv_batch_matches_per_image_oracle(shape):
     bb = build_backbone(BackboneSpec("tinyconv", shape, 12, seed=21))
-    n = 2 * _EXTRACT_CHUNK + 3  # the last chunk is partial
+    n = 2 * _EXTRACT_CHUNK + 3  # the last chunk overlaps the one before
     samples = np.random.RandomState(5).randint(0, 256, size=(n, *shape)).astype(np.uint8)
     batch = bb.extract_batch(samples)
     assert batch.shape == (n, 12)
@@ -203,17 +203,21 @@ def im2col_conv_relu_pool(x, w):
 
 def tinyconv_im2col_reference(bb, samples):
     """Tinyconv features in the same chunks as extract_batch, each chunk
-    through the im2col stages and one projection GEMM."""
-    rows = []
-    for start in range(0, samples.shape[0], _EXTRACT_CHUNK):
-        y = to_float(samples[start:start + _EXTRACT_CHUNK])
+    through the im2col stages and one projection GEMM; a row of two
+    overlapping chunks keeps the later chunk's features."""
+    out = np.empty((samples.shape[0], bb.spec.output_dim))
+    for rows in row_chunks(samples.shape[0], _EXTRACT_CHUNK):
+        y = to_float(samples[rows])
         y = im2col_conv_relu_pool(y, bb.w1)
         y = im2col_conv_relu_pool(y, bb.w2)
-        rows.append(y.reshape(y.shape[0], -1) @ bb.projection.T)
-    return np.concatenate(rows)
+        out[rows] = y.reshape(y.shape[0], -1) @ bb.projection.T
+    return out
 
 
-@pytest.mark.parametrize("n", [2 * _EXTRACT_CHUNK + 3, 2 * _EXTRACT_CHUNK + 1])
+# at 2 * _EXTRACT_CHUNK + 9 images a short last chunk of 9 would put 4 in the
+# conv GEMM's column tail; the overlapping full last chunk puts none there
+@pytest.mark.parametrize("n", [_EXTRACT_CHUNK, 2 * _EXTRACT_CHUNK + 1, 2 * _EXTRACT_CHUNK + 3,
+                               2 * _EXTRACT_CHUNK + 9])
 @pytest.mark.parametrize("dtype", ["uint8", "float64"])
 @pytest.mark.parametrize("shape", [(28, 28, 1), (9, 9, 1), (8, 11, 1), (10, 10, 3)])
 def test_tinyconv_matches_im2col_reference_bit_for_bit(shape, dtype, n):
@@ -239,12 +243,37 @@ def test_tinyconv_matches_im2col_reference_under_blas_threads(threads):
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
 
 
+@pytest.mark.parametrize("dtype", ["uint8", "float64"])
+def test_tinyconv_features_do_not_depend_on_the_set_size(dtype):
+    # every chunk is full, so an image's features are those it gets in a larger set
+    bb = build_backbone(BackboneSpec("tinyconv", (28, 28, 1), 128, seed=1))
+    pixels, _ = mnist_like(3 * _EXTRACT_CHUNK, seed=12)
+    samples = pixels.reshape(-1, 28, 28, 1)
+    if dtype == "float64":
+        samples = to_float(samples)
+    whole = bb.extract_batch(samples)
+    for n in (41, 65, 73):
+        assert bb.extract_batch(samples[:n]).tobytes() == whole[:n].tobytes()
+        assert bb.extract_batch(samples[-n:]).tobytes() == whole[-n:].tobytes()
+
+
+@pytest.mark.parametrize("kind,out_dim", [("flatten", 100), ("randproj", 6), ("tinyconv", 6)])
+def test_empty_batch_gives_empty_features(kind, out_dim):
+    # head_inputs are the features, or for flatten the flat_dim samples
+    bb = build_backbone(BackboneSpec(kind, (10, 10, 1), out_dim, seed=3))
+    for dtype in (np.uint8, np.float64):
+        samples = np.zeros((0, 10, 10, 1), dtype=dtype)
+        feats = bb.extract_batch(samples)
+        assert feats.shape == (0, out_dim) and feats.dtype == np.float64
+        assert bb.head_inputs(samples).shape == (0, out_dim)
+
+
 def test_tinyconv_scratch_is_per_call():
     spec = BackboneSpec("tinyconv", (10, 10, 1), 6, seed=17)
     bb = build_backbone(spec)
     rng = np.random.RandomState(8)
     first_in = rng.rand(2 * _EXTRACT_CHUNK, 10, 10, 1)
-    second_in = rng.rand(_EXTRACT_CHUNK + 5, 10, 10, 1)  # ends in a partial chunk
+    second_in = rng.rand(_EXTRACT_CHUNK + 5, 10, 10, 1)  # ends in an overlapping chunk
     first = bb.extract_batch(first_in)
     first_bytes = first.tobytes()
     second = bb.extract_batch(second_in)
@@ -389,8 +418,8 @@ for kind in ("tinyconv", "randproj"):
 
 
 def test_features_do_not_depend_on_the_worker_count(tmp_path):
-    # 3000 images: 94 tinyconv chunks, the last of 24, and randproj row_chunks
-    # whose overlapping last slice runs on a pool thread.
+    # 3000 images: 94 tinyconv chunks and 3 randproj row_chunks, each kind's
+    # last one overlapping the one before; randproj's runs on a pool thread.
     cpus = sorted(os.sched_getaffinity(0))
     if len(cpus) < 2:
         pytest.skip("fewer than 2 CPUs available: every extraction runs one worker")

@@ -112,6 +112,27 @@ def test_assign_batch_matches_assign(monkeypatch):
         assert dists[i] == pytest.approx(single_dist[0], rel=1e-12)
 
 
+def test_assign_batch_keeps_the_bits_of_the_expanded_form():
+    # the distance block is built in place, with the operations of
+    # xx + cc - 2.0 * (x @ C.T) in their order; duplicate centroids tie
+    rng = np.random.default_rng(15)
+    for _ in range(50):
+        cents = rng.normal(size=(10, 128))
+        cents[3] = cents[7] = cents[1]
+        feats = rng.normal(size=(50, 128))
+        feats[:5] = cents[1] + rng.normal(scale=1e-9, size=(5, 128))
+        feats[5] = cents[1]
+        bank = CentroidBank(cents, np.ones(10, dtype=np.int64))
+        xx = np.einsum("ij,ij->i", feats, feats)
+        cc = np.einsum("ij,ij->i", cents, cents)
+        d2 = np.maximum(xx[:, None] + cc[None, :] - 2.0 * (feats @ cents.T), 0.0)
+        expected = np.argmin(d2, axis=1)
+        labels, dists = assign_batch(bank, feats)
+        assert labels.tobytes() == expected.astype(np.int64).tobytes()
+        assert dists.tobytes() == d2[np.arange(50), expected].tobytes()
+        assert set(labels[:6]) == {1}
+
+
 def test_assign_batch_memory_stays_bounded():
     # a chunk x k x dim broadcast temporary would need ~420 MB here; the
     # distance matrix of one chunk is 4096 x 100 doubles (3.3 MB)

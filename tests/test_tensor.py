@@ -32,6 +32,13 @@ def test_row_chunks_cover_the_rows_in_order_with_no_short_chunk(n):
     assert len(chunks) == -(-n // ROW_CHUNK)
 
 
+def test_row_chunks_take_a_chunk_length_and_make_none_of_no_rows():
+    assert row_chunks(0) == [] and row_chunks(0, 32) == []
+    assert row_chunks(9, 32) == [slice(0, 9)]
+    assert row_chunks(64, 32) == [slice(0, 32), slice(32, 64)]
+    assert row_chunks(73, 32) == [slice(0, 32), slice(32, 64), slice(41, 73)]
+
+
 def test_rng_streams_are_reproducible():
     # byte-identical streams of one million draws from the same seed; the pin
     # is the digest of one million scalar next_u64 words
