@@ -1,11 +1,13 @@
 import dataclasses
 import gzip
+import json
 import struct
 import subprocess
 import sys
 import time
 import warnings
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -652,27 +654,81 @@ BLOB_JOINT = ["cluster", "--data", "blobs", "--k", "4", "--blob-points", "40", "
               "--epochs", "2", "--seed", "3", "--hidden-dim", "16"]
 
 
-@pytest.mark.parametrize("mode, pins", [
-    (["--mode", "full"], {
+def pixel_joint_args(tmp_path):
+    """A full-mode joint run on 90 noisy uint8 6x6 IDX images of 3 prototypes
+    through flatten, so the trainer scales pixels as it reads rows."""
+    rng = np.random.RandomState(7)
+    protos = rng.uniform(0.0, 255.0, size=(3, 6, 6))
+    truth = rng.randint(0, 3, size=90)
+    pixels = np.clip(np.rint(protos[truth] + rng.normal(0.0, 64.0, size=(90, 6, 6))), 0, 255)
+    img, lab = write_idx_fixture(tmp_path, pixels, truth)
+    return ["cluster", "--data", "mnist", "--images", str(img), "--labels", str(lab), "--k", "3",
+            "--nm", "15", "--km", "4", "--eta", "0.05", "--epochs", "2", "--seed", "2",
+            "--hidden-dim", "8", "--mode", "full"]
+
+
+@pytest.mark.parametrize("args, pins", [
+    (BLOB_JOINT + ["--mode", "full"], {
         "labels.csv": "2b458060e379ac3fab181e76ba05208c2552efe907a78d73abb422863306a273",
         "metrics.txt": "ee58b6c64f5825366fd9ccec0d0c2d801d382c3ef7c07a19521219657a7a711d",
         "run.ckpt": "42d4ee348b3b3612043f0b2c34f5932e25f52fba2a9dfa7ac06235411bdf8c68"}),
-    (["--mode", "full", "--drift-rollback", "snapshot", "--eta", "0.5"], {
+    (BLOB_JOINT + ["--mode", "full", "--drift-rollback", "snapshot", "--eta", "0.5"], {
         "labels.csv": "eddad0201a5846a71ce50fe8db203409f631cf3dfdd33de2ce241c9ff041e5f5",
         "metrics.txt": "96741eb2e3b9349f325faffc81eebd9698ba1d75ecddf0d0728d143a40cd6c5b",
         "run.ckpt": "5c8e126bf95240d5ef9ebb4614d06d0a87efab59e83bae6a914242e032cbaee4"}),
-    (["--mode", "baseline1"], {
+    (BLOB_JOINT + ["--mode", "baseline1"], {
         "labels.csv": "8ebbd0046d9a82663fd92e12d47c050b3e71455178634f9daafb544474579246",
         "metrics.txt": "80905d305c62dfcab191b3990d6e999e5bf98986554222e08ce28218747f913a",
         "run.ckpt": "085bdebd2eaf2442a673da924144dec5fa1fb4679210fb6023edc11503c488cf"}),
-], ids=["full", "snapshot", "baseline1"])
-def test_blob_joint_outputs_are_pinned(tmp_path, mode, pins):
+    (BLOB_JOINT + ["--mode", "baseline2"], {
+        "labels.csv": "3a0c074641011b0aea495bd53c38e50a593ffae7455a16d95eb25193ed639025",
+        "metrics.txt": "804ede0c1c3169ac5abcf291ddc1ead89cd27ece7e6d74065c4658b339b0bd84",
+        "run.ckpt": "3faab129a13117954324c9bbcf6dfc15f9ef3ac91657016ce83a137edf848533"}),
+    # 160 = 5 * 30 + 10: the last batch holds 10 rows, so k_m = 12 is clipped to 10
+    (BLOB_JOINT + ["--mode", "full", "--nm", "30", "--km", "12"], {
+        "labels.csv": "3ebe8b64d7d956d150d3fcd59a3b5e3114e322df7d4b74dec425ed348a175ee1",
+        "metrics.txt": "a99f754116f8d5e98e6e167b036aeab450efec62ca09d13e0db936072df7c2ea",
+        "run.ckpt": "30d906d57db8600c0cd4966bf63f92f52f81c9ae9d7e4f49626424c1a08cc376"}),
+    # 8 batches per epoch: the cap cuts the second epoch after 3 of them
+    (BLOB_JOINT + ["--mode", "full", "--max-iters", "11"], {
+        "labels.csv": "b88309c3398f1e3877e262fbca022f9fccb138f4ecdc7dbb57d928e33cfa360e",
+        "metrics.txt": "9bc212cbce5348a8038c298c921b5324666e073a14a6af38b5971022a67e548c",
+        "run.ckpt": "9c8f5e526b0e1ed288558a70f767d9f1ea20008f26967357b8d8161243b60c35"}),
+    (pixel_joint_args, {
+        "labels.csv": "41f3229a2734565886c4a1dd92f2c3d1e830f10ff0e715c78038a197869c611c",
+        "metrics.txt": "5138bbc4e3589f3605f7293167d1422e2d74b454df3bda60ae32c87c7bb7c7e8",
+        "run.ckpt": "78de86b883755293e7febd62e8667e4b2ee64cfa9ba8d3ca4b93dfb0ab2a5de3"}),
+], ids=["full", "snapshot", "baseline1", "baseline2", "short_last_batch", "max_iters", "idx_flatten"])
+def test_blob_joint_outputs_are_pinned(tmp_path, args, pins):
     # four loosely separated blobs, so almost every SGD step applies a nonzero
     # gradient and the checkpoint's step deltas hold zeros, all of them +0.0
     # (the head's BLAS outer products never write -0.0 for a zero factor), and
     # its centroids those of update_centroid's one running-mean step per batch;
-    # a blob run gives these bytes under 1 and 2 OpenBLAS threads
-    assert cli_digests(tmp_path, BLOB_JOINT + mode) == pins
+    # the last run reads uint8 pixels instead of blobs
+    argv = args(tmp_path) if callable(args) else args
+    assert cli_digests(tmp_path, argv) == pins
+
+
+@pytest.mark.parametrize("mode", [["--mode", "full"], ["--mode", "baseline2"]], ids=["full", "baseline2"])
+def test_blob_joint_outputs_do_not_depend_on_blas_threads(tmp_path, mode):
+    # the SGD step's matrix-vector and outer products, the assignment's
+    # product and the hidden-feature products are BLAS calls; a blob run
+    # (50 inputs or fewer) must give the same bytes under 1 and 2 threads
+    child = ("import json, sys\n"
+             "sys.path.insert(0, sys.argv[1])\n"
+             "from pathlib import Path\n"
+             "from conftest import cli_digests\n"
+             "print(json.dumps(cli_digests(Path(sys.argv[2]), sys.argv[3:])))\n")
+    tests_dir = str(Path(__file__).resolve().parent)
+    digests = []
+    for threads in (1, 2):
+        out = tmp_path / str(threads)
+        out.mkdir()
+        proc = subprocess.run([sys.executable, "-c", child, tests_dir, str(out)] + BLOB_JOINT + mode,
+                              env=blas_pinned_env(threads), capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-3000:]
+        digests.append(json.loads(proc.stdout.strip().splitlines()[-1]))
+    assert len(digests[0]) == 3 and digests[0] == digests[1]
 
 
 @pytest.mark.parametrize("mode", [["--mode", "full"],
