@@ -100,7 +100,7 @@ def assign_batch(bank: CentroidBank, feats: np.ndarray, sq_norms=None):
         d2 = xx[lo:hi, None] + cc
         d2 -= g
         np.maximum(d2, 0.0, out=d2)
-        labels[lo:hi] = np.argmin(d2, axis=1)
+        np.argmin(d2, axis=1, out=labels[lo:hi])
         dists[lo:hi] = d2[np.arange(hi - lo), labels[lo:hi]]
     return labels, dists
 
@@ -109,23 +109,36 @@ def update_centroid(bank: CentroidBank, labels, feats) -> None:
     """Running-mean step per mini-batch: each centroid the batch touches becomes
     (n0 * c + S) / (n0 + m), with n0 its count, m its number of rows and S their
     sum 0.0 + h_1 + h_2 + ... in row order; counts grow by m. S is a bincount,
-    not a BLAS product, so its bits do not depend on the BLAS thread count."""
+    not a BLAS product, so its bits do not depend on the BLAS thread count.
+    A batch that touches every centroid steps the whole bank in place, with
+    the same operations in the same order as the step on the touched rows."""
     labs = np.asarray(labels)
     h = np.asarray(feats, dtype=np.float64)
     if labs.ndim != 1 or h.shape != (labs.shape[0], bank.dim):
         raise DimensionError(f"updates of shape {h.shape} do not match {labs.shape[0:1]} labels "
                              f"and bank dim {bank.dim}")
-    if labs.size and not (np.issubdtype(labs.dtype, np.integer) and 0 <= labs.min() <= labs.max() < bank.k):
-        raise ValueError(f"labels must be integers in [0, {bank.k}), got {labs.tolist()}")
+    if not labs.size:
+        return
     k, dim = bank.k, bank.dim
-    labs = labs.astype(np.intp)  # [] arrives as float64, and small int dtypes would wrap below
+    if labs.dtype.kind not in "iu" or labs.min() < 0 or labs.max() >= k:
+        raise ValueError(f"labels must be integers in [0, {k}), got {labs.tolist()}")
+    labs = labs.astype(np.intp, copy=False)  # small int dtypes would wrap below
     m = np.bincount(labs, minlength=k)
-    sums = np.bincount((labs[:, None] * dim + np.arange(dim)).ravel(), weights=h.ravel(),
-                       minlength=k * dim).reshape(k, dim)
+    # row i's bincount cells are row labs[i] of the k x dim table of cell
+    # numbers; gathering them is faster than a broadcast add
+    cells = np.arange(k * dim).reshape(k, dim)[labs]
+    sums = np.bincount(cells.ravel(), weights=h.ravel(), minlength=k * dim).reshape(k, dim)
+    c, counts = bank.centroids, bank.counts
+    if np.count_nonzero(m) == k:
+        c *= counts[:, None]
+        c += sums
+        counts += m
+        c /= counts[:, None]
+        return
     hit = np.flatnonzero(m)
-    n0 = bank.counts[hit]
-    bank.centroids[hit] = (n0[:, None] * bank.centroids[hit] + sums[hit]) / (n0 + m[hit])[:, None]
-    bank.counts[hit] = n0 + m[hit]
+    n0 = counts[hit]
+    c[hit] = (n0[:, None] * c[hit] + sums[hit]) / (n0 + m[hit])[:, None]
+    counts[hit] = n0 + m[hit]
 
 
 def lloyd_kmeans(features, k: int, rng: SeededRng, max_iters: int = 100,

@@ -18,14 +18,17 @@ Both layers live in one flat float64 buffer, `params`, with w_hidden and
 w_out as C-contiguous views of it; the gradients of the latest step fill a
 second flat buffer, whose views are last_delta_hidden and last_delta_out,
 and eta * grad a third. `sgd_pass` runs a whole fine-tune pass in one loop:
-each step computes forward, loss and backward inline, in the operation
-order of `forward`, `sse_loss` and `backward`, and updates both layers with
-one multiply and one subtract over the buffers. Its two outer products go
-through BLAS as a column times a row, which writes +0.0 where a factor is
-zero and the elementwise product (as `backward` computes it) is -0.0, and
-the product's bits everywhere else. The stored deltas therefore hold no -0.0;
-weights, and with them labels and metrics, keep their bits, because
-w - eta * (+-0.0) == w for every nonzero weight.
+each step computes forward, loss and backward inline and updates both
+layers with one multiply and one subtract over the buffers. Its two outer
+products go through BLAS as a column times a row, which writes +0.0 where a
+factor is zero and the elementwise product (as `backward` computes it) is
+-0.0, and the product's bits everywhere else. The stored deltas therefore
+hold no -0.0; weights, and with them labels and metrics, keep their bits,
+because w - eta * (+-0.0) == w for every nonzero weight. For the same
+reason the pass applies the output ReLU's mask to the label entry of
+y - t alone: every other entry is y_j = max(u_j, 0), which the mask
+1[u_j > 0] leaves as it is, and a zero whose sign differs from `backward`'s
+reaches the deltas only through those BLAS products.
 """
 
 from collections import namedtuple
@@ -164,39 +167,52 @@ class FeatureHead:
         The pass stops at the first step whose loss is non-finite or above
         LOSS_LIMIT and leaves that step unapplied, so the head holds the last
         good step. The gradients of that step stay in this head's buffer as
-        last_delta_*; the next step overwrites them.
+        last_delta_*; the next step overwrites them. Labels are checked once,
+        as the array numpy makes of them, before any step: that array must
+        have an integer dtype (no float or bool labels) and values in [0, k).
         """
         xs = np.asarray(xs, dtype=np.float64)
         if xs.ndim != 2 or xs.shape[1] != self.input_dim or len(labels) != len(xs):
             raise DimensionError(f"inputs of shape {xs.shape} with {len(labels)} labels do not "
                                  f"match head input dim {self.input_dim}")
         k = self.k
-        for label in labels:
-            if not 0 <= label < k:
-                raise ValueError(f"label {label} out of range for {k} classes")
-        dot, maximum, multiply, sign = np.dot, np.maximum, np.multiply, np.sign
-        w_hidden, w_out, w_out_t = self.w_hidden, self.w_out, self.w_out.T
+        labs = np.asarray(labels)
+        if labs.size and (labs.dtype.kind not in "iu" or labs.min() < 0 or labs.max() >= k):
+            # the first bad label; integers that numpy promotes to float together
+            # (int8 with uint64) are named as the whole list
+            bad = next((lab for lab in labels
+                        if np.asarray(lab).dtype.kind not in "iu" or not 0 <= lab < k), labels)
+            raise ValueError(f"label {bad!r} is not an integer in [0, {k})")
+        maximum, multiply, sign = np.maximum, np.multiply, np.sign
         params, grads, step, eta = self.params, self._grads, self._step, self.eta
         grad_hidden, grad_out = self._grad_layers
         h, mask_hidden, delta_hidden = (np.empty(self.hidden_dim) for _ in range(3))
-        d, mask_out = np.empty(k), np.empty(k)  # d: y, then y - t, then delta_out
-        d_col, delta_hidden_col, h_row = d[:, None], delta_hidden[:, None], h[None]
+        d = np.empty(k)  # y, then y - t for the loss, then delta_out
+        h_row, zero = h[None], np.zeros(())  # ufuncs take a 0-d array faster than the float 0.0
+        # the BLAS products of a step as bound ndarray.dot methods, which skip
+        # np.dot's dispatch: gemv for the matrix-vector products, a column
+        # times a row for the outer products (+0.0 where a factor is 0)
+        hidden_gemv, out_gemv, out_t_gemv = self.w_hidden.dot, self.w_out.dot, self.w_out.T.dot
+        d_outer, delta_hidden_outer = d[:, None].dot, delta_hidden[:, None].dot
         done, loss = 0, 0.0
-        for x, label in zip(xs, labels):
-            dot(w_hidden, x, out=h)
-            maximum(h, 0.0, out=h)
-            dot(w_out, h, out=d)
-            maximum(d, 0.0, out=d)
-            sign(d, out=mask_out)  # 1[u_out > 0] as 1.0 / 0.0: y = relu(u_out)
-            d[label] -= 1.0
-            loss = 0.5 * float(dot(d, d))
+        for x, x_row, label in zip(xs, xs[:, None], labs.tolist()):
+            hidden_gemv(x, h)
+            maximum(h, zero, out=h)
+            out_gemv(h, d)
+            maximum(d, zero, out=d)
+            y = d[label]
+            d[label] = y - 1.0
+            loss = 0.5 * float(d.dot(d))
             if not loss <= LOSS_LIMIT:
                 break
-            multiply(d, mask_out, out=d)
-            dot(d_col, h_row, out=grad_out)  # BLAS outer products: +0.0 where a factor is 0
-            dot(w_out_t, d, out=delta_hidden)
+            # delta_out = (y - t) * 1[u_out > 0]: every other entry is y_j >= 0,
+            # which that mask leaves as it is
+            if not y > 0.0:
+                d[label] = 0.0
+            d_outer(h_row, grad_out)
+            out_t_gemv(d, delta_hidden)
             multiply(delta_hidden, sign(h, out=mask_hidden), out=delta_hidden)
-            dot(delta_hidden_col, x[None], out=grad_hidden)
+            delta_hidden_outer(x_row, grad_hidden)
             multiply(grads, eta, out=step)
             params -= step
             done += 1

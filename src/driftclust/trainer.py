@@ -89,10 +89,9 @@ class RunResult:
 
 
 def _top_indices(dists: np.ndarray, k_m: int):
-    """Batch positions of the k_m smallest distances, in ascending position
-    order; distance ties resolve to the lower position."""
-    picked = np.argsort(dists, kind="stable")[:k_m]
-    return sorted(int(i) for i in picked)
+    """Batch positions of the k_m smallest distances as an int array, in
+    ascending position order; distance ties resolve to the lower position."""
+    return np.sort(np.argsort(dists, kind="stable")[:k_m])
 
 
 class JointTrainer:
@@ -262,6 +261,7 @@ class JointTrainer:
         cfg = self.config
         order = list(range(self.dataset.n))
         self.rng.shuffle(order)
+        order = np.array(order, dtype=np.int64)
         for start in range(0, len(order), cfg.n_m):
             if self._capped():
                 return False
@@ -271,9 +271,8 @@ class JointTrainer:
             labels, dists = assign_batch(self.bank, hidden)
 
             if cfg.mode in ("full", "baseline1"):
-                k_m = min(cfg.k_m, len(batch))
-                top = _top_indices(dists, k_m)
-                self.buffer.extend((batch[pos], int(labels[pos])) for pos in top)
+                top = _top_indices(dists, cfg.k_m)  # a short last batch buffers all its rows
+                self.buffer.extend(zip(batch[top].tolist(), labels[top].tolist()))
                 while len(self.buffer) >= cfg.n_m:
                     pairs, self.buffer = self.buffer[:cfg.n_m], self.buffer[cfg.n_m:]
                     self._finetune_pass(pairs)

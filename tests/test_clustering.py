@@ -248,6 +248,25 @@ def test_update_centroid_batch_matches_per_row_oracle(batch):
     assert np.max(np.abs(bank.centroids - per_row_c)) < 1e-9
 
 
+@pytest.mark.parametrize("labels", [[2, 0, 1, 3, 0, 2, 1, 1, 3], [2, 0, 2, 0, 0, 2]],
+                         ids=["every_centroid", "some_untouched"])
+def test_update_centroid_whole_bank_and_touched_rows_steps(labels):
+    # a batch that touches every centroid steps the whole bank in place; one
+    # that does not steps only the touched rows; both give the oracle's bytes
+    rng = np.random.default_rng(3)
+    centroids, counts = rng.normal(size=(4, 6)), np.array([1, 40, 7, 3])
+    centroids[1, :2] = -0.0
+    feats = rng.normal(size=(len(labels), 6))
+    bank = CentroidBank(centroids.copy(), counts.copy())
+    update_centroid(bank, np.array(labels), feats)
+    want_c, want_n = centroids.copy(), counts.astype(np.int64)
+    batch_mean_update(want_c, want_n, labels, feats)
+    assert bank.centroids.tobytes() == want_c.tobytes()
+    assert bank.counts.tolist() == want_n.tolist()
+    for row in set(range(4)) - set(labels):
+        assert bank.centroids[row].tobytes() == centroids[row].tobytes()
+
+
 def test_update_centroid_takes_any_integer_label_dtype():
     # dim 130: a uint8 label of 2 or more times 130 would wrap past 255
     rng = np.random.default_rng(0)

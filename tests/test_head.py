@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -420,6 +421,23 @@ def test_sgd_pass_checks_its_inputs_once():
     assert head.last_delta_hidden is None
     with pytest.raises(ValueError, match="both step deltas or neither"):
         FeatureHead(head.w_hidden, head.w_out, 0.1, last_delta_hidden=head.w_hidden)
+
+
+@pytest.mark.parametrize("bad", [0.5, np.float64(1.0), True, np.bool_(False), -1, np.int64(3)],
+                         ids=["float", "integral_float", "bool", "numpy_bool", "negative", "too_large"])
+def test_sgd_pass_rejects_non_integer_and_out_of_range_labels(bad):
+    # a float or bool label is a ValueError that names it, as an out-of-range
+    # one is, never an IndexError from inside the step or a step on label 1
+    head = random_head(SeededRng(39))
+    params = head.params.tobytes()
+    with pytest.raises(ValueError, match=re.escape(f"label {bad!r}")):
+        head.sgd_pass(np.ones((1, 5)), [bad])
+    with pytest.raises(ValueError, match=re.escape(f"label {bad!r}")):
+        head.sgd_step(np.ones(5), bad)
+    if not isinstance(bad, (bool, np.bool_)):  # numpy reads [0, True] as the integers [0, 1]
+        with pytest.raises(ValueError, match=re.escape(f"label {bad!r}")):
+            head.sgd_pass(np.ones((2, 5)), [0, bad])
+    assert head.params.tobytes() == params and head.last_delta_hidden is None
 
 
 def test_head_owns_flat_buffers_of_c_contiguous_layers():

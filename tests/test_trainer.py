@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import acceptance_blob_setup, mnist_like, small_blob_setup
 from driftclust import tensor
@@ -17,17 +19,28 @@ from driftclust.trainer import LOSS_LIMIT, DivergenceError, JointTrainer, Traine
 
 
 def test_select_top_km_examples():
-    assert _top_indices(np.array([0.5, 0.1, 0.9, 0.3]), 2) == [1, 3]
-    assert _top_indices(np.array([0.4, 0.2, 0.7]), 3) == [0, 1, 2]
-    assert _top_indices(np.array([0.3, 0.1, 0.3, 0.3]), 2) == [0, 1]  # ties go low
+    assert _top_indices(np.array([0.5, 0.1, 0.9, 0.3]), 2).tolist() == [1, 3]
+    assert _top_indices(np.array([0.4, 0.2, 0.7]), 3).tolist() == [0, 1, 2]
+    assert _top_indices(np.array([0.3, 0.1, 0.3, 0.3]), 2).tolist() == [0, 1]  # ties go low
 
 
 def test_select_top_km_matches_sort_oracle():
     rng = SeededRng(44)
     dists = [rng.random() for _ in range(50)]
-    got = _top_indices(np.array(dists), 10)
+    got = _top_indices(np.array(dists), 10).tolist()
     oracle = sorted(sorted(range(50), key=lambda i: (dists[i], i))[:10])
     assert got == oracle
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([0.0, 0.25, 1.0, 4.0]) | st.floats(0.0, 10.0), min_size=1, max_size=40),
+       st.integers(1, 50))
+def test_select_top_km_takes_the_stable_order_prefix(dists, k_m):
+    # distances tie often, and k_m may reach or pass the batch length
+    d = np.array(dists)
+    got = _top_indices(d, k_m).tolist()
+    assert got == sorted(np.argsort(d, kind="stable")[:k_m].tolist())
+    assert got == sorted(sorted(range(len(dists)), key=lambda i: (dists[i], i))[:k_m])
 
 
 def test_config_validation():
