@@ -231,6 +231,12 @@ def update_batches(draw):
           np.array([[1.0], [2.0], [3.0], [-4.0], [0.5]])))
 @example((np.array([[-0.0, 0.0], [0.0, -0.0]]), np.array([1, 4]), np.array([0, 1, 0]),
           np.array([[-0.0, -0.0], [-0.0, 0.0], [0.0, -0.0]])))
+# a batch that touches every centroid (the in-place whole-bank step), and one
+# that leaves two untouched, one of them holding -0.0
+@example((np.array([[0.5, -1.25], [-0.0, 3.0], [2.0, 7.5]]), np.array([1, 40, 7]),
+          np.array([2, 0, 1, 1, 0]), np.array([[1.5, 0.25], [-3.0, 9.0], [0.1, 0.2], [4.0, -0.5], [6.0, 1e3]])))
+@example((np.array([[0.5, -1.25], [-0.0, 3.0], [2.0, 7.5]]), np.array([1, 40, 7]),
+          np.array([2, 2, 2]), np.array([[1.5, 0.25], [-3.0, 9.0], [0.1, 0.2]])))
 def test_update_centroid_batch_matches_per_row_oracle(batch):
     centroids, counts, labels, feats = batch
     bank = CentroidBank(centroids.copy(), counts.copy())
@@ -246,25 +252,6 @@ def test_update_centroid_batch_matches_per_row_oracle(batch):
     per_row_c = centroids.copy()
     per_row_update(per_row_c, counts.astype(np.int64), labels.tolist(), feats)
     assert np.max(np.abs(bank.centroids - per_row_c)) < 1e-9
-
-
-@pytest.mark.parametrize("labels", [[2, 0, 1, 3, 0, 2, 1, 1, 3], [2, 0, 2, 0, 0, 2]],
-                         ids=["every_centroid", "some_untouched"])
-def test_update_centroid_whole_bank_and_touched_rows_steps(labels):
-    # a batch that touches every centroid steps the whole bank in place; one
-    # that does not steps only the touched rows; both give the oracle's bytes
-    rng = np.random.default_rng(3)
-    centroids, counts = rng.normal(size=(4, 6)), np.array([1, 40, 7, 3])
-    centroids[1, :2] = -0.0
-    feats = rng.normal(size=(len(labels), 6))
-    bank = CentroidBank(centroids.copy(), counts.copy())
-    update_centroid(bank, np.array(labels), feats)
-    want_c, want_n = centroids.copy(), counts.astype(np.int64)
-    batch_mean_update(want_c, want_n, labels, feats)
-    assert bank.centroids.tobytes() == want_c.tobytes()
-    assert bank.counts.tolist() == want_n.tolist()
-    for row in set(range(4)) - set(labels):
-        assert bank.centroids[row].tobytes() == centroids[row].tobytes()
 
 
 def test_update_centroid_takes_any_integer_label_dtype():
