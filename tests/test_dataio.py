@@ -85,18 +85,25 @@ def test_idx_gzip_members_and_zero_padding_read_piece_by_piece(tmp_path, monkeyp
 
 
 _IDX_2X2X2 = struct.pack(">IIII", 0x00000803, 2, 2, 2) + bytes(range(8))
+# The case ids below are the stream bytes, and a gzip header holds its write time:
+# one fixed time keeps the bytes, and so the test names, the same on every run.
+_GZIP_MTIME = 1792437845  # 2026-10-19 19:24:05 UTC
+
+
+def _gzip(data):
+    return gzip.compress(data, mtime=_GZIP_MTIME)
 
 
 @pytest.mark.parametrize("body,message", [
-    (gzip.compress(_IDX_2X2X2)[:-6], "bad gzip stream"),  # cut in the trailer
-    (gzip.compress(_IDX_2X2X2)[:-8] + bytes(8), "bad gzip stream"),  # wrong CRC and length
-    (gzip.compress(_IDX_2X2X2) + b"junk", "bad gzip stream"),
-    (gzip.compress(_IDX_2X2X2 + b"\x01"), "expected 24 bytes, got 25"),
-    (gzip.compress(_IDX_2X2X2[:-3]), "expected 24 bytes, got 21"),
-    (gzip.compress(_IDX_2X2X2[:9]), "too short for an IDX header (9 bytes)"),
-    (gzip.compress(b"\x00" * 24), "bad image magic"),
-    (gzip.compress(b"\x00" * 24)[:-6], "bad gzip stream"),  # the stream is reported first
-    (gzip.compress(struct.pack(">IIII", 0x00000803, 2**32 - 1, 2**32 - 1, 2**32 - 1)),
+    (_gzip(_IDX_2X2X2)[:-6], "bad gzip stream"),  # cut in the trailer
+    (_gzip(_IDX_2X2X2)[:-8] + bytes(8), "bad gzip stream"),  # wrong CRC and length
+    (_gzip(_IDX_2X2X2) + b"junk", "bad gzip stream"),
+    (_gzip(_IDX_2X2X2 + b"\x01"), "expected 24 bytes, got 25"),
+    (_gzip(_IDX_2X2X2[:-3]), "expected 24 bytes, got 21"),
+    (_gzip(_IDX_2X2X2[:9]), "too short for an IDX header (9 bytes)"),
+    (_gzip(b"\x00" * 24), "bad image magic"),
+    (_gzip(b"\x00" * 24)[:-6], "bad gzip stream"),  # the stream is reported first
+    (_gzip(struct.pack(">IIII", 0x00000803, 2**32 - 1, 2**32 - 1, 2**32 - 1)),
      "expected 79228162458924105385300197391 bytes, got 16"),
 ])
 def test_idx_gzip_malformed_input_is_an_idx_error(tmp_path, body, message):
