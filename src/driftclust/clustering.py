@@ -110,8 +110,7 @@ def update_centroid(bank: CentroidBank, labels, feats) -> None:
     (n0 * c + S) / (n0 + m), with n0 its count, m its number of rows and S their
     sum 0.0 + h_1 + h_2 + ... in row order; counts grow by m. S is a bincount,
     not a BLAS product, so its bits do not depend on the BLAS thread count.
-    A batch that touches every centroid steps the whole bank in place, with
-    the same operations in the same order as the step on the touched rows."""
+    The step runs over the whole bank and writes only the touched rows."""
     labs = np.asarray(labels)
     h = np.asarray(feats, dtype=np.float64)
     if labs.ndim != 1 or h.shape != (labs.shape[0], bank.dim):
@@ -128,17 +127,11 @@ def update_centroid(bank: CentroidBank, labels, feats) -> None:
     # numbers; gathering them is faster than a broadcast add
     cells = np.arange(k * dim).reshape(k, dim)[labs]
     sums = np.bincount(cells.ravel(), weights=h.ravel(), minlength=k * dim).reshape(k, dim)
-    c, counts = bank.centroids, bank.counts
-    if np.count_nonzero(m) == k:
-        c *= counts[:, None]
-        c += sums
-        counts += m
-        c /= counts[:, None]
-        return
-    hit = np.flatnonzero(m)
-    n0 = counts[hit]
-    c[hit] = (n0[:, None] * c[hit] + sums[hit]) / (n0 + m[hit])[:, None]
-    counts[hit] = n0 + m[hit]
+    n = bank.counts[:, None]  # a view: counts grow in place
+    sums += bank.centroids * n
+    n += m[:, None]
+    # only the touched rows take the step; the others keep their bytes
+    np.divide(sums, n, out=bank.centroids, where=m[:, None] > 0)
 
 
 def lloyd_kmeans(features, k: int, rng: SeededRng, max_iters: int = 100,

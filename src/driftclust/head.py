@@ -31,6 +31,7 @@ y - t alone: every other entry is y_j = max(u_j, 0), which the mask
 reaches the deltas only through those BLAS products.
 """
 
+import operator
 from collections import namedtuple
 
 import numpy as np
@@ -167,22 +168,24 @@ class FeatureHead:
         The pass stops at the first step whose loss is non-finite or above
         LOSS_LIMIT and leaves that step unapplied, so the head holds the last
         good step. The gradients of that step stay in this head's buffer as
-        last_delta_*; the next step overwrites them. Labels are checked once,
-        as the array numpy makes of them, before any step: that array must
-        have an integer dtype (no float or bool labels) and values in [0, k).
+        last_delta_*; the next step overwrites them. Every label is checked
+        before any step: it must be an integer (a Python or numpy int, not a
+        bool or a float) in [0, k).
         """
         xs = np.asarray(xs, dtype=np.float64)
         if xs.ndim != 2 or xs.shape[1] != self.input_dim or len(labels) != len(xs):
             raise DimensionError(f"inputs of shape {xs.shape} with {len(labels)} labels do not "
                                  f"match head input dim {self.input_dim}")
         k = self.k
-        labs = np.asarray(labels)
-        if labs.size and (labs.dtype.kind not in "iu" or labs.min() < 0 or labs.max() >= k):
-            # the first bad label; integers that numpy promotes to float together
-            # (int8 with uint64) are named as the whole list
-            bad = next((lab for lab in labels
-                        if np.asarray(lab).dtype.kind not in "iu" or not 0 <= lab < k), labels)
-            raise ValueError(f"label {bad!r} is not an integer in [0, {k})")
+        labs = []
+        for lab in labels:
+            try:  # operator.index takes ints and numpy integers, not floats or numpy bools
+                i = -1 if isinstance(lab, bool) else operator.index(lab)
+            except TypeError:
+                i = -1
+            if not 0 <= i < k:
+                raise ValueError(f"label {lab!r} is not an integer in [0, {k})")
+            labs.append(i)
         maximum, multiply, sign = np.maximum, np.multiply, np.sign
         params, grads, step, eta = self.params, self._grads, self._step, self.eta
         grad_hidden, grad_out = self._grad_layers
@@ -195,7 +198,7 @@ class FeatureHead:
         hidden_gemv, out_gemv, out_t_gemv = self.w_hidden.dot, self.w_out.dot, self.w_out.T.dot
         d_outer, delta_hidden_outer = d[:, None].dot, delta_hidden[:, None].dot
         done, loss = 0, 0.0
-        for x, x_row, label in zip(xs, xs[:, None], labs.tolist()):
+        for x, x_row, label in zip(xs, xs[:, None], labs):
             hidden_gemv(x, h)
             maximum(h, zero, out=h)
             out_gemv(h, d)

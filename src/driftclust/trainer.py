@@ -213,7 +213,7 @@ class JointTrainer:
         return self.config.max_iters > 0 and self.iterations >= self.config.max_iters
 
     def _rows(self, rows):
-        """Head inputs (float64) of the samples that an index list or slice picks."""
+        """Head inputs (float64) of the samples that an index list, int array or slice picks."""
         return to_float(self.inputs[rows])
 
     def _features(self) -> np.ndarray:

@@ -231,8 +231,8 @@ def update_batches(draw):
           np.array([[1.0], [2.0], [3.0], [-4.0], [0.5]])))
 @example((np.array([[-0.0, 0.0], [0.0, -0.0]]), np.array([1, 4]), np.array([0, 1, 0]),
           np.array([[-0.0, -0.0], [-0.0, 0.0], [0.0, -0.0]])))
-# a batch that touches every centroid (the in-place whole-bank step), and one
-# that leaves two untouched, one of them holding -0.0
+# a batch that touches every centroid, and one that leaves two untouched,
+# one of them holding -0.0
 @example((np.array([[0.5, -1.25], [-0.0, 3.0], [2.0, 7.5]]), np.array([1, 40, 7]),
           np.array([2, 0, 1, 1, 0]), np.array([[1.5, 0.25], [-3.0, 9.0], [0.1, 0.2], [4.0, -0.5], [6.0, 1e3]])))
 @example((np.array([[0.5, -1.25], [-0.0, 3.0], [2.0, 7.5]]), np.array([1, 40, 7]),

@@ -434,10 +434,20 @@ def test_sgd_pass_rejects_non_integer_and_out_of_range_labels(bad):
         head.sgd_pass(np.ones((1, 5)), [bad])
     with pytest.raises(ValueError, match=re.escape(f"label {bad!r}")):
         head.sgd_step(np.ones(5), bad)
-    if not isinstance(bad, (bool, np.bool_)):  # numpy reads [0, True] as the integers [0, 1]
-        with pytest.raises(ValueError, match=re.escape(f"label {bad!r}")):
-            head.sgd_pass(np.ones((2, 5)), [0, bad])
+    with pytest.raises(ValueError, match=re.escape(f"label {bad!r}")):
+        head.sgd_pass(np.ones((2, 5)), [0, bad])  # each label is checked, not the list's dtype
+    with pytest.raises(ValueError, match=re.escape(f"label {[bad]!r}")):
+        head.sgd_pass(np.ones((1, 5)), [[bad]])
     assert head.params.tobytes() == params and head.last_delta_hidden is None
+
+
+def test_sgd_pass_takes_integer_labels_of_any_integer_type():
+    # numpy promotes int8 with uint64 to float64, yet both are integer labels
+    head = random_head(SeededRng(39))
+    other = FeatureHead(head.w_hidden, head.w_out, head.eta)
+    xs = np.arange(10.0).reshape(2, 5) / 10
+    assert head.sgd_pass(xs, [np.int8(1), np.uint64(2)]) == other.sgd_pass(xs, [1, 2])
+    assert head.params.tobytes() == other.params.tobytes()
 
 
 def test_head_owns_flat_buffers_of_c_contiguous_layers():
