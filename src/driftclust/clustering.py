@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .tensor import ConfigError, DimensionError, SeededRng, row_chunks
+from .tensor import ConfigError, DimensionError, SeededRng, label_array, row_chunks
 
 _PASS_ENTRIES = 2 ** 20  # n x k entries per distance or one-hot pass: 8 MiB of float64
 
@@ -110,18 +110,16 @@ def update_centroid(bank: CentroidBank, labels, feats) -> None:
     (n0 * c + S) / (n0 + m), with n0 its count, m its number of rows and S their
     sum 0.0 + h_1 + h_2 + ... in row order; counts grow by m. S is a bincount,
     not a BLAS product, so its bits do not depend on the BLAS thread count.
-    The step runs over the whole bank and writes only the touched rows."""
-    labs = np.asarray(labels)
+    The step runs over the whole bank and writes only the touched rows; labels
+    go through tensor.label_array, and a rejected batch changes nothing."""
+    k, dim = bank.k, bank.dim
+    labs = label_array(labels, k)
     h = np.asarray(feats, dtype=np.float64)
-    if labs.ndim != 1 or h.shape != (labs.shape[0], bank.dim):
-        raise DimensionError(f"updates of shape {h.shape} do not match {labs.shape[0:1]} labels "
-                             f"and bank dim {bank.dim}")
+    if h.shape != (labs.shape[0], dim):
+        raise DimensionError(f"updates of shape {h.shape} do not match {labs.shape[0]} labels "
+                             f"and bank dim {dim}")
     if not labs.size:
         return
-    k, dim = bank.k, bank.dim
-    if labs.dtype.kind not in "iu" or labs.min() < 0 or labs.max() >= k:
-        raise ValueError(f"labels must be integers in [0, {k}), got {labs.tolist()}")
-    labs = labs.astype(np.intp, copy=False)  # small int dtypes would wrap below
     m = np.bincount(labs, minlength=k)
     # row i's bincount cells are row labs[i] of the k x dim table of cell
     # numbers; gathering them is faster than a broadcast add

@@ -19,6 +19,7 @@ items; the three progress counters share one section of three u64. File
 writes go through a temp-file-and-rename so readers never see partial state.
 """
 
+import functools
 import itertools
 import math
 import os
@@ -36,7 +37,7 @@ IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 CHECKPOINT_MAGIC = b"DRIFTCLU"
 CHECKPOINT_VERSION = 1
-_GZIP_PIECE = 1 << 16  # bytes per read and per decompressed piece of a gzipped IDX file
+_GZIP_PIECE = 1 << 16  # bytes per read of an IDX file and per decompressed piece of a gzipped one
 
 
 class IdxFormatError(ValueError):
@@ -106,37 +107,33 @@ def _read_idx(path, kind, header_len, size_of) -> np.ndarray:
     """The bytes of an IDX file as one writable uint8 array, gunzipped when
     they start with the gzip magic. size_of(head) checks the header at the
     start of head (raising IdxFormatError) and returns the file size it
-    implies; a file of another size raises IdxFormatError. A gzipped file is
-    decompressed piece by piece into an array of that size, and a bad
-    stream is reported before a bad header."""
+    implies; a file of another size raises IdxFormatError. Plain files and
+    pipes are read, and gzipped files decompressed, piece by piece into an
+    array of that size; a bad stream is reported before a bad header."""
     with open(path, "rb") as f:
-        if f.peek(2)[:2] != b"\x1f\x8b":
-            data = bytearray(os.fstat(f.fileno()).st_size)
-            del data[f.readinto(data):]
-            data += f.read()  # a pipe, or a file that grew since fstat
-            size, got = size_of(data), len(data)
-            data = np.frombuffer(data, dtype=np.uint8)
-        else:
+        if f.peek(2)[:2] == b"\x1f\x8b":
             pieces = _gunzip_pieces(f, path)
-            head = b""
-            for piece in pieces:
-                head += piece
-                if len(head) >= header_len:
-                    break
-            data = size = None
-            try:
-                size = size_of(head)
-                data = np.empty(size, dtype=np.uint8)  # pages never written cost no memory
-            except (IdxFormatError, MemoryError, ValueError):
-                pass  # the whole stream is read first: its own errors come first
-            got = 0
-            for piece in itertools.chain([head], pieces):
-                if data is not None and got < size:
-                    data[got:got + len(piece)] = np.frombuffer(piece[:size - got], dtype=np.uint8)
-                got += len(piece)
+        else:
+            pieces = iter(functools.partial(f.read, _GZIP_PIECE), b"")
+        head = b""
+        for piece in pieces:
+            head += piece
+            if len(head) >= header_len:
+                break
+        data = size = None
+        try:
             size = size_of(head)
-            if data is None and got == size:
-                raise MemoryError(f"{path}: no room for its {size} bytes")
+            data = np.empty(size, dtype=np.uint8)  # pages never written cost no memory
+        except (IdxFormatError, MemoryError, ValueError):
+            pass  # the whole stream is read first: its own errors come first
+        got = 0
+        for piece in itertools.chain([head], pieces):
+            if data is not None and got < size:
+                data[got:got + len(piece)] = np.frombuffer(piece[:size - got], dtype=np.uint8)
+            got += len(piece)
+        size = size_of(head)
+        if data is None and got == size:
+            raise MemoryError(f"{path}: no room for its {size} bytes")
     if got != size:
         raise IdxFormatError(f"{kind} file truncated or padded: expected {size} bytes, got {got}")
     return data

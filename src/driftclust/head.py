@@ -31,12 +31,11 @@ y - t alone: every other entry is y_j = max(u_j, 0), which the mask
 reaches the deltas only through those BLAS products.
 """
 
-import operator
 from collections import namedtuple
 
 import numpy as np
 
-from .tensor import DimensionError, SeededRng, matrix
+from .tensor import DimensionError, SeededRng, label_array, matrix
 
 LOSS_LIMIT = 1e6  # a larger (or non-finite) loss means the step diverged
 
@@ -169,23 +168,14 @@ class FeatureHead:
         LOSS_LIMIT and leaves that step unapplied, so the head holds the last
         good step. The gradients of that step stay in this head's buffer as
         last_delta_*; the next step overwrites them. Every label is checked
-        before any step: it must be an integer (a Python or numpy int, not a
-        bool or a float) in [0, k).
+        by tensor.label_array before any step.
         """
         xs = np.asarray(xs, dtype=np.float64)
         if xs.ndim != 2 or xs.shape[1] != self.input_dim or len(labels) != len(xs):
             raise DimensionError(f"inputs of shape {xs.shape} with {len(labels)} labels do not "
                                  f"match head input dim {self.input_dim}")
         k = self.k
-        labs = []
-        for lab in labels:
-            try:  # operator.index takes ints and numpy integers, not floats or numpy bools
-                i = -1 if isinstance(lab, bool) else operator.index(lab)
-            except TypeError:
-                i = -1
-            if not 0 <= i < k:
-                raise ValueError(f"label {lab!r} is not an integer in [0, {k})")
-            labs.append(i)
+        labs = label_array(labels, k).tolist()
         maximum, multiply, sign = np.maximum, np.multiply, np.sign
         params, grads, step, eta = self.params, self._grads, self._step, self.eta
         grad_hidden, grad_out = self._grad_layers

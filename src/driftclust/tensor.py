@@ -1,5 +1,6 @@
-"""Validated dense float64 matrices, the row chunks of whole-set passes, a
-portable seeded RNG, and the error classes the other modules share.
+"""Validated dense float64 matrices and class labels, the row chunks of
+whole-set passes, a portable seeded RNG, and the error classes the other
+modules share.
 
 Matrices are 2-D row-major numpy float64 arrays; the constructor below
 validates shape and finiteness so the rest of the package can assume
@@ -8,6 +9,7 @@ well-formed inputs.
 
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -37,6 +39,29 @@ def matrix(data) -> np.ndarray:
         raise DimensionError(f"expected a 2-D matrix with positive dims, got shape {m.shape}")
     _check_finite(m, "matrix")
     return m
+
+
+def label_array(labels, k: int) -> np.ndarray:
+    """Class labels as a 1-D int64 array, each an integer in [0, k); the first
+    label that is not raises ValueError and names it. A 1-D integer ndarray is
+    checked as a whole. Any other sequence is checked label by label:
+    operator.index takes Python and numpy integers, not bools, floats or
+    nested sequences, whatever dtype numpy would give the whole list."""
+    if isinstance(labels, np.ndarray) and labels.ndim == 1 and labels.dtype.kind in "iu":
+        if labels.size and (labels.min() < 0 or labels.max() >= k):
+            bad = labels[(labels < 0) | (labels >= k)][0]
+            raise ValueError(f"label {int(bad)} is not an integer in [0, {k})")
+        return labels.astype(np.int64, copy=False)
+    checked = []
+    for lab in labels:
+        try:
+            i = -1 if isinstance(lab, bool) else operator.index(lab)
+        except TypeError:
+            i = -1
+        if not 0 <= i < k:
+            raise ValueError(f"label {lab!r} is not an integer in [0, {k})")
+        checked.append(i)
+    return np.array(checked, dtype=np.int64)
 
 
 def row_chunks(n: int, size=None) -> list:

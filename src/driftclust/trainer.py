@@ -31,7 +31,7 @@ from .clustering import CentroidBank, assign_batch, lloyd_kmeans, seed_kmeanspp,
 from .dataio import CheckpointError, Dataset, TrainerState
 from .head import LOSS_LIMIT, FeatureHead, init_head
 from .metrics import nmi
-from .tensor import ConfigError, SeededRng, row_chunks
+from .tensor import ConfigError, SeededRng, label_array, row_chunks
 
 MODES = ("full", "baseline1", "baseline2", "baseline3")
 ROLLBACK_MODES = ("last_step", "snapshot")
@@ -162,6 +162,7 @@ class JointTrainer:
                 if tuned else None
             self.bank = CentroidBank(state.centroids, state.counts)
             self.rng.set_state(state.rng_state)
+            label_array([lab for _, lab in state.buffer], cfg.k)  # the buffered pairs' labels
         except ValueError as exc:
             raise CheckpointError(f"checkpoint state is invalid: {exc}") from None
         dims = (self.inputs.shape[1], cfg.hidden_dim, cfg.k)
@@ -170,10 +171,9 @@ class JointTrainer:
                 or self.bank.centroids.shape != (cfg.k, cfg.hidden_dim):
             raise CheckpointError(f"checkpoint shapes do not fit this run: it needs {dims[1]}x{dims[0]} "
                                   f"hidden and {cfg.k}x{cfg.hidden_dim} output weights and centroids")
-        if len(state.buffer) >= cfg.n_m or \
-                not all(0 <= idx < n and 0 <= lab < cfg.k for idx, lab in state.buffer):
+        if len(state.buffer) >= cfg.n_m or not all(0 <= idx < n for idx, _ in state.buffer):
             raise CheckpointError(f"checkpoint buffer must hold fewer than n_m={cfg.n_m} pairs "
-                                  f"with sample index < {n} and label < k={cfg.k}")
+                                  f"with sample index < {n}")
         epochs = state.epochs_done
         pairs_per_epoch = (n // cfg.n_m) * cfg.k_m + min(cfg.k_m, n % cfg.n_m) \
             if cfg.mode in ("full", "baseline1") else 0

@@ -260,7 +260,9 @@ def test_eval_identical_files(tmp_path, capsys):
     path = tmp_path / "labels.csv"
     save_labels(path, [0, 1, 2, 0, 1])
     assert main(["eval", str(path), str(path)]) == 0
-    assert capsys.readouterr().out.strip() == "1.000000"
+    captured = capsys.readouterr()
+    assert captured.out.strip() == "1.000000"
+    assert captured.err == ""  # each file holds more than one distinct label: no warning
 
 
 def test_eval_degenerate_prints_warning(tmp_path, capsys):

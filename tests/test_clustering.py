@@ -11,7 +11,7 @@ from conftest import blas_pinned_env
 from driftclust import clustering, tensor
 from driftclust.clustering import (CentroidBank, assign_batch, lloyd_kmeans, seed_kmeanspp,
                                    update_centroid)
-from driftclust.metrics import build_contingency
+from driftclust.metrics import nmi
 from driftclust.tensor import DimensionError, SeededRng
 
 
@@ -318,10 +318,18 @@ def test_update_centroid_only_touches_target():
     update_centroid(bank, [1], np.array([[7.0]]))
     assert bank.centroids[:, 0].tolist() == [0.0, 6.0, 9.0]
     assert bank.counts.tolist() == [1, 2, 1]
-    for bad in ([3], [0, -1]):
-        with pytest.raises(ValueError):
+    # each label is checked, not the dtype numpy gives the whole list: [0, True]
+    # is int64 [0, 1] to numpy, yet its True is no label
+    for bad in ([3], [0, -1], [0, True], [0.5], [[0]], np.array([True]), np.array([0, 3])):
+        with pytest.raises(ValueError, match="label"):
             update_centroid(bank, bad, np.zeros((len(bad), 1)))
-    assert bank.centroids[:, 0].tolist() == [0.0, 6.0, 9.0]  # a rejected batch moves nothing
+        assert bank.centroids[:, 0].tolist() == [0.0, 6.0, 9.0]  # a rejected batch moves nothing
+        assert bank.counts.tolist() == [1, 2, 1]
+    # numpy promotes int8 with uint64 to float64, yet both are integer labels
+    update_centroid(bank, [np.int8(1), np.uint64(2)], np.array([[0.0], [1.0]]))
+    update_centroid(bank, np.array([0], dtype=np.uint8), np.array([[2.0]]))
+    assert bank.centroids[:, 0].tolist() == [1.0, 4.0, 5.0]
+    assert bank.counts.tolist() == [2, 3, 2]
 
 
 def test_lloyd_two_points_two_clusters():
@@ -366,8 +374,7 @@ def independent_lloyd(feats, k, np_rng, iters=100):
 
 
 def same_partition(a, b):
-    table = build_contingency(a, b).counts
-    return np.all((table > 0).sum(axis=0) == 1) and np.all((table > 0).sum(axis=1) == 1)
+    return nmi(a, b) == 1.0
 
 
 def test_lloyd_matches_independent_oracle_on_blobs():

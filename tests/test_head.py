@@ -441,12 +441,24 @@ def test_sgd_pass_rejects_non_integer_and_out_of_range_labels(bad):
     assert head.params.tobytes() == params and head.last_delta_hidden is None
 
 
+@pytest.mark.parametrize("bad", [np.array([True]), np.array([0.5]), np.array([0, 3]), np.array([[0]])],
+                         ids=["bool", "float", "too_large", "2d"])
+def test_sgd_pass_rejects_label_arrays_that_are_not_integer_vectors_in_range(bad):
+    head = random_head(SeededRng(39))
+    params = head.params.tobytes()
+    with pytest.raises(ValueError, match="label"):
+        head.sgd_pass(np.ones((len(bad), 5)), bad)
+    assert head.params.tobytes() == params and head.last_delta_hidden is None
+
+
 def test_sgd_pass_takes_integer_labels_of_any_integer_type():
     # numpy promotes int8 with uint64 to float64, yet both are integer labels
     head = random_head(SeededRng(39))
     other = FeatureHead(head.w_hidden, head.w_out, head.eta)
     xs = np.arange(10.0).reshape(2, 5) / 10
     assert head.sgd_pass(xs, [np.int8(1), np.uint64(2)]) == other.sgd_pass(xs, [1, 2])
+    assert head.params.tobytes() == other.params.tobytes()
+    assert head.sgd_pass(xs, np.array([2, 0], dtype=np.uint8)) == other.sgd_pass(xs, [2, 0])
     assert head.params.tobytes() == other.params.tobytes()
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftclust import tensor
-from driftclust.tensor import _LANES, ROW_CHUNK, DimensionError, SeededRng, matrix, row_chunks
+from driftclust.tensor import _LANES, ROW_CHUNK, DimensionError, SeededRng, label_array, matrix, row_chunks
 
 MASK = (1 << 64) - 1
 
@@ -19,6 +20,18 @@ def test_vector_and_matrix_validation():
     assert m.flags["C_CONTIGUOUS"] and m.dtype == np.float64
     with pytest.raises(ValueError):
         matrix([[np.inf, 0.0]])
+
+
+def test_label_array_checks_integer_arrays_whole_and_other_sequences_label_by_label():
+    for labels in ([2, 0, 2], [np.int8(2), np.uint64(0), 2], np.array([2, 0, 2], dtype=np.uint8),
+                   np.array([2, 0, 2], dtype=np.uint64), (2, 0, np.array(2))):
+        got = label_array(labels, 3)
+        assert got.dtype == np.int64 and got.tolist() == [2, 0, 2]
+    assert label_array([], 3).tolist() == [] and label_array(np.array([], dtype=np.int8), 3).size == 0
+    for bad, name in [([0, True], "True"), ([0.0], "0.0"), ([[0]], "[0]"), (np.array([True]), "np.True_"),
+                      (np.array([1, -1, 4]), "-1"), (np.array([3], dtype=np.uint64), "3"), ([1, 3], "3")]:
+        with pytest.raises(ValueError, match=re.escape(f"label {name} is not an integer in [0, 3)")):
+            label_array(bad, 3)
 
 
 @pytest.mark.parametrize("n", [1, 7, ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1, 2 * ROW_CHUNK, 5000])

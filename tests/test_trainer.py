@@ -346,7 +346,7 @@ def test_finetune_pass_matches_validated_oracle():
 
 @pytest.mark.xfail(strict=True, reason="dead ReLU outputs: on the blob benchmark only 26 of "
                    "10,000 SGD steps apply a nonzero gradient, so full and baseline1 end "
-                   "bit-identical (ROADMAP item 3)")
+                   "bit-identical (ROADMAP item 1)")
 def test_drift_compensation_changes_blob_benchmark_centroids():
     banks = []
     for mode in ("full", "baseline1"):
