@@ -190,7 +190,8 @@ def gen_blobs(k: int, points_per_cluster: int, dim: int, separation: float,
         raise ConfigError("k, points_per_cluster and dim must be positive")
     if not (0 < separation < math.inf and 0 <= noise_sigma < math.inf):
         raise ConfigError("separation must be positive and noise_sigma nonnegative, both finite")
-    # a gauss() draw is never 0.0, so no center has norm 0
+    # a gauss() draw is never 0.0, so no center has norm 0 (tests/test_tensor.py
+    # test_gauss_edge_words_give_finite_nonzero_draws_within_the_bound)
     centers = rng.gauss(size=(k, dim))
     for center in centers:
         center *= separation / float(np.sqrt(np.dot(center, center)))

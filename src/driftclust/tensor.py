@@ -16,6 +16,7 @@ import numpy as np
 MASK64 = 0xFFFFFFFFFFFFFFFF
 _LANES = 512  # most lanes of a bulk pass, and most words per lane: 2 MiB of words
 ROW_CHUNK = 1024  # rows per slice of a whole-set pass: 1 MiB of float64 at 128 columns
+_GAUSS_CHUNK = 4096  # items per slice of a bulk gauss: its temporaries stay 32 KiB, in cache
 
 
 class DimensionError(ValueError):
@@ -145,8 +146,77 @@ def _unit_floats(words: np.ndarray) -> np.ndarray:
     return floats
 
 
-def _elementwise(f, values: np.ndarray) -> np.ndarray:
-    return np.fromiter(map(f, values.tolist()), dtype=np.float64, count=values.size)
+# Box-Muller from IEEE-754 basic operations alone (+ - * /, sqrt, frexp), each
+# rounded the same way on every host, so a gauss draw's bits follow from its
+# two words: no libm, no SIMD dispatch. The formulas are fdlibm's (e_log.c,
+# k_cos.c, k_sin.c and the Cody-Waite steps of e_rem_pio2.c), written once as
+# plain arithmetic that Python floats and float64 arrays run alike.
+_RINT = 6755399441055744.0  # 1.5 * 2**52: (v + _RINT) - _RINT rounds v to an integer, ties to even
+_TWO_PI = 2.0 * math.pi
+_SQRT_HALF = math.sqrt(0.5)
+_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
+_LG1, _LG2, _LG3, _LG4, _LG5, _LG6, _LG7 = (
+    6.666666666666735130e-01, 3.999999999940941908e-01, 2.857142874366239149e-01, 2.222219843214978396e-01,
+    1.818357216161805012e-01, 1.531383769920937332e-01, 1.479819860511658591e-01)
+_INV_PIO2 = 6.36619772367581382433e-01
+_PIO2_1 = 1.57079632673412561417e+00  # pi/2 in three parts: 33 + 33 + 53 bits
+_PIO2_2 = 6.07710050630396597660e-11
+_PIO2_2T = 2.02226624879595063154e-21
+_C1, _C2, _C3, _C4, _C5, _C6 = (
+    4.16666666666666019037e-02, -1.38888888888741095749e-03, 2.48015872894767294178e-05,
+    -2.75573143513906633035e-07, 2.08757232129817482790e-09, -1.13596475577881948265e-11)
+_S1, _S2, _S3, _S4, _S5, _S6 = (
+    -1.66666666666666324348e-01, 8.33333333332248946124e-03, -1.98412698298579493134e-04,
+    2.75573137070700676789e-06, -2.50507602534068634195e-08, 1.58969099521155010221e-10)
+
+
+def _log(u, frexp):
+    """log(u) for 0 < u < 1: u = 2^k (1 + f) with sqrt(2)/2 <= 1 + f < sqrt(2),
+    s = f / (2 + f), and log(1 + f) = f - hfsq + s (hfsq + R(s^2)) with
+    hfsq = f^2 / 2 and fdlibm's degree-14 polynomial R; k ln 2 in two parts."""
+    m, e = frexp(u)  # u = m 2^e, 1/2 <= m < 1, exactly
+    low = (m < _SQRT_HALF) * 1.0  # then 1 + f = 2m, exactly
+    f = (m + m * low) - 1.0
+    k = e - low
+    s = f / (2.0 + f)
+    z = s * s
+    w = z * z
+    r = z * (_LG1 + w * (_LG3 + w * (_LG5 + w * _LG7))) + w * (_LG2 + w * (_LG4 + w * _LG6))
+    hfsq = 0.5 * f * f
+    return k * _LN2_HI - ((hfsq - (s * (hfsq + r) + k * _LN2_LO)) - f)
+
+
+def _cos(x):
+    """cos(x) for 0 <= x < 2 pi: x = n pi/2 + y + yy with |y| <= pi/4 by two
+    Cody-Waite steps over 119 bits of pi/2 (n <= 4, so n * _PIO2_1,
+    n * _PIO2_2 and x - n * _PIO2_1 are exact); fdlibm's kernels give
+    cos(y + yy) and sin(y + yy), and cos(x) = cos(n pi/2) cos(y) -
+    sin(n pi/2) sin(y), where sin(j pi/2) = j - 2 rint(j/2) for an integer j."""
+    n = (x * _INV_PIO2 + _RINT) - _RINT
+    t = x - n * _PIO2_1
+    w = n * _PIO2_2
+    r = t - w
+    w = n * _PIO2_2T - ((t - r) - w)  # minus the rounding error of t - w
+    y = r - w
+    yy = (r - y) - w
+    z = y * y
+    w = z * z
+    cr = z * (_C1 + z * (_C2 + z * _C3)) + w * w * (_C4 + z * (_C5 + z * _C6))
+    hz = 0.5 * z
+    v = 1.0 - hz
+    c = v + (((1.0 - v) - hz) + (z * cr - y * yy))
+    sr = _S2 + z * (_S3 + z * _S4) + z * w * (_S5 + z * _S6)
+    v = z * y
+    s = y - ((z * (0.5 * yy - v * sr) - yy) - v * _S1)
+    n1 = n + 1.0
+    return (n1 - 2.0 * ((0.5 * n1 + _RINT) - _RINT)) * c - (n - 2.0 * ((0.5 * n + _RINT) - _RINT)) * s
+
+
+def _box_muller(u1, u2, sqrt, frexp):
+    """sqrt(-2 log u1) cos(2 pi u2) for u1 in (0, 1), u2 in [0, 1): floats
+    with math.sqrt and math.frexp, float64 arrays with np.sqrt and np.frexp,
+    the same bits either way."""
+    return sqrt(-2.0 * _log(u1, frexp)) * _cos(_TWO_PI * u2)
 
 
 class SeededRng:
@@ -160,9 +230,11 @@ class SeededRng:
         s2 ^= s0;  s3 ^= s1;  s1 ^= s2;  s0 ^= s3
         s2 ^= t;   s3 = rotl(s3, 45)
 
-    State is initialised from the seed by four SplitMix64 steps. Floating
-    point helpers (gauss, uniform) are deterministic per platform; the
-    portable contract is the integer stream.
+    State is initialised from the seed by four SplitMix64 steps. The floats
+    are portable too: random and uniform scale words, and gauss runs
+    Box-Muller from IEEE-754 basic operations alone (_box_muller), so their
+    bits depend on the seed only, not on the platform's libm or numpy's CPU
+    dispatch.
 
     next_u64, random, randint and gauss() are the scalar reference. raw(n)
     yields the same n words in bulk: the state update is linear over GF(2)
@@ -174,8 +246,8 @@ class SeededRng:
     calls would. gauss(size=),
     uniform(size=) and shuffle draw through raw and return bit-identical
     floats and indices to the scalar helpers: they keep the scalar operation
-    order, Box-Muller's log and cos go through math (np.log can differ from
-    math.log in the last bit), and a call in which the scalar helper would
+    order, gauss runs _box_muller's one formula on arrays that gauss() runs
+    on floats, and a call in which the scalar helper would
     reject a draw (probability about 2^-53 per gauss item, at most b/2^64 per
     shuffle item) is replayed through the scalar helper from its start state.
     """
@@ -261,17 +333,17 @@ class SeededRng:
             u1 = self.random()
             while u1 <= 0.0:
                 u1 = self.random()
-            u2 = self.random()
-            r = math.sqrt(-2.0 * math.log(u1))
-            return mu + sigma * r * math.cos(2.0 * math.pi * u2)
+            return mu + sigma * _box_muller(u1, self.random(), math.sqrt, math.frexp)
         n = int(np.prod(size))
         saved = self.state()
         u = _unit_floats(self.raw(2 * n).reshape(n, 2))
         if np.any(u[:, 0] == 0.0):  # the scalar helper redraws such a u1: replay the call with it
             self.set_state(saved)
             return np.reshape([self.gauss(mu, sigma) for _ in range(n)], size)
-        r = np.sqrt(-2.0 * _elementwise(math.log, u[:, 0]))
-        return (mu + sigma * r * _elementwise(math.cos, 2.0 * math.pi * u[:, 1])).reshape(size)
+        out = np.empty(n)
+        for rows in row_chunks(n, _GAUSS_CHUNK):
+            out[rows] = mu + sigma * _box_muller(u[rows, 0], u[rows, 1], np.sqrt, np.frexp)
+        return out.reshape(size)
 
     def shuffle(self, seq) -> None:
         """In-place Fisher-Yates shuffle of a mutable sequence: one randint(i + 1)

@@ -632,8 +632,10 @@ def test_baseline3_checkpoint_is_final_state_and_not_resumable(tmp_path, capsys)
 
 def test_tinyconv_lloyd_outputs_are_pinned(tmp_path):
     # 300 noisy copies of 10 random prototypes through tinyconv and Lloyd at
-    # tol 0 (a fixed point after 8 sweeps); the digests were taken when Lloyd
-    # still ran all 200 sweeps. At 14x14 the tinyconv products give the same
+    # tol 0 (a fixed point after 8 sweeps); the labels and metrics digests
+    # were taken when Lloyd still ran all 200 sweeps, the checkpoint's when
+    # gauss came to be built from IEEE basic operations (a new tinyconv
+    # projection). At 14x14 the tinyconv products give the same
     # bits with 1, 2 or 4 OpenBLAS threads; at 28x28 they do not.
     rng = np.random.RandomState(5)
     protos = rng.uniform(0.0, 255.0, size=(10, 14, 14))
@@ -647,7 +649,7 @@ def test_tinyconv_lloyd_outputs_are_pinned(tmp_path):
     assert digests == {
         "labels.csv": "89e35c0c664f4e1e66993ed98b6f97da2ac406b1172ba707bc51dff15cf95568",
         "metrics.txt": "ee9fffc42c8dcaac50ddc44e0075f67f72dcc6440bc70c20c7f92c9b8a7bff9c",
-        "run.ckpt": "6f0fd959afefd9742a417b5842d59c179be54026be9106fbedb64e79d66284e1",
+        "run.ckpt": "933c7549f9cc382d1e4561c6cbfcc9ef5406cc03d67ceb0714763817f321430e",
     }
 
 
@@ -673,29 +675,29 @@ def pixel_joint_args(tmp_path):
     (BLOB_JOINT + ["--mode", "full"], {
         "labels.csv": "2b458060e379ac3fab181e76ba05208c2552efe907a78d73abb422863306a273",
         "metrics.txt": "ee58b6c64f5825366fd9ccec0d0c2d801d382c3ef7c07a19521219657a7a711d",
-        "run.ckpt": "42d4ee348b3b3612043f0b2c34f5932e25f52fba2a9dfa7ac06235411bdf8c68"}),
+        "run.ckpt": "7203a5f1e544dc5d212c6f0d6e19bc474dffcb01a0220c8171d579f53c363f02"}),
     (BLOB_JOINT + ["--mode", "full", "--drift-rollback", "snapshot", "--eta", "0.5"], {
         "labels.csv": "eddad0201a5846a71ce50fe8db203409f631cf3dfdd33de2ce241c9ff041e5f5",
         "metrics.txt": "96741eb2e3b9349f325faffc81eebd9698ba1d75ecddf0d0728d143a40cd6c5b",
-        "run.ckpt": "5c8e126bf95240d5ef9ebb4614d06d0a87efab59e83bae6a914242e032cbaee4"}),
+        "run.ckpt": "b12903da69cb7e42416d0d4cf47c8349ff00e9216580bfda71eb08f21fd0d251"}),
     (BLOB_JOINT + ["--mode", "baseline1"], {
         "labels.csv": "8ebbd0046d9a82663fd92e12d47c050b3e71455178634f9daafb544474579246",
         "metrics.txt": "80905d305c62dfcab191b3990d6e999e5bf98986554222e08ce28218747f913a",
-        "run.ckpt": "085bdebd2eaf2442a673da924144dec5fa1fb4679210fb6023edc11503c488cf"}),
+        "run.ckpt": "0ed36e0b59cceae40b8a41435bc5de1177a8decbba21b5643e21e2e4dc61b97b"}),
     (BLOB_JOINT + ["--mode", "baseline2"], {
         "labels.csv": "3a0c074641011b0aea495bd53c38e50a593ffae7455a16d95eb25193ed639025",
         "metrics.txt": "804ede0c1c3169ac5abcf291ddc1ead89cd27ece7e6d74065c4658b339b0bd84",
-        "run.ckpt": "3faab129a13117954324c9bbcf6dfc15f9ef3ac91657016ce83a137edf848533"}),
+        "run.ckpt": "a685b869143e5a2180051a53a50c0f7c1d43cd10df3c7cb701f2598c55248916"}),
     # 160 = 5 * 30 + 10: the last batch holds 10 rows, so k_m = 12 is clipped to 10
     (BLOB_JOINT + ["--mode", "full", "--nm", "30", "--km", "12"], {
         "labels.csv": "3ebe8b64d7d956d150d3fcd59a3b5e3114e322df7d4b74dec425ed348a175ee1",
         "metrics.txt": "a99f754116f8d5e98e6e167b036aeab450efec62ca09d13e0db936072df7c2ea",
-        "run.ckpt": "30d906d57db8600c0cd4966bf63f92f52f81c9ae9d7e4f49626424c1a08cc376"}),
+        "run.ckpt": "119d07efaf96f47e40e741d2966df80a57e0a782608d0753e435d10ed50ee7e1"}),
     # 8 batches per epoch: the cap cuts the second epoch after 3 of them
     (BLOB_JOINT + ["--mode", "full", "--max-iters", "11"], {
         "labels.csv": "b88309c3398f1e3877e262fbca022f9fccb138f4ecdc7dbb57d928e33cfa360e",
         "metrics.txt": "9bc212cbce5348a8038c298c921b5324666e073a14a6af38b5971022a67e548c",
-        "run.ckpt": "9c8f5e526b0e1ed288558a70f767d9f1ea20008f26967357b8d8161243b60c35"}),
+        "run.ckpt": "c3a53d7a9612a31ee600f4217db648d5acc8d3480ecf190138c300a63227ed78"}),
     (pixel_joint_args, {
         "labels.csv": "41f3229a2734565886c4a1dd92f2c3d1e830f10ff0e715c78038a197869c611c",
         "metrics.txt": "5138bbc4e3589f3605f7293167d1422e2d74b454df3bda60ae32c87c7bb7c7e8",

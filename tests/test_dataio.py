@@ -169,12 +169,13 @@ def test_blobs_deterministic():
 
 
 def test_blobs_benchmark_set_is_pinned():
-    # the 10-blob set of seed 0 and the stream position after it, as the
-    # per-draw scalar loops produced them
+    # the 10-blob set of seed 0 and the stream position after it; the floats
+    # as Box-Muller from IEEE basic operations draws them, within the bound
+    # of test_gauss_is_within_the_ulp_bound_of_math_log_and_cos
     rng = SeededRng(0)
     ds = gen_blobs(10, 500, 50, 10.0, 1.0, rng)
     assert hashlib.sha256(ds.samples.astype("<f8").tobytes()).hexdigest() == \
-        "3def959bb232866199bfece4a9304743c13e2b7212ddbe43cebbf28e545a57d5"
+        "54f1b1f88d0df9ecf19d2b6b443941f8d750a1fa8d2a475a30306be3afc688e0"
     assert hashlib.sha256(ds.labels.astype("<i8").tobytes()).hexdigest() == \
         "c3556f4a243d7dc7c1fb41d5302fb5050146cd15b4b1e72e41d57339c79a1367"
     assert rng.state() == (16910642681060273710, 15705961282128593385,

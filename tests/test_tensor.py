@@ -1,5 +1,8 @@
 import hashlib
+import math
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import blas_pinned_env
 from driftclust import tensor
 from driftclust.tensor import _LANES, ROW_CHUNK, DimensionError, SeededRng, label_array, matrix, row_chunks
 
@@ -276,3 +280,86 @@ def test_bulk_shuffle_rejects_the_top_word_like_randint(state, draw):
     _scalar_shuffle(scalar, seq_scalar)
     assert seq_bulk == seq_scalar
     assert bulk.state() == scalar.state()
+
+
+# --- gauss against math's log and cos ----------------------------------------
+
+GAUSS_ULPS = 4  # the transform's bound; 3 is the largest distance measured
+
+
+def _ulps(a, b):
+    """Distance between float64 arrays in units in the last place: how many
+    doubles lie between each pair, counted through zero."""
+    def rank(x):
+        i = np.asarray(x, dtype=np.float64).view(np.int64)
+        return np.where(i < 0, np.int64(-2 ** 63) - i, i)
+    return np.abs(rank(a) - rank(b))
+
+
+def _math_box_muller(words):
+    """Box-Muller through math.log and math.cos on pairs of words (u1, u2)."""
+    u = (words >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    return np.array([math.sqrt(-2 * math.log(u1)) * math.cos(2 * math.pi * u2)
+                     for u1, u2 in u.reshape(-1, 2).tolist()])
+
+
+def test_gauss_is_within_the_ulp_bound_of_math_log_and_cos():
+    n = 250_000
+    for seed in range(4):  # 10**6 draws
+        words = SeededRng(seed).raw(2 * n)
+        assert np.all(words[0::2] >> np.uint64(11) > 0)  # no u1 of 0, so no redraw
+        assert _ulps(SeededRng(seed).gauss(size=n), _math_box_muller(words)).max() <= GAUSS_ULPS
+
+
+# u1 = 2^-53 and 1 - 2^-53 (the largest and smallest radius), u2 = 0, 1/4, 1/2
+# and 3/4 (cos = 1, its zeros, -1); dataio.gen_blobs and backbone._unit_rows
+# rely on a draw never being 0.0
+U1_EDGES = {2.0 ** -53: 1 << 11, 1 - 2.0 ** -53: MASK}
+U2_EDGES = {0.0: 0, 0.25: 1 << 62, 0.5: 1 << 63, 0.75: 3 << 62}
+
+
+def test_gauss_edge_words_give_finite_nonzero_draws_within_the_bound():
+    start = SeededRng(8).state()
+    planted = [(0, word) for word in U1_EDGES.values()] + [(1, word) for word in U2_EDGES.values()]
+    for position, word in planted:  # item 2's u1 or u2
+        bulk, twin = _rngs(_planted(start, 4 + position, word))
+        draws, words = bulk.gauss(size=4), twin.raw(8)
+        assert words[4 + position] == word
+        assert np.all(np.isfinite(draws)) and np.all(draws != 0.0)
+        assert _ulps(draws, _math_box_muller(words)).max() <= GAUSS_ULPS
+    for u1 in U1_EDGES:  # both at once, through the scalar helper
+        for u2 in U2_EDGES:
+            rng = SeededRng(0)
+            rng.random = iter([u1, u2]).__next__
+            draw = rng.gauss()
+            assert math.isfinite(draw) and draw != 0.0
+            expected = math.sqrt(-2 * math.log(u1)) * math.cos(2 * math.pi * u2)
+            assert _ulps(draw, expected) <= GAUSS_ULPS
+
+
+GAUSS_DIGEST = """\
+import hashlib
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+from driftclust.tensor import SeededRng
+print(*[f for f in __cpu_dispatch__ if __cpu_features__[f]],
+      hashlib.sha256(SeededRng(7).gauss(size=10 ** 5).tobytes()).hexdigest())
+"""
+
+
+def test_gauss_bytes_do_not_depend_on_numpy_cpu_dispatch():
+    # the same draws with numpy's SIMD loops for every feature above its
+    # baseline, and with none of them
+    cpu = pytest.importorskip("numpy._core._multiarray_umath")
+    enabled = [f for f in cpu.__cpu_dispatch__ if cpu.__cpu_features__[f]]
+    if not enabled:
+        pytest.skip("numpy dispatches to no CPU feature beyond its baseline on this host")
+    outputs = []
+    for disabled in ({}, {"NPY_DISABLE_CPU_FEATURES": " ".join(enabled)}):
+        env = {k: v for k, v in blas_pinned_env(1).items() if not k.startswith("NPY_")}
+        proc = subprocess.run([sys.executable, "-c", GAUSS_DIGEST], env=dict(env, **disabled),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-3000:]
+        outputs.append(proc.stdout.split())
+    (*features, digest), (*features_left, digest_without) = outputs
+    assert features == enabled and features_left == []
+    assert digest_without == digest
