@@ -6,13 +6,11 @@ conv layers with ReLU and 2x2 mean pooling, then a fixed projection).
 Parameters are drawn once from the spec seed and never trained.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ConfigError, SeededRng, row_chunks
+from .tensor import ConfigError, RowPool, SeededRng
 
 BACKBONE_KINDS = ("flatten", "randproj", "tinyconv")
 
@@ -22,8 +20,6 @@ _CONV2_CHANNELS = 16
 # has one shape, so a sample's features do not depend on the set size, and each
 # extraction worker's im2col buffers stay at a few MB
 _EXTRACT_CHUNK = 32
-# the variables OpenBLAS reads its thread count from, in the order it reads them
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -96,61 +92,6 @@ def _buffer(scratch, name, shape):
     return buf
 
 
-def _blas_threads(environ):
-    """The BLAS thread count from the first variable in _BLAS_THREAD_VARS
-    that holds a positive integer, or None when none does."""
-    for var in _BLAS_THREAD_VARS:
-        value = environ.get(var, "").strip()
-        if value.isdigit() and int(value) > 0:
-            return int(value)
-    return None
-
-
-# read once, when this module loads, as OpenBLAS reads them once when numpy
-# (imported above) loads: a variable set later changes neither of them
-_BLAS_THREADS = _blas_threads(os.environ)
-# processes that run extractions side by side on this process's CPUs
-_cpu_sharers = 1
-
-
-def share_cpus(processes):
-    """Make this process's extraction workers its share of the CPUs when
-    `processes` processes, itself included, extract side by side on them, as
-    the workers of `driftclust sweep --parallel` do."""
-    global _cpu_sharers
-    _cpu_sharers = max(1, int(processes))
-
-
-def _extract_workers():
-    """Threads for one extraction: the usable CPUs over the BLAS thread count
-    and over the processes that share the CPUs, so that all their workers
-    times BLAS threads stay within the CPUs. With no BLAS variable set at
-    start-up OpenBLAS already runs every product on all CPUs, and more
-    workers would only contend with it, so the count is 1."""
-    if _BLAS_THREADS is None:
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return max(1, cpus // (_BLAS_THREADS * _cpu_sharers))
-
-
-def _runs(chunks, workers):
-    """The chunks split into at most `workers` contiguous runs of about equal
-    length. A chunk that overlaps the one before stays in that chunk's run,
-    so no two runs write the same row."""
-    blocks = []
-    for rows in chunks:
-        if blocks and rows.start < blocks[-1][-1].stop:
-            blocks[-1].append(rows)
-        else:
-            blocks.append([rows])
-    workers = max(1, min(workers, len(blocks)))
-    bounds = [len(blocks) * i // workers for i in range(workers + 1)]
-    return [[rows for block in blocks[lo:hi] for rows in block] for lo, hi in zip(bounds, bounds[1:])]
-
-
 class Backbone:
     """Base class; a kind either overrides extract_batch or defines
     _transform(x, out, scratch), which writes the features of a chunk of
@@ -161,20 +102,12 @@ class Backbone:
     is smaller, and none of an empty one. A kind scales the chunk's pixels
     itself and keeps its working buffers in a scratch dict from chunk to chunk.
 
-    The chunks are split into contiguous runs, one per worker thread. The
-    worker count is the usable CPUs divided by the BLAS thread count that
-    OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS gives when the
-    process starts, and by the processes that share_cpus names, capped at
-    the number of chunks; with none of the variables set it is 1, as
-    OpenBLAS then already runs each product on every CPU. The calling
-    thread extracts the first run and pool threads the others, each with
-    its own scratch dict, so scratch memory is one chunk's buffers per
-    worker, a few MB each.
-    numpy releases the GIL in the products and elementwise loops, so the
-    runs overlap. Each chunk makes the same calls into its own rows of the
-    result whatever the worker count, so the features do not depend on it.
-    Workers call only _transform, to_float and _buffer, none of which the
-    benchmark's tracer wraps: its span stack is not thread-safe."""
+    The chunks run on a tensor.RowPool: contiguous runs, one per worker
+    thread, each with its own scratch dict, so scratch memory is one chunk's
+    buffers per worker, a few MB each. Each chunk makes the same calls into
+    its own rows of the result whatever the worker count, so the features
+    do not depend on it. Workers call only _transform, to_float and
+    _buffer, none of which the benchmark's tracer wraps."""
 
     _chunk_rows = _EXTRACT_CHUNK
 
@@ -186,18 +119,12 @@ class Backbone:
         self._check_batch(samples)
         out = np.empty((samples.shape[0], self.spec.output_dim))
 
-        def extract(run):
-            scratch = {}
+        def extract(run, scratch):
             for rows in run:
                 self._transform(samples[rows], out[rows], scratch)
 
-        first, *rest = _runs(row_chunks(samples.shape[0], self._chunk_rows), _extract_workers())
-        # the pool starts a thread per submit, so a single run starts none
-        with ThreadPoolExecutor(max(1, len(rest))) as pool:
-            futures = [pool.submit(extract, run) for run in rest]
-            extract(first)
-            for future in futures:
-                future.result()
+        with RowPool(samples.shape[0], self._chunk_rows) as pool:
+            pool.each(extract)
         return out
 
     def head_inputs(self, samples: np.ndarray) -> np.ndarray:

@@ -18,12 +18,12 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .backbone import BACKBONE_KINDS, BackboneSpec, share_cpus
+from .backbone import BACKBONE_KINDS, BackboneSpec
 from .dataio import (CheckpointError, CsvFormatError, IdxFormatError, atomic_write_text,
                      gen_blobs, load_checkpoint, load_csv, load_idx, load_labels,
                      save_checkpoint, save_labels)
 from .metrics import nmi
-from .tensor import SeededRng
+from .tensor import SeededRng, share_cpus
 from .trainer import MODES, ROLLBACK_MODES, ConfigError, DivergenceError, JointTrainer, TrainerConfig
 
 
@@ -267,7 +267,8 @@ def cmd_sweep(ns) -> int:
 
     if ns.parallel and ns.parallel > 1:
         # fork starts every worker at the first task, so start no more than there are
-        # cells; the workers extract side by side, so each takes its share of the CPUs
+        # cells; the workers run their whole-set passes side by side, so each takes its
+        # share of the CPUs
         workers = min(ns.parallel, len(cells))
         with ProcessPoolExecutor(max_workers=workers, initializer=share_cpus,
                                  initargs=(workers,)) as pool:

@@ -70,6 +70,14 @@ def sse_loss(y: np.ndarray, label: int) -> float:
     return 0.5 * float(np.dot(d, d))
 
 
+def relu_product(xs, w, out=None) -> np.ndarray:
+    """relu(xs @ w.T), into out if given: the hidden features of the input
+    rows xs under hidden weights w. Whole-set passes call it from pool
+    threads, where the traced FeatureHead.hidden_batch must not run."""
+    h = np.matmul(xs, w.T, out=out)
+    return np.maximum(h, 0.0, out=h)
+
+
 def _layers(flat, shape_hidden, shape_out):
     """The (hidden, output) layer views of a flat buffer, hidden layer first."""
     split = shape_hidden[0] * shape_hidden[1]
@@ -140,8 +148,7 @@ class FeatureHead:
     def hidden_batch(self, xs: np.ndarray, out=None) -> np.ndarray:
         """Hidden features for a stack of inputs (rows), read-only weights;
         written into out, one row per input, if given."""
-        h = np.matmul(xs, self.w_hidden.T, out=out)
-        return np.maximum(h, 0.0, out=h)
+        return relu_product(xs, self.w_hidden, out)
 
     def backward(self, trace: ForwardTrace, label: int):
         """Loss gradients w.r.t. both weight matrices for one sample, t = one_hot(label).
@@ -230,8 +237,7 @@ class FeatureHead:
             raise NoHistoryError("no SGD step recorded yet, nothing to roll back")
         if self._w_prev is None:
             self._w_prev = self.w_hidden + self.eta * self.last_delta_hidden
-        h = xs @ self._w_prev.T
-        return np.maximum(h, 0.0, out=h)
+        return relu_product(xs, self._w_prev)
 
 
 def init_head(input_dim: int, hidden_dim: int, k: int, eta: float, rng: SeededRng) -> FeatureHead:

@@ -1,6 +1,6 @@
 """Validated dense float64 matrices and class labels, the row chunks of
-whole-set passes, a portable seeded RNG, and the error classes the other
-modules share.
+whole-set passes and the threads that run them, a portable seeded RNG, and
+the error classes the other modules share.
 
 Matrices are 2-D row-major numpy float64 arrays; the constructor below
 validates shape and finiteness so the rest of the package can assume
@@ -10,6 +10,8 @@ well-formed inputs.
 import functools
 import math
 import operator
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -17,6 +19,8 @@ MASK64 = 0xFFFFFFFFFFFFFFFF
 _LANES = 512  # most lanes of a bulk pass, and most words per lane: 2 MiB of words
 ROW_CHUNK = 1024  # rows per slice of a whole-set pass: 1 MiB of float64 at 128 columns
 _GAUSS_CHUNK = 4096  # items per slice of a bulk gauss: its temporaries stay 32 KiB, in cache
+# the variables OpenBLAS reads its thread count from, in the order it reads them
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 class DimensionError(ValueError):
@@ -81,6 +85,115 @@ def row_chunks(n: int, size=None) -> list:
     last = max(n - size, 0)
     starts = [*range(0, last, size), last] if n else []
     return [slice(lo, min(lo + size, n)) for lo in starts]
+
+
+def _blas_threads(environ):
+    """The BLAS thread count from the first variable in _BLAS_THREAD_VARS
+    that holds a positive integer, or None when none does."""
+    for var in _BLAS_THREAD_VARS:
+        value = environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return None
+
+
+# read once, when this module loads, as OpenBLAS reads them once when numpy
+# (imported above) loads: a variable set later changes neither of them
+_BLAS_THREADS = _blas_threads(os.environ)
+# processes that run whole-set passes side by side on this process's CPUs
+_cpu_sharers = 1
+
+
+def share_cpus(processes):
+    """Make this process's pass workers its share of the CPUs when
+    `processes` processes, itself included, run passes side by side on
+    them, as the workers of `driftclust sweep --parallel` do."""
+    global _cpu_sharers
+    _cpu_sharers = max(1, int(processes))
+
+
+def _pass_workers():
+    """Threads for one whole-set pass: the usable CPUs over the BLAS thread
+    count and over the processes that share the CPUs, so that all their
+    workers times BLAS threads stay within the CPUs. With no BLAS variable
+    set at start-up OpenBLAS already runs every product on all CPUs, and
+    more workers would only contend with it, so the count is 1."""
+    if _BLAS_THREADS is None:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, cpus // (_BLAS_THREADS * _cpu_sharers))
+
+
+def _runs(chunks, workers):
+    """The chunks split into at most `workers` contiguous runs of about equal
+    length. A chunk that overlaps the one before stays in that chunk's run,
+    so no two runs write the same row."""
+    blocks = []
+    for rows in chunks:
+        if blocks and rows.start < blocks[-1][-1].stop:
+            blocks[-1].append(rows)
+        else:
+            blocks.append([rows])
+    workers = max(1, min(workers, len(blocks)))
+    bounds = [len(blocks) * i // workers for i in range(workers + 1)]
+    return [[rows for block in blocks[lo:hi] for rows in block] for lo, hi in zip(bounds, bounds[1:])]
+
+
+class RowPool:
+    """The row_chunks(n, size) of a whole-set pass split into contiguous
+    runs, one per worker, and the threads that run them; a context manager,
+    so one pool serves every pass of one call (each round of a seeding,
+    each sweep of a Lloyd run) and its threads end with the `with` block.
+
+    The worker count is _pass_workers(), capped at the number of chunks
+    (a last chunk that overlaps the one before counts with it): the
+    usable CPUs over the BLAS thread count that OPENBLAS_NUM_THREADS,
+    GOTO_NUM_THREADS or OMP_NUM_THREADS gives when the process starts, and
+    over the processes that share_cpus names; with none of the variables
+    set it is 1, as OpenBLAS then already runs each product on every CPU.
+    each(work) calls work(run, scratch) on every run: the calling thread
+    takes the first run and pool threads the others, each run with a
+    scratch dict of its own that lives as long as the pool. numpy releases
+    the GIL in products and elementwise loops, so the runs overlap. A pass
+    makes the same calls on each chunk whatever the worker count, so its
+    results do not depend on it. Work on a pool thread calls nothing that
+    the benchmark's tracer wraps (perfbench/tracer.py), as the tracer's span
+    stack is not thread-safe."""
+
+    def __init__(self, n: int, size=None):
+        chunks = row_chunks(n, size)
+        self.n = n
+        self.chunk = chunks[0].stop if chunks else 0  # rows in every chunk
+        self.runs = _runs(chunks, _pass_workers())
+        self._scratch = [{} for _ in self.runs]
+        # the executor starts a thread per submit, so a single run starts none
+        self._pool = ThreadPoolExecutor(max(1, len(self.runs) - 1))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._pool.shutdown()  # waits for every run, also when the caller's raised
+
+    def buffers(self, name: str, shape) -> None:
+        """Put an empty float64 array of this shape under name in every
+        run's scratch dict. They are made here, in the calling thread:
+        memory that a pool thread allocates stays in that thread's malloc
+        arena after the pool ends, resident, while the calling thread's is
+        reused."""
+        for scratch in self._scratch:
+            scratch[name] = np.empty(shape)
+
+    def each(self, work) -> None:
+        """work(run, scratch) on every run; the first error raised reaches the caller."""
+        first, *rest = zip(self.runs, self._scratch)
+        futures = [self._pool.submit(work, *run) for run in rest]
+        work(*first)
+        for future in futures:
+            future.result()
 
 
 def _splitmix64(x: int) -> int:

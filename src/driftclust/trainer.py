@@ -27,11 +27,12 @@ from typing import Optional
 import numpy as np
 
 from .backbone import BackboneSpec, build_backbone, to_float
-from .clustering import CentroidBank, assign_batch, lloyd_kmeans, seed_kmeanspp, update_centroid
+from .clustering import (CentroidBank, assign_batch, assign_pass, lloyd_kmeans, seed_kmeanspp,
+                         update_centroid)
 from .dataio import CheckpointError, Dataset, TrainerState
-from .head import LOSS_LIMIT, FeatureHead, init_head
+from .head import LOSS_LIMIT, FeatureHead, init_head, relu_product
 from .metrics import nmi
-from .tensor import ConfigError, SeededRng, label_array, row_chunks
+from .tensor import ConfigError, RowPool, SeededRng, label_array
 
 MODES = ("full", "baseline1", "baseline2", "baseline3")
 ROLLBACK_MODES = ("last_step", "snapshot")
@@ -105,8 +106,8 @@ class JointTrainer:
     The trainer holds no whole-set float64 copy of its input: `inputs` is the
     backbone's head_inputs, which for flatten are the samples in their own
     dtype, and _rows converts the rows a step needs. A pass over the whole
-    set runs in row_chunks; only seeding (and Lloyd) needs all n x hidden
-    features at once.
+    set runs in row_chunks on a tensor.RowPool; only seeding (and Lloyd)
+    needs all n x hidden features at once.
     """
 
     def __init__(self, dataset: Dataset, backbone_spec: BackboneSpec, config: TrainerConfig,
@@ -216,18 +217,37 @@ class JointTrainer:
         """Head inputs (float64) of the samples that an index list, int array or slice picks."""
         return to_float(self.inputs[rows])
 
+    def _pool(self) -> RowPool:
+        """A tensor.RowPool over the samples; when the head inputs need
+        scaling, each run gets a buffer for one chunk of them, made in the
+        calling thread."""
+        pool = RowPool(self.dataset.n)
+        if self.inputs.dtype != np.float64:
+            pool.buffers("inputs", (pool.chunk, self.inputs.shape[1]))
+        return pool
+
+    def _hidden(self, rows, scratch, out=None) -> np.ndarray:
+        """Hidden features of a chunk's samples under the current head, on a pool run."""
+        return relu_product(to_float(self.inputs[rows], scratch.get("inputs")), self.head.w_hidden, out)
+
     def _features(self) -> np.ndarray:
         """Hidden features of every sample under the current head."""
         out = np.empty((self.dataset.n, self.head.hidden_dim))
-        for rows in row_chunks(self.dataset.n):
-            self.head.hidden_batch(self._rows(rows), out=out[rows])
+
+        def hidden(run, scratch):
+            for rows in run:
+                self._hidden(rows, scratch, out[rows])
+
+        with self._pool() as pool:
+            pool.each(hidden)
         return out
 
     def assign_all(self) -> np.ndarray:
-        labels = np.empty(self.dataset.n, dtype=np.int64)
-        for rows in row_chunks(self.dataset.n):
-            labels[rows], _ = assign_batch(self.bank, self.head.hidden_batch(self._rows(rows)))
-        return labels
+        """Nearest-centroid labels of every sample under the current head."""
+        with self._pool() as pool:
+            pool.buffers("hidden", (pool.chunk, self.head.hidden_dim))
+            return assign_pass(pool, self.bank,
+                               lambda rows, scratch: self._hidden(rows, scratch, scratch["hidden"]))[0]
 
     def run(self, epoch_callback=None) -> RunResult:
         started = time.perf_counter()

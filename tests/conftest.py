@@ -36,6 +36,23 @@ def cli_digests(tmp_path, argv):
 
 
 @pytest.fixture
+def pass_workers(monkeypatch):
+    """set_workers(n): every whole-set pass (extraction, features, seeding,
+    assignment, Lloyd) runs its tensor.RowPool on n threads, fewer when it
+    has fewer chunk runs, until the test ends. The count comes from
+    tensor's own rule, for BLAS pinned to 1 thread on n usable CPUs with no
+    sharers; set_workers(None) leaves BLAS unpinned, the CLI default, which
+    runs every pass on the calling thread."""
+    monkeypatch.setattr(tensor, "_cpu_sharers", 1)
+
+    def set_workers(n):
+        monkeypatch.setattr(tensor, "_BLAS_THREADS", None if n is None else 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n or 1)), raising=False)
+
+    return set_workers
+
+
+@pytest.fixture
 def cold_jumps():
     """An empty jump ladder, so a bulk draw in the test builds it from the
     first rung whatever ran before."""

@@ -10,7 +10,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from conftest import blas_pinned_env, mnist_like
-from driftclust import backbone
+from driftclust import tensor
 from driftclust.backbone import (_EXTRACT_CHUNK, BackboneSpec, TinyConvBackbone, build_backbone,
                                  to_float)
 from driftclust.tensor import row_chunks
@@ -308,7 +308,7 @@ def test_tinyconv_uncomputed_pool_remainders_keep_the_im2col_bits(shape):
     ({"OPENBLAS_NUM_THREADS": "many"}, None),
 ])
 def test_blas_threads_come_from_the_first_variable_openblas_reads(env, threads):
-    assert backbone._blas_threads(env) == threads
+    assert tensor._blas_threads(env) == threads
 
 
 @pytest.mark.parametrize("threads,sharers,workers", [
@@ -323,20 +323,20 @@ def test_blas_threads_come_from_the_first_variable_openblas_reads(env, threads):
 ])
 def test_extract_workers_divide_the_cpus_by_blas_threads_and_sharers(monkeypatch, threads,
                                                                        sharers, workers):
-    monkeypatch.setattr(backbone, "_BLAS_THREADS", threads)
-    monkeypatch.setattr(backbone, "_cpu_sharers", 1)
-    backbone.share_cpus(sharers)
+    monkeypatch.setattr(tensor, "_BLAS_THREADS", threads)
+    monkeypatch.setattr(tensor, "_cpu_sharers", 1)
+    tensor.share_cpus(sharers)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-    assert backbone._extract_workers() == workers
+    assert tensor._pass_workers() == workers
 
 
 def test_runs_keep_an_overlapping_chunk_with_the_one_before():
-    runs = backbone._runs(row_chunks(3000), 4)  # [0, 1024), [1024, 2048), [1976, 3000)
+    runs = tensor._runs(row_chunks(3000), 4)  # [0, 1024), [1024, 2048), [1976, 3000)
     assert runs == [[slice(0, 1024)], [slice(1024, 2048), slice(1976, 3000)]]
     chunks = [slice(lo, lo + _EXTRACT_CHUNK) for lo in range(0, 5 * _EXTRACT_CHUNK, _EXTRACT_CHUNK)]
-    assert [len(run) for run in backbone._runs(chunks, 2)] == [2, 3]
-    assert backbone._runs(chunks, 1) == [chunks]
-    assert backbone._runs([], 2) == [[]]
+    assert [len(run) for run in tensor._runs(chunks, 2)] == [2, 3]
+    assert tensor._runs(chunks, 1) == [chunks]
+    assert tensor._runs([], 2) == [[]]
 
 
 def _tinyconv_batch(n):
@@ -345,8 +345,8 @@ def _tinyconv_batch(n):
 
 
 @pytest.mark.parametrize("where", ["caller", "worker"])
-def test_extraction_error_reaches_the_caller_and_the_pool_stops(monkeypatch, where):
-    monkeypatch.setattr(backbone, "_extract_workers", lambda: 2)
+def test_extraction_error_reaches_the_caller_and_the_pool_stops(monkeypatch, pass_workers, where):
+    pass_workers(2)
     bb, samples = _tinyconv_batch(8 * _EXTRACT_CHUNK + 5)
     error = RuntimeError(f"chunk failed on the {where}")
     transform = bb._transform
@@ -364,7 +364,7 @@ def test_extraction_error_reaches_the_caller_and_the_pool_stops(monkeypatch, whe
     assert threading.active_count() == before
 
 
-def test_extraction_runs_on_pool_threads_only_when_blas_is_pinned(monkeypatch):
+def test_extraction_runs_on_pool_threads_only_when_blas_is_pinned(monkeypatch, pass_workers):
     bb, samples = _tinyconv_batch(8 * _EXTRACT_CHUNK + 5)
     transform = bb._transform
     seen = []
@@ -374,12 +374,11 @@ def test_extraction_runs_on_pool_threads_only_when_blas_is_pinned(monkeypatch):
         transform(x, out, scratch)
 
     monkeypatch.setattr(bb, "_transform", recording)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     before = threading.active_count()
-    monkeypatch.setattr(backbone, "_BLAS_THREADS", None)
+    pass_workers(None)
     bb.extract_batch(samples)
     assert seen == [(True, before)] * 9  # no thread was started
-    monkeypatch.setattr(backbone, "_BLAS_THREADS", 1)
+    pass_workers(2)
     seen.clear()
     bb.extract_batch(samples)
     assert not all(on_caller for on_caller, _ in seen)
@@ -388,12 +387,12 @@ def test_extraction_runs_on_pool_threads_only_when_blas_is_pinned(monkeypatch):
 
 @pytest.mark.parametrize("kind,shape,n", [("tinyconv", (10, 10, 1), 8 * _EXTRACT_CHUNK + 5),
                                            ("randproj", (8, 8, 1), 3000)])
-def test_more_workers_than_cores_write_every_row_once(monkeypatch, kind, shape, n):
+def test_more_workers_than_cores_write_every_row_once(pass_workers, kind, shape, n):
     bb = build_backbone(BackboneSpec(kind, shape, 6, seed=17))
     samples = np.random.RandomState(11).randint(0, 256, size=(n, *shape)).astype(np.uint8)
-    monkeypatch.setattr(backbone, "_extract_workers", lambda: 1)
+    pass_workers(1)
     expected = bb.extract_batch(samples)
-    monkeypatch.setattr(backbone, "_extract_workers", lambda: 8)
+    pass_workers(8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -408,9 +407,9 @@ import hashlib, os, sys
 if sys.argv[2] != "all":
     os.sched_setaffinity(0, {int(sys.argv[2])})
 import numpy as np
-from driftclust import backbone
+from driftclust import backbone, tensor
 samples = np.load(sys.argv[1])
-print("workers", backbone._extract_workers())
+print("workers", tensor._pass_workers())
 for kind in ("tinyconv", "randproj"):
     bb = backbone.build_backbone(backbone.BackboneSpec(kind, (28, 28, 1), 128, seed=1))
     print(kind, hashlib.sha256(bb.extract_batch(samples).tobytes()).hexdigest())

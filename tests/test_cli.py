@@ -1,9 +1,11 @@
 import dataclasses
 import gzip
+import importlib.util
 import json
 import struct
 import subprocess
 import sys
+import threading
 import time
 import warnings
 import zlib
@@ -15,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import blas_pinned_env, cli_digests, mnist_like, write_idx_fixture
-from driftclust import backbone, cli
+from driftclust import cli, clustering, tensor
 from driftclust.cli import main
 from driftclust.dataio import load_checkpoint, load_labels, save_checkpoint, save_labels
 from driftclust.metrics import nmi
@@ -454,22 +456,83 @@ def test_sweep_starts_no_more_workers_than_cells(tmp_path, monkeypatch):
     assert len(out.read_text().splitlines()) == 3
 
 
-def _cell_extract_workers(cell):
-    # a sweep cell that reports the extraction workers of the process it runs in
+def _pass_threads():
+    # the threads that run one whole-set pass over 4 chunks; each run waits
+    # for all the others, so no thread can take a second run
+    threads = set()
+    with tensor.RowPool(4 * tensor.ROW_CHUNK) as pool:
+        barrier = threading.Barrier(len(pool.runs), timeout=60)
+
+        def work(run, scratch):
+            threads.add(threading.get_ident())
+            barrier.wait()
+
+        pool.each(work)
+    return len(threads)
+
+
+def _cell_pass_threads(cell):
+    # a sweep cell that reports the pass threads of the process it runs in
     return dict(km=cell["km"], epochs=cell["epochs"], seed=cell["seed"], nmi=0.0, finetunes=0,
-                wall_ms=backbone._extract_workers())
+                wall_ms=_pass_threads())
 
 
-def test_sweep_workers_share_the_cpus_for_extraction(tmp_path, monkeypatch):
+def test_sweep_workers_share_the_cpus_for_extraction(tmp_path, monkeypatch, pass_workers):
     # the forked workers inherit these patches: 4 CPUs, BLAS pinned to 1 thread
-    monkeypatch.setattr(backbone, "_BLAS_THREADS", 1)
-    monkeypatch.setattr(backbone.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-    monkeypatch.setattr(cli, "run_sweep_cell", _cell_extract_workers)
+    pass_workers(4)
+    monkeypatch.setattr(cli, "run_sweep_cell", _cell_pass_threads)
     out = tmp_path / "sweep.csv"
     extra = grid("km=5,10", "epochs=1") + ["--parallel", "2"]
     assert main(sweep_args(tmp_path, out, extra)) == 0
     assert [row.split(",")[-1] for row in out.read_text().splitlines()[1:]] == ["2", "2"]
-    assert backbone._extract_workers() == 4  # this process keeps every CPU
+    assert tensor._pass_workers() == 4  # this process keeps every CPU
+    assert _pass_threads() == 4
+
+
+def test_traced_functions_run_on_the_main_thread_only(tmp_path, monkeypatch, pass_workers):
+    # the benchmark's tracer keeps one span stack, which pool threads must
+    # never touch: run baseline3 and full with every function it wraps
+    # recording the threads it runs on, and the pass kernel as well
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    off_main, pass_threads = [], set()
+
+    class MainThreadOnly(tracer.Tracer):
+        def _wrap(self, original, span_name, amount, hook):
+            def wrapper(*args, **kwargs):
+                if threading.current_thread() is not threading.main_thread():
+                    off_main.append(span_name)
+                return original(*args, **kwargs)
+            return wrapper
+
+    nearest = clustering._nearest
+
+    def recording(*args):
+        pass_threads.add(threading.get_ident())
+        nearest(*args)
+
+    monkeypatch.setattr(clustering, "_nearest", recording)
+    pass_workers(2)
+    # 2100 rows: two runs of whole row_chunks
+    pixels, truth = mnist_like(2100, seed=6, side=12)
+    img, lab = write_idx_fixture(tmp_path, pixels, truth)
+    runs = [["--data", "mnist", "--images", img, "--labels", lab, "--mode", "baseline3",
+             "--backbone", "tinyconv", "--hidden-dim", "32"],
+            ["--data", "blobs", "--blob-points", "210", "--mode", "full", "--epochs", "1"]]
+    guard = MainThreadOnly()
+    assert not tracer.missing_targets()
+    guard.install()
+    try:
+        outputs = ["--out-labels", tmp_path / "l.csv", "--out-metrics", tmp_path / "m.txt",
+                   "--checkpoint", tmp_path / "run.ckpt"]
+        for extra in runs:
+            assert main(["cluster", "--k", "10", *map(str, extra + outputs)]) == 0
+    finally:
+        guard.restore()
+    assert off_main == []
+    assert threading.main_thread().ident in pass_threads and len(pass_threads) >= 2
 
 
 # 4 blobs of 55 points: k_m=7 with n_m=20 leaves pairs in the fine-tune

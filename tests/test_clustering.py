@@ -1,6 +1,7 @@
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import blas_pinned_env
 from driftclust import clustering, tensor
-from driftclust.clustering import (CentroidBank, assign_batch, lloyd_kmeans, seed_kmeanspp,
-                                   update_centroid)
+from driftclust.clustering import (CentroidBank, _fill_empty, assign_batch, lloyd_kmeans,
+                                   seed_kmeanspp, update_centroid)
 from driftclust.metrics import nmi
 from driftclust.tensor import DimensionError, SeededRng
 
@@ -186,6 +187,26 @@ def test_lloyd_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+def test_seeding_workers_share_one_chunk_of_difference_buffer(pass_workers):
+    # 4500 rows of 128 features: one worker's difference buffer is a chunk,
+    # 1 MiB; more workers split its rows, and each adds only its thread's
+    # bookkeeping, well under an eighth of that
+    feats = np.random.default_rng(3).normal(size=(4500, 128))
+    peaks = {}
+    for workers in (1, 2, 4):
+        pass_workers(workers)
+        tracemalloc.start()
+        try:
+            seed_kmeanspp(feats, 10, SeededRng(1))
+            _, peaks[workers] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    chunk_bytes = tensor.ROW_CHUNK * 128 * 8
+    assert peaks[1] > chunk_bytes
+    for workers in (2, 4):
+        assert peaks[workers] - peaks[1] < (workers - 1) * chunk_bytes / 8, peaks
 
 
 def per_row_update(centroids, counts, labels, feats):
@@ -459,6 +480,89 @@ def test_lloyd_reseeds_an_emptied_cluster_to_the_farthest_point(monkeypatch):
     assert labels.tolist() == [0, 2, 1, 1]
     assert bank.centroids[:, 0].tolist() == [0.0, 10.5, 1.0]
     assert bank.counts.tolist() == [1, 2, 1]
+
+
+def test_fill_empty_moves_the_farthest_rows_and_refills_an_emptied_donor():
+    labels, dists = np.array([0, 0, 0, 0, 2]), np.array([0.0, 0.0, 0.0, 0.0, 1600.0])
+    filled, counts = _fill_empty(labels, dists, 3)
+    # row 4 fills cluster 1 and so empties cluster 2, which takes the
+    # farthest row left (all at 0: the lowest index)
+    assert filled.tolist() == [2, 0, 0, 0, 1]
+    assert counts.tolist() == [3, 1, 1]
+    assert labels.tolist() == [0, 0, 0, 0, 2] and dists.tolist() == [0.0] * 4 + [1600.0]
+    # two empty clusters and no chain: the farthest row goes to the lower one
+    filled, counts = _fill_empty(np.array([1, 1, 1, 1]), np.array([4.0, 9.0, 1.0, 9.0]), 3)
+    assert filled.tolist() == [1, 0, 1, 2] and counts.tolist() == [1, 2, 1]
+    full = np.array([1, 0, 1])
+    filled, counts = _fill_empty(full, np.array([1.0, 2.0, 3.0]), 2)
+    assert filled is full and counts.tolist() == [1, 2]
+
+
+def test_lloyd_refills_a_cluster_that_its_refill_empties(monkeypatch):
+    # seed 10 is no row's nearest centroid; the farthest row (60) refills it
+    # and so empties seed 100's cluster, which takes a row at 0 in turn
+    feats = np.array([[0.0], [0.0], [0.0], [0.0], [60.0]])
+    seeded = CentroidBank(np.array([[0.0], [10.0], [100.0]]), np.ones(3, dtype=np.int64))
+    monkeypatch.setattr(clustering, "seed_kmeanspp", lambda x, k, rng: seeded)
+    history = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        labels, bank = lloyd_kmeans(feats, 3, SeededRng(0), history_out=history)
+    assert bank.centroids[:, 0].tolist() == [0.0, 60.0, 0.0]
+    # the second sweep refills cluster 2 with the same row: a fixed point,
+    # whose labels, before the refill, tie cluster 2 to the lower cluster 0
+    assert labels.tolist() == [0, 0, 0, 0, 1]
+    assert len(history) == 2
+    assert bank.counts.tolist() == [4, 1, 1]
+
+
+@pytest.mark.parametrize("tol,iters,extra", [
+    (0.0, 200, 0),  # a fixed point: the last sweep's labels are the final ones
+    (0.2, 200, 1),  # stopped by tol after 8 sweeps, on centroids that still moved
+    (0.0, 2, 1),  # stopped by max_iters
+])
+def test_lloyd_assigns_once_more_only_when_it_stops_short_of_a_fixed_point(monkeypatch, tol, iters,
+                                                                            extra):
+    feats = spread_features()
+    calls = []
+    assign_pass = clustering.assign_pass
+
+    def counting(*args):
+        calls.append(1)
+        return assign_pass(*args)
+
+    monkeypatch.setattr(clustering, "assign_pass", counting)
+    history = []
+    labels, bank = lloyd_kmeans(feats, 6, SeededRng(8), max_iters=iters, tol=tol, history_out=history)
+    assert len(history) < iters or iters == 2
+    assert len(calls) == len(history) + extra
+    assert labels.tobytes() == assign_batch(bank, feats)[0].tobytes()
+
+
+CHUNKED_ASSIGN = """
+import numpy as np
+from driftclust.clustering import CentroidBank, assign_batch, assign_pass
+from driftclust.tensor import RowPool
+rng = np.random.default_rng(23)
+x = np.maximum(rng.normal(size=(5000, 128)), 0.0)
+xx = np.einsum("ij,ij->i", x, x)
+with RowPool(5000) as pool:
+    for k in (2, 10, 50):
+        rows = rng.choice(5000, k, replace=False)
+        bank = CentroidBank(x[rows] + rng.normal(scale=0.1, size=(k, 128)), np.ones(k, dtype=np.int64))
+        whole = assign_batch(bank, x)
+        for sq_norms in (xx, None):
+            chunked = assign_pass(pool, bank, lambda rows, scratch: x[rows], sq_norms)
+            print(k, all(a.tobytes() == b.tobytes() for a, b in zip(whole, chunked)))
+"""
+
+
+def test_chunked_assignment_has_the_bits_of_the_whole_set_block():
+    # 5000 rows in row_chunks, against assign_batch's one block of 5000 rows
+    for threads in (1, 2):
+        out = subprocess.run([sys.executable, "-c", CHUNKED_ASSIGN], env=blas_pinned_env(threads),
+                             capture_output=True, text=True, check=True, timeout=120).stdout
+        assert out.split("\n")[:-1] == [f"{k} True" for k in (2, 2, 10, 10, 50, 50)], (threads, out)
 
 
 def test_bank_rejects_bad_shapes():

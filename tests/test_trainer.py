@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 import tracemalloc
 
 import numpy as np
@@ -487,19 +488,66 @@ def test_row_bound_leaves_seeding_assignment_and_lloyd_bits(monkeypatch, rows):
     assert [a.tobytes() for a in outputs()] == [a.tobytes() for a in expected]
 
 
-def test_trainer_memory_per_sample_follows_hidden_dim_not_pixels():
+def _pixel_run_peak(n):
+    """tracemalloc peak of a one-epoch flatten run on n 28x28 images, and its config."""
+    samples, _, spec, config = pixel_setup(n, seed=4, epochs=1)
+    dataset = Dataset(samples, None, "idx")
+    tracemalloc.start()
+    try:
+        JointTrainer(dataset, spec, config).run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, config
+
+
+def test_trainer_memory_per_sample_follows_hidden_dim_not_pixels(pass_workers):
     # seeding holds n x hidden_dim features (8 * 128 bytes a sample); a
-    # float64 copy of the 28x28 pixels held 6272 bytes a sample more
-    peaks = []
-    for n in (2000, 4000):
-        samples, _, spec, config = pixel_setup(n, seed=4, epochs=1)
-        dataset = Dataset(samples, None, "idx")
-        tracemalloc.start()
-        try:
-            JointTrainer(dataset, spec, config).run()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        peaks.append(peak)
-    per_sample = (peaks[1] - peaks[0]) / 2000
+    # float64 copy of the 28x28 pixels held 6272 bytes a sample more. One
+    # worker at both sizes: 2000 rows make one run of chunks, 4000 rows
+    # two, and each worker holds its own chunk (the test below)
+    pass_workers(1)
+    (small, _), (large, config) = _pixel_run_peak(2000), _pixel_run_peak(4000)
+    per_sample = (large - small) / 2000
     assert per_sample < 2 * 8 * config.hidden_dim, per_sample
+
+
+def test_each_pass_worker_adds_at_most_one_chunk_of_buffers(pass_workers):
+    # a worker holds one chunk's float64 pixels (784 a row), hidden features
+    # and distances to the k centroids, and a few chunk-long temporaries of
+    # the distance kernel; 4000 rows make two runs of chunks
+    peaks = []
+    for workers in (1, 2):
+        pass_workers(workers)
+        peak, config = _pixel_run_peak(4000)
+        peaks.append(peak)
+    chunk_bytes = tensor.ROW_CHUNK * (784 + config.hidden_dim + 2 * config.k) * 8
+    assert peaks[1] - peaks[0] <= 1.1 * chunk_bytes, (peaks, chunk_bytes)
+
+
+@pytest.mark.parametrize("kind", ["randproj", "tinyconv"])
+def test_whole_set_passes_do_not_depend_on_the_worker_count(pass_workers, kind):
+    # 4500 rows: row_chunks makes 5 chunks, the last overlapping the one
+    # before, so 4 workers take a run of chunks each; 141 tinyconv chunks
+    samples = np.random.RandomState(12).randint(0, 256, size=(4500, 8, 8, 1)).astype(np.uint8)
+    spec = BackboneSpec(kind, (8, 8, 1), 24, seed=3)
+    config = TrainerConfig(k=10, hidden_dim=16, seed=5, epochs=0)
+    outputs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # the threads switch as often as they can
+    try:
+        for workers in (1, 2, 4):
+            pass_workers(workers)
+            with tensor.RowPool(4500) as pool:
+                assert len(pool.runs) == workers
+            trainer = JointTrainer(Dataset(samples, None, "idx"), spec, config)
+            features = trainer._features()
+            history = []
+            labels, bank = lloyd_kmeans(features, 10, SeededRng(9), max_iters=30, tol=0.0,
+                                        history_out=history)
+            outputs.append([trainer.inputs, features, trainer.bank.centroids, trainer.assign_all(),
+                            labels, bank.centroids, np.array(history)])
+    finally:
+        sys.setswitchinterval(interval)
+    for got in outputs[1:]:
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in outputs[0]]
