@@ -73,7 +73,7 @@ def to_float(sample: np.ndarray, out=None) -> np.ndarray:
 
 
 def _unit_rows(rows: int, cols: int, rng: SeededRng) -> np.ndarray:
-    # a gauss() draw is never 0.0, so no row has norm 0 (tests/test_tensor.py
+    # a gauss draw is never 0.0, so no row has norm 0 (tests/test_tensor.py
     # test_gauss_edge_words_give_finite_nonzero_draws_within_the_bound)
     p = rng.gauss(size=(rows, cols))
     for row in p:

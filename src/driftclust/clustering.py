@@ -112,15 +112,14 @@ def _nearest(x, xx, centroids, cc, labels, dists) -> None:
         dists[rows] = d2[np.arange(d2.shape[0]), labels[rows]]
 
 
-def assign_batch(bank: CentroidBank, feats: np.ndarray, sq_norms=None):
+def assign_batch(bank: CentroidBank, feats: np.ndarray):
     """Nearest centroid and its squared Euclidean distance for every feature
     row; ties go to the lowest centroid index. Rows go in chunks of at most
-    _PASS_ENTRIES n x k entries to bound memory; the bank is not modified.
-    sq_norms are the squared row norms of feats, computed here if not given."""
+    _PASS_ENTRIES n x k entries to bound memory; the bank is not modified."""
     x = _as_feature_array(feats)
     if x.shape[1] != bank.dim:
         raise DimensionError(f"feature dim {x.shape[1]} does not match bank dim {bank.dim}")
-    xx = np.einsum("ij,ij->i", x, x) if sq_norms is None else sq_norms
+    xx = np.einsum("ij,ij->i", x, x)
     cc = np.einsum("ij,ij->i", bank.centroids, bank.centroids)
     labels = np.empty(x.shape[0], dtype=np.int64)
     dists = np.empty(x.shape[0])

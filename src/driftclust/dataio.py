@@ -20,6 +20,7 @@ writes go through a temp-file-and-rename so readers never see partial state.
 """
 
 import functools
+import gzip
 import itertools
 import math
 import os
@@ -75,31 +76,12 @@ class Dataset:
         return self.samples.shape[1:]
 
 
-def _gunzip_pieces(f, path):
-    """The decompressed bytes of an open gzip file in pieces of at most
-    _GZIP_PIECE bytes, reading as much compressed input at a time. Members
-    follow one another and zero bytes after a member are skipped, as
-    gzip.decompress reads them; a bad stream raises IdxFormatError."""
+def _pieces(f, path):
+    """The bytes of a readable file object in pieces of _GZIP_PIECE bytes
+    (the last may be shorter); a bad gzip stream raises IdxFormatError."""
     try:
-        data = f.read(_GZIP_PIECE)
-        while data:
-            member = zlib.decompressobj(wbits=31)  # gzip header and trailer checks
-            while True:
-                piece = member.decompress(data, _GZIP_PIECE)
-                if piece:
-                    yield piece
-                if member.eof:
-                    break
-                if not (piece or data):
-                    raise EOFError("compressed file ended before the end-of-stream marker was reached")
-                data = member.unconsumed_tail or f.read(_GZIP_PIECE)
-            data = member.unused_data.lstrip(b"\0")
-            while not data:
-                more = f.read(_GZIP_PIECE)
-                if not more:
-                    return
-                data = more.lstrip(b"\0")
-    except (EOFError, zlib.error) as exc:
+        yield from iter(functools.partial(f.read, _GZIP_PIECE), b"")
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
         raise IdxFormatError(f"{path}: bad gzip stream: {exc}") from None
 
 
@@ -108,13 +90,12 @@ def _read_idx(path, kind, header_len, size_of) -> np.ndarray:
     they start with the gzip magic. size_of(head) checks the header at the
     start of head (raising IdxFormatError) and returns the file size it
     implies; a file of another size raises IdxFormatError. Plain files and
-    pipes are read, and gzipped files decompressed, piece by piece into an
-    array of that size; a bad stream is reported before a bad header."""
+    pipes are read, and gzipped files decompressed by gzip.GzipFile (members
+    one after another, zero padding skipped, CRC and length checked), piece
+    by piece into an array of that size; a bad stream is reported before a
+    bad header."""
     with open(path, "rb") as f:
-        if f.peek(2)[:2] == b"\x1f\x8b":
-            pieces = _gunzip_pieces(f, path)
-        else:
-            pieces = iter(functools.partial(f.read, _GZIP_PIECE), b"")
+        pieces = _pieces(gzip.GzipFile(fileobj=f) if f.peek(2)[:2] == b"\x1f\x8b" else f, path)
         head = b""
         for piece in pieces:
             head += piece
@@ -190,7 +171,7 @@ def gen_blobs(k: int, points_per_cluster: int, dim: int, separation: float,
         raise ConfigError("k, points_per_cluster and dim must be positive")
     if not (0 < separation < math.inf and 0 <= noise_sigma < math.inf):
         raise ConfigError("separation must be positive and noise_sigma nonnegative, both finite")
-    # a gauss() draw is never 0.0, so no center has norm 0 (tests/test_tensor.py
+    # a gauss draw is never 0.0, so no center has norm 0 (tests/test_tensor.py
     # test_gauss_edge_words_give_finite_nonzero_draws_within_the_bound)
     centers = rng.gauss(size=(k, dim))
     for center in centers:

@@ -205,10 +205,6 @@ def _splitmix64(x: int) -> int:
     return (z ^ (z >> 31)) & MASK64
 
 
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & MASK64
-
-
 def _to_bits(states: np.ndarray) -> np.ndarray:
     """(L, 4) uint64 states as (L, 256) rows of bits, word by word, low bit first."""
     return np.unpackbits(np.ascontiguousarray(states, dtype="<u8").view(np.uint8), axis=1, bitorder="little")
@@ -225,7 +221,7 @@ def _gf2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _advance(s0, s1, s2, s3, t) -> None:
-    """One state update of every lane in place (next_u64's, on arrays); t is scratch."""
+    """One state update of every lane in place (SeededRng's recurrence, on arrays); t is scratch."""
     np.left_shift(s1, 17, out=t)
     s2 ^= s0
     s3 ^= s1
@@ -262,8 +258,8 @@ def _unit_floats(words: np.ndarray) -> np.ndarray:
 # Box-Muller from IEEE-754 basic operations alone (+ - * /, sqrt, frexp), each
 # rounded the same way on every host, so a gauss draw's bits follow from its
 # two words: no libm, no SIMD dispatch. The formulas are fdlibm's (e_log.c,
-# k_cos.c, k_sin.c and the Cody-Waite steps of e_rem_pio2.c), written once as
-# plain arithmetic that Python floats and float64 arrays run alike.
+# k_cos.c, k_sin.c and the Cody-Waite steps of e_rem_pio2.c), written as plain
+# arithmetic on float64 arrays.
 _RINT = 6755399441055744.0  # 1.5 * 2**52: (v + _RINT) - _RINT rounds v to an integer, ties to even
 _TWO_PI = 2.0 * math.pi
 _SQRT_HALF = math.sqrt(0.5)
@@ -283,11 +279,11 @@ _S1, _S2, _S3, _S4, _S5, _S6 = (
     2.75573137070700676789e-06, -2.50507602534068634195e-08, 1.58969099521155010221e-10)
 
 
-def _log(u, frexp):
+def _log(u):
     """log(u) for 0 < u < 1: u = 2^k (1 + f) with sqrt(2)/2 <= 1 + f < sqrt(2),
     s = f / (2 + f), and log(1 + f) = f - hfsq + s (hfsq + R(s^2)) with
     hfsq = f^2 / 2 and fdlibm's degree-14 polynomial R; k ln 2 in two parts."""
-    m, e = frexp(u)  # u = m 2^e, 1/2 <= m < 1, exactly
+    m, e = np.frexp(u)  # u = m 2^e, 1/2 <= m < 1, exactly
     low = (m < _SQRT_HALF) * 1.0  # then 1 + f = 2m, exactly
     f = (m + m * low) - 1.0
     k = e - low
@@ -325,11 +321,9 @@ def _cos(x):
     return (n1 - 2.0 * ((0.5 * n1 + _RINT) - _RINT)) * c - (n - 2.0 * ((0.5 * n + _RINT) - _RINT)) * s
 
 
-def _box_muller(u1, u2, sqrt, frexp):
-    """sqrt(-2 log u1) cos(2 pi u2) for u1 in (0, 1), u2 in [0, 1): floats
-    with math.sqrt and math.frexp, float64 arrays with np.sqrt and np.frexp,
-    the same bits either way."""
-    return sqrt(-2.0 * _log(u1, frexp)) * _cos(_TWO_PI * u2)
+def _box_muller(u1, u2):
+    """sqrt(-2 log u1) cos(2 pi u2) for float64 arrays u1 in (0, 1) and u2 in [0, 1)."""
+    return np.sqrt(-2.0 * _log(u1)) * _cos(_TWO_PI * u2)
 
 
 class SeededRng:
@@ -343,26 +337,20 @@ class SeededRng:
         s2 ^= s0;  s3 ^= s1;  s1 ^= s2;  s0 ^= s3
         s2 ^= t;   s3 = rotl(s3, 45)
 
-    State is initialised from the seed by four SplitMix64 steps. The floats
-    are portable too: random and uniform scale words, and gauss runs
-    Box-Muller from IEEE-754 basic operations alone (_box_muller), so their
-    bits depend on the seed only, not on the platform's libm or numpy's CPU
-    dispatch.
-
-    next_u64, random, randint and gauss() are the scalar reference. raw(n)
-    yields the same n words in bulk: the state update is linear over GF(2)
+    State is initialised from the seed by four SplitMix64 steps. raw(n)
+    yields the next n words: the state update is linear over GF(2)
     (Blackman & Vigna, ACM TOMS 2021), so a 256x256 bit matrix jumps a state
     2^i words ahead. raw cuts a draw into lanes of about sqrt(n) words (a
     power of two in [16, _LANES]), starts up to _LANES lanes per pass from
-    states jumped by doubling over one ladder of such matrices, steps them
-    together in numpy uint64 arithmetic and leaves state() where n next_u64
-    calls would. gauss(size=),
-    uniform(size=) and shuffle draw through raw and return bit-identical
-    floats and indices to the scalar helpers: they keep the scalar operation
-    order, gauss runs _box_muller's one formula on arrays that gauss() runs
-    on floats, and a call in which the scalar helper would
-    reject a draw (probability about 2^-53 per gauss item, at most b/2^64 per
-    shuffle item) is replayed through the scalar helper from its start state.
+    states jumped by doubling over one ladder of such matrices and steps
+    them together in numpy uint64 arithmetic.
+
+    Every draw takes its words from raw in stream order and gives the values
+    and the final state of a generator that takes one word at a time;
+    _redraw replaces the words such a generator rejects. gauss runs
+    Box-Muller from IEEE-754 basic operations alone (_box_muller), so the
+    floats' bits depend on the seed only, not on the platform's libm or
+    numpy's CPU dispatch.
     """
 
     def __init__(self, seed: int):
@@ -374,21 +362,8 @@ class SeededRng:
             state.append(_splitmix64(x))
         self._s = state
 
-    def next_u64(self) -> int:
-        s = self._s
-        result = (_rotl((s[1] * 5) & MASK64, 7) * 9) & MASK64
-        t = (s[1] << 17) & MASK64
-        s[2] ^= s[0]
-        s[3] ^= s[1]
-        s[1] ^= s[2]
-        s[0] ^= s[3]
-        s[2] ^= t
-        s[3] = _rotl(s[3], 45)
-        return result
-
     def raw(self, n: int) -> np.ndarray:
-        """The next n words of the stream as uint64, equal to n next_u64 calls,
-        and the state left where those calls would leave it."""
+        """The next n words of the stream as uint64; the state moves n words on."""
         lane = min(_LANES, max(16, 1 << (n.bit_length() // 2)))  # about sqrt(n) words
         out = np.empty(-(-n // lane) * lane, dtype=np.uint64)  # whole lanes: the last may run past n
         for start in range(0, n, lane * _LANES):
@@ -418,58 +393,55 @@ class SeededRng:
             del words, t  # before the next pass's lane starts and buffers
         return out[:n]
 
+    def _redraw(self, words: np.ndarray, rejected) -> np.ndarray:
+        """The words a generator that takes one word at a time would use: while
+        rejected(words) gives any positions, the word at the first is dropped
+        and the stream's next word appended, and the words after it are
+        judged again in their new places. Rejections are rare (about 2^-53 a
+        gauss item, at most b/2^64 a draw below b)."""
+        bad = rejected(words)
+        while bad.size:
+            words = np.append(np.delete(words, bad[0]), self.raw(1))
+            bad = rejected(words)
+        return words
+
+    def _below(self, bounds: np.ndarray) -> np.ndarray:
+        """One unbiased draw in [0, b) for each uint64 bound b, in order: a
+        word u is kept when u < 2^64 - (2^64 mod b), that is u <= ~(2^64 mod b)."""
+        limits = ~((0 - bounds) % bounds)
+        return self._redraw(self.raw(len(bounds)), lambda words: np.flatnonzero(words > limits)) % bounds
+
     def random(self) -> float:
         """Uniform float64 in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * (2.0 ** -53)
+        return float(_unit_floats(self.raw(1))[0])
 
-    def uniform(self, lo: float, hi: float, size=None):
-        """lo + (hi - lo) * random(); with `size`, an array of that shape
-        filled in stream order."""
-        if size is None:
-            return lo + (hi - lo) * self.random()
+    def uniform(self, lo: float, hi: float, size) -> np.ndarray:
+        """An array of that shape of lo + (hi - lo) * random(), filled in stream order."""
         return lo + (hi - lo) * _unit_floats(self.raw(int(np.prod(size)))).reshape(size)
 
     def randint(self, n: int) -> int:
         """Uniform integer in [0, n), unbiased via rejection."""
         if n <= 0:
             raise ValueError("randint bound must be positive")
-        limit = (1 << 64) - ((1 << 64) % n)
-        while True:
-            u = self.next_u64()
-            if u < limit:
-                return u % n
+        return int(self._below(np.array([n], dtype=np.uint64))[0])
 
-    def gauss(self, mu: float = 0.0, sigma: float = 1.0, size=None):
-        """Standard Box-Muller draw (no cached spare, keeps state minimal); with
-        `size`, an array of that shape filled in stream order."""
-        if size is None:
-            u1 = self.random()
-            while u1 <= 0.0:
-                u1 = self.random()
-            return mu + sigma * _box_muller(u1, self.random(), math.sqrt, math.frexp)
+    def gauss(self, mu: float = 0.0, sigma: float = 1.0, *, size) -> np.ndarray:
+        """An array of that shape of Box-Muller draws (no cached spare, keeps
+        state minimal), filled in stream order: mu + sigma * _box_muller(u1,
+        u2) from two words an item."""
         n = int(np.prod(size))
-        saved = self.state()
-        u = _unit_floats(self.raw(2 * n).reshape(n, 2))
-        if np.any(u[:, 0] == 0.0):  # the scalar helper redraws such a u1: replay the call with it
-            self.set_state(saved)
-            return np.reshape([self.gauss(mu, sigma) for _ in range(n)], size)
+        # a u1 of 0 is rejected; no name keeps the words alive through the transform
+        u = _unit_floats(self._redraw(self.raw(2 * n), lambda w: 2 * np.flatnonzero(w[0::2] < 1 << 11)))
+        u = u.reshape(n, 2)
         out = np.empty(n)
         for rows in row_chunks(n, _GAUSS_CHUNK):
-            out[rows] = mu + sigma * _box_muller(u[rows, 0], u[rows, 1], np.sqrt, np.frexp)
+            out[rows] = mu + sigma * _box_muller(u[rows, 0], u[rows, 1])
         return out.reshape(size)
 
     def shuffle(self, seq) -> None:
         """In-place Fisher-Yates shuffle of a mutable sequence: one randint(i + 1)
         per position i from the end, drawn in bulk."""
-        bounds = np.arange(len(seq), 1, -1, dtype=np.uint64)
-        saved = self.state()
-        words = self.raw(len(bounds))
-        # randint(b) accepts u < 2^64 - (2^64 mod b), that is u <= ~(2^64 mod b)
-        if np.any(words > ~((0 - bounds) % bounds)):  # it redraws such a u: replay the call with it
-            self.set_state(saved)
-            picks = [self.randint(int(b)) for b in bounds]
-        else:
-            picks = (words % bounds).tolist()
+        picks = self._below(np.arange(len(seq), 1, -1, dtype=np.uint64)).tolist()
         for i, j in zip(range(len(seq) - 1, 0, -1), picks):
             seq[i], seq[j] = seq[j], seq[i]
 

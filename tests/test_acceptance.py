@@ -37,7 +37,7 @@ def test_criterion_1_gradient_correctness():
         hidden_dim = 2 + rng.randint(7)
         k = 2 + rng.randint(7)
         head = init_head(input_dim, hidden_dim, k, eta=0.1, rng=rng)
-        x = np.array([rng.gauss() for _ in range(input_dim)])
+        x = rng.gauss(size=input_dim)
         label = rng.randint(k)
         trace = head.forward(x)
         grads = dict(zip(("hidden", "out"), head.backward(trace, label)))
@@ -67,10 +67,10 @@ def test_criterion_2_drift_rollback_identity():
         eta = 0.001 + rng.random() * 0.5
         head = init_head(input_dim, hidden_dim, k, eta=eta, rng=rng)
         prev = head.copy()
-        x = np.array([rng.gauss() for _ in range(input_dim)])
+        x = rng.gauss(size=input_dim)
         label = rng.randint(k)
         head.sgd_step(x, label)
-        x_probe = np.array([rng.gauss() for _ in range(input_dim)])
+        x_probe = rng.gauss(size=input_dim)
         rolled = head.rollback_hidden_batch(x_probe[None])[0]
         reference = prev.forward(x_probe).h
         assert np.max(np.abs(rolled - reference)) < 1e-9
@@ -81,7 +81,7 @@ def test_criterion_3_streaming_mean_telescoping():
     started = time.perf_counter()
     rng = SeededRng(10_003)
     for n in (2, 17, 1000):
-        points = np.array([[rng.gauss() * 5 for _ in range(8)] for _ in range(n)])
+        points = rng.gauss(size=(n, 8)) * 5
         bank = CentroidBank(points[:1].copy(), np.array([1]))
         update_centroid(bank, np.zeros(n - 1, dtype=np.int64), points[1:])
         assert np.max(np.abs(bank.centroids[0] - points.mean(axis=0))) < 1e-9

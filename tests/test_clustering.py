@@ -17,12 +17,9 @@ from driftclust.tensor import DimensionError, SeededRng
 
 
 def make_blob_features(rng, centers, per_cluster, sigma):
-    points, labels = [], []
-    for i, c in enumerate(centers):
-        for _ in range(per_cluster):
-            points.append([cj + sigma * rng.gauss() for cj in c])
-            labels.append(i)
-    return np.array(points), np.array(labels)
+    centers = np.repeat(np.asarray(centers, dtype=np.float64), per_cluster, axis=0)
+    points = centers + sigma * rng.gauss(size=centers.shape)
+    return points, np.arange(len(centers)) // per_cluster
 
 
 def test_seed_k1_returns_single_sample():
@@ -76,9 +73,9 @@ def test_assign_exact_and_tiebreak():
 
 def test_assign_matches_bruteforce_scan():
     rng = SeededRng(9)
-    cents = np.array([[rng.gauss() for _ in range(4)] for _ in range(5)])
+    cents = rng.gauss(size=(5, 4))
     bank = CentroidBank(cents, np.ones(5, dtype=np.int64))
-    feats = np.array([[rng.gauss() for _ in range(4)] for _ in range(50)])
+    feats = rng.gauss(size=(50, 4))
     labels, dists = assign_batch(bank, feats)
     for h, label, dist in zip(feats, labels, dists):
         best, best_d = 0, float("inf")
@@ -102,9 +99,9 @@ def test_assign_batch_matches_assign(monkeypatch):
     # chunked batches give the same answer as one-row batches; 28 entries
     # per pass make chunks of 7 rows at k=4
     rng = SeededRng(14)
-    cents = np.array([[rng.gauss() for _ in range(6)] for _ in range(4)])
+    cents = rng.gauss(size=(4, 6))
     bank = CentroidBank(cents, np.ones(4, dtype=np.int64))
-    feats = np.array([[rng.gauss() for _ in range(6)] for _ in range(33)])
+    feats = rng.gauss(size=(33, 6))
     monkeypatch.setattr(clustering, "_PASS_ENTRIES", 28)
     labels, dists = assign_batch(bank, feats)
     for i in range(33):
@@ -328,7 +325,7 @@ def test_update_centroid_midpoint_then_tenth():
 
 def test_update_centroid_telescopes_to_running_mean():
     rng = SeededRng(100)
-    points = np.array([[rng.gauss() for _ in range(3)] for _ in range(200)])
+    points = rng.gauss(size=(200, 3))
     bank = CentroidBank(points[:1].copy(), np.array([1]))
     update_centroid(bank, np.zeros(199, dtype=np.int64), points[1:])
     assert np.max(np.abs(bank.centroids[0] - points.mean(axis=0))) < 1e-9
@@ -363,7 +360,7 @@ def test_lloyd_two_points_two_clusters():
 
 def test_lloyd_k1_gives_global_mean():
     rng = SeededRng(2)
-    feats = np.array([[rng.gauss() for _ in range(3)] for _ in range(40)])
+    feats = rng.gauss(size=(40, 3))
     labels, bank = lloyd_kmeans(feats, 1, SeededRng(3))
     assert np.allclose(bank.centroids[0], feats.mean(axis=0), atol=1e-12)
     assert np.all(labels == 0)
@@ -411,7 +408,7 @@ def test_lloyd_matches_independent_oracle_on_blobs():
 
 def spread_features():
     rng = SeededRng(7)
-    return np.array([[rng.gauss() * 3 for _ in range(5)] for _ in range(300)])
+    return rng.gauss(size=(300, 5)) * 3
 
 
 def test_lloyd_objective_nonincreasing():
@@ -437,7 +434,7 @@ def test_lloyd_stops_at_its_fixed_point():
 
 def test_lloyd_deterministic():
     rng = SeededRng(90)
-    feats = np.array([[rng.gauss() for _ in range(4)] for _ in range(120)])
+    feats = rng.gauss(size=(120, 4))
     la, ba = lloyd_kmeans(feats, 5, SeededRng(42))
     lb, bb = lloyd_kmeans(feats, 5, SeededRng(42))
     assert np.array_equal(la, lb)
@@ -459,7 +456,7 @@ def test_lloyd_survives_forced_empty_cluster():
 def test_lloyd_sums_in_passes_match_one_pass(monkeypatch):
     # 9 entries per pass at k=3: the cluster sums add up 30 passes of 3 rows
     rng = SeededRng(11)
-    feats = np.array([[rng.gauss() * 3 for _ in range(5)] for _ in range(90)])
+    feats = rng.gauss(size=(90, 5)) * 3
     ref_labels, ref = lloyd_kmeans(feats, 3, SeededRng(4))
     monkeypatch.setattr(clustering, "_PASS_ENTRIES", 9)
     labels, bank = lloyd_kmeans(feats, 3, SeededRng(4))

@@ -114,16 +114,19 @@ def test_idx_gzip_malformed_input_is_an_idx_error(tmp_path, body, message):
 
 
 def test_idx_reads_through_a_pipe(tmp_path):
+    # plain bytes, and two gzip members with zero padding, from a FIFO that cannot seek
     pixels = np.arange(3 * 5 * 4, dtype=np.uint8).reshape(3, 5, 4)
     img, _ = write_idx_fixture(tmp_path, pixels)
-    fifo = tmp_path / "images.fifo"
-    os.mkfifo(fifo)
-    writer = threading.Thread(target=fifo.write_bytes, args=(img.read_bytes(),), daemon=True)
-    writer.start()
-    ds = load_idx(fifo)
-    writer.join(timeout=10)
-    assert not writer.is_alive()
-    assert np.array_equal(ds.samples.reshape(pixels.shape), pixels)
+    raw = img.read_bytes()
+    for i, body in enumerate([raw, gzip.compress(raw[:21]) + bytes(9) + gzip.compress(raw[21:])]):
+        fifo = tmp_path / f"images{i}.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(body,), daemon=True)
+        writer.start()
+        ds = load_idx(fifo)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert np.array_equal(ds.samples.reshape(pixels.shape), pixels)
 
 
 def test_idx_bad_magic_names_observed_value(tmp_path):

@@ -45,7 +45,7 @@ def test_forward_identity_weights_clip_negatives():
 def test_forward_matches_loop_oracle():
     rng = SeededRng(8)
     head = random_head(rng)
-    x = np.array([rng.gauss() for _ in range(5)])
+    x = rng.gauss(size=5)
     trace = head.forward(x)
     h, y = two_loop_forward(head.w_hidden, head.w_out, x)
     assert np.allclose(trace.h, h, atol=1e-12)
@@ -55,7 +55,7 @@ def test_forward_matches_loop_oracle():
 def test_forward_deterministic_bitwise():
     rng = SeededRng(10)
     head = random_head(rng)
-    x = np.array([rng.gauss() for _ in range(5)])
+    x = rng.gauss(size=5)
     t1, t2 = head.forward(x), head.forward(x)
     assert np.array_equal(t1.h, t2.h) and np.array_equal(t1.y, t2.y)
 
@@ -73,7 +73,7 @@ def test_sse_loss_examples():
 
 def test_sse_loss_matches_direct_sum():
     rng = SeededRng(12)
-    y = np.array([rng.gauss() for _ in range(4)])
+    y = rng.gauss(size=4)
     t = one_hot(4, 2)
     expected = 0.5 * sum((y[i] - t[i]) ** 2 for i in range(4))
     assert sse_loss(y, 2) == pytest.approx(expected, rel=1e-12)
@@ -130,7 +130,7 @@ def test_backward_matches_finite_differences():
     for trial in range(25):
         dims = [2 + rng.randint(7) for _ in range(3)]  # dims <= 8
         head = init_head(dims[0], dims[1], dims[2], eta=0.1, rng=rng)
-        x = np.array([rng.gauss() for _ in range(dims[0])])
+        x = rng.gauss(size=dims[0])
         finite_difference_check(head, x, rng.randint(dims[2]))
 
 
@@ -162,7 +162,7 @@ def test_sgd_step_zero_gradients_and_zero_eta():
     assert np.all(head.last_delta_hidden == 0.0) and np.all(head.last_delta_out == 0.0)
 
     head_zero = random_head(SeededRng(4), eta=0.0)
-    x = np.array([rng.gauss() for _ in range(5)])
+    x = rng.gauss(size=5)
     g1, g2 = head_zero.backward(head_zero.forward(x), 1)
     assert np.any(g1) and np.any(g2)
     head_zero.sgd_step(x, 1)
@@ -176,7 +176,7 @@ def test_step_buffers_hold_the_latest_gradients_and_copies_own_theirs():
     # deltas must be that step's own and a copy must not see later steps
     rng = SeededRng(36)
     head = random_head(rng, eta=0.05)
-    samples = [(np.array([rng.gauss() for _ in range(5)]), rng.randint(3)) for _ in range(8)]
+    samples = [(rng.gauss(size=5), rng.randint(3)) for _ in range(8)]
     for i, (x, label) in enumerate(samples):
         want = head.backward(head.forward(x), label)
         head.sgd_step(x, label)
@@ -213,7 +213,7 @@ def test_rollback_reproduces_previous_hidden_feature():
     rng = SeededRng(31)
     for _ in range(20):
         head = random_head(rng, eta=0.05)
-        x = np.array([rng.gauss() for _ in range(5)])
+        x = rng.gauss(size=5)
         label = rng.randint(3)
         prev_w1 = head.w_hidden.copy()
         head.sgd_step(x, label)
@@ -225,7 +225,7 @@ def test_rollback_reproduces_previous_hidden_feature():
 def test_rollback_weights_follow_every_step_and_are_built_once_per_step():
     rng = SeededRng(36)
     head = random_head(rng, eta=0.05)
-    xs = np.array([[rng.gauss() for _ in range(5)] for _ in range(6)])
+    xs = rng.gauss(size=(6, 5))
     for label in (0, 2, 1, 1):
         head.sgd_step(xs[label], label)
         expected = np.maximum(xs @ (head.w_hidden + head.eta * head.last_delta_hidden).T, 0.0)
@@ -239,7 +239,7 @@ def test_rollback_weights_follow_every_step_and_are_built_once_per_step():
 def test_rollback_with_zero_delta_equals_current():
     rng = SeededRng(32)
     head = random_head(rng)
-    x = np.array([rng.gauss() for _ in range(5)])
+    x = rng.gauss(size=5)
     head.sgd_step(np.zeros(5), 0)  # zero gradients: the stored deltas are all zero
     assert np.all(head.last_delta_hidden == 0.0)
     assert np.array_equal(head.rollback_hidden_batch(x[None])[0], head.hidden_batch(x[None])[0])
@@ -248,7 +248,7 @@ def test_rollback_with_zero_delta_equals_current():
 def test_rollback_with_zero_eta_equals_current():
     rng = SeededRng(33)
     head = random_head(rng, eta=0.0)
-    x = np.array([rng.gauss() for _ in range(5)])
+    x = rng.gauss(size=5)
     head.sgd_step(x, 1)
     assert np.array_equal(head.rollback_hidden_batch(x[None])[0], head.hidden_batch(x[None])[0])
 
@@ -264,7 +264,7 @@ def test_single_step_descends_loss():
     checked = 0
     for _ in range(30):
         head = random_head(rng, eta=1e-4)
-        x = np.array([rng.gauss() for _ in range(5)])
+        x = rng.gauss(size=5)
         label = rng.randint(3)
         trace = head.forward(x)
         before = sse_loss(trace.y, label)
@@ -310,7 +310,7 @@ def test_init_head_weight_mean_near_zero():
 def test_hidden_batch_matches_forward():
     rng = SeededRng(77)
     head = random_head(rng)
-    xs = np.array([[rng.gauss() for _ in range(5)] for _ in range(9)])
+    xs = rng.gauss(size=(9, 5))
     batch = head.hidden_batch(xs)
     for i in range(9):
         assert np.allclose(batch[i], head.forward(xs[i]).h, atol=1e-12)
@@ -380,7 +380,7 @@ def test_sgd_pass_matches_forward_loss_backward_reference(seed):
     zeros = np.zeros(2, dtype=int)  # -0.0 entries of the oracle's hidden and output gradients
     for _ in range(4):
         n = 1 + rng.randint(12)
-        xs = np.array([[rng.gauss() for _ in range(dims[0])] for _ in range(n)])
+        xs = rng.gauss(size=(n, dims[0]))
         xs[rng.randint(n)] = 0.0
         labels = [rng.randint(dims[2]) for _ in range(n)]
         done, ref = assert_pass_matches_reference(head, xs, labels)
@@ -464,11 +464,11 @@ def test_sgd_pass_takes_integer_labels_of_any_integer_type():
 
 def test_head_owns_flat_buffers_of_c_contiguous_layers():
     rng = SeededRng(38)
-    w1 = np.array([[rng.gauss() for _ in range(5)] for _ in range(4)])
-    w2 = np.array([[rng.gauss() for _ in range(4)] for _ in range(3)])
+    w1 = rng.gauss(size=(4, 5))
+    w2 = rng.gauss(size=(3, 4))
     caller = w1.copy()
     head = FeatureHead(w1, w2, eta=0.1)
-    head.sgd_step(np.array([rng.gauss() for _ in range(5)]), 1)
+    head.sgd_step(rng.gauss(size=5), 1)
     assert w1.tobytes() == caller.tobytes()  # the head trains its own copy
     assert not np.shares_memory(head.w_hidden, w1)
     arrays = [getattr(head, name) for name in STATE]

@@ -56,22 +56,115 @@ def test_row_chunks_take_a_chunk_length_and_make_none_of_no_rows():
     assert row_chunks(73, 32) == [slice(0, 32), slice(32, 64), slice(41, 73)]
 
 
-def test_rng_streams_are_reproducible():
-    # byte-identical streams of one million draws from the same seed; the pin
-    # is the digest of one million scalar next_u64 words
-    def digest(seed):
-        return hashlib.sha256(SeededRng(seed).raw(1_000_000).astype("<u8").tobytes()).hexdigest()
+# --- the stream oracle --------------------------------------------------------
 
-    assert digest(1234) == digest(1234)
-    assert digest(1234) != digest(1235)
-    assert digest(1234) == "876186e58b62c140f5b9361d57cc2e8e84de3fee189151d8c8a0ba9b884fb700"
+def _rotl(x, k):
+    return ((x << k) | (x >> (64 - k))) & MASK
+
+
+class Xoshiro:
+    """The stream oracle: the xoshiro256** recurrence of SeededRng's
+    docstring on Python ints, one word a call, and each draw made from it
+    word by word, a rejected word followed by the next."""
+
+    def __init__(self, state):
+        self.s = list(state)
+
+    def state(self):
+        return tuple(self.s)
+
+    def next_u64(self):
+        s = self.s
+        result = (_rotl((s[1] * 5) & MASK, 7) * 9) & MASK
+        t = (s[1] << 17) & MASK
+        s[2] ^= s[0]
+        s[3] ^= s[1]
+        s[1] ^= s[2]
+        s[0] ^= s[3]
+        s[2] ^= t
+        s[3] = _rotl(s[3], 45)
+        return result
+
+    def random(self):
+        return (self.next_u64() >> 11) * 2.0 ** -53
+
+    def randint(self, n):
+        limit = (1 << 64) - ((1 << 64) % n)
+        while True:
+            u = self.next_u64()
+            if u < limit:
+                return u % n
+
+    def gauss(self, mu, sigma, n):
+        """n draws: each item's u1 drawn until it is not 0, then its u2,
+        through SeededRng's transform (checked against math's below)."""
+        pairs = []
+        for _ in range(n):
+            u1 = self.random()
+            while u1 == 0.0:
+                u1 = self.random()
+            pairs.append((u1, self.random()))
+        u = np.array(pairs).reshape(n, 2)
+        return (mu + sigma * tensor._box_muller(u[:, 0], u[:, 1])).tolist()
+
+    def shuffle(self, seq):
+        for i in range(len(seq) - 1, 0, -1):
+            j = self.randint(i + 1)
+            seq[i], seq[j] = seq[j], seq[i]
+
+
+def _step_back(state):
+    """Inverse of one xoshiro256** state update."""
+    a0, a1, a2, a3 = state
+    x3 = _rotl(a3, 64 - 45)  # s3 ^ s1
+    s0 = a0 ^ x3
+    v = a1 ^ a2  # s1 ^ (s1 << 17)
+    s1 = (v ^ (v << 17) ^ (v << 34) ^ (v << 51)) & MASK
+    return (s0, s1, a1 ^ s1 ^ s0, x3 ^ s1)
+
+
+def _planted(state, position, *words):
+    """A state whose stream yields `words` (one or two) from `position`
+    (0-based) on: `state` with its s1 solved for the first word and its s2
+    for the second (the next s1 is s0 ^ s1 ^ s2), then stepped back
+    `position` times."""
+    s0, _, s2, s3 = state
+    x = [(_rotl((w * pow(9, -1, 1 << 64)) & MASK, 64 - 7) * pow(5, -1, 1 << 64)) & MASK for w in words]
+    if len(x) > 1:
+        s2 = s0 ^ x[0] ^ x[1]
+    state = (s0, x[0], s2, s3)
+    for _ in range(position):
+        state = _step_back(state)
+    return state
+
+
+def _rngs(state):
+    bulk = SeededRng(0)
+    bulk.set_state(state)
+    return bulk, Xoshiro(state)
+
+
+# --- the generator -------------------------------------------------------------
+
+def test_rng_streams_are_reproducible():
+    # byte-identical streams of one million draws from the same seed, pinned
+    # to the digest of one million oracle words
+    def digest(words):
+        return hashlib.sha256(np.asarray(words, dtype="<u8").tobytes()).hexdigest()
+
+    pin = "876186e58b62c140f5b9361d57cc2e8e84de3fee189151d8c8a0ba9b884fb700"
+    oracle = Xoshiro(SeededRng(1234).state())
+    assert digest([oracle.next_u64() for _ in range(1_000_000)]) == pin
+    assert digest(SeededRng(1234).raw(1_000_000)) == digest(SeededRng(1234).raw(1_000_000)) == pin
+    assert digest(SeededRng(1235).raw(1_000_000)) != pin
 
 
 def test_rng_known_good_values():
     # frozen from this generator; guards against accidental recurrence edits
-    rng = SeededRng(42)
-    assert [rng.next_u64() for _ in range(3)] == [
-        13696896915399030466, 12641092763546669283, 14580102322132234639]
+    words = [13696896915399030466, 12641092763546669283, 14580102322132234639]
+    oracle = Xoshiro(SeededRng(42).state())
+    assert [oracle.next_u64() for _ in range(3)] == words
+    assert SeededRng(42).raw(3).tolist() == words
 
 
 def test_rng_random_range_and_uniform():
@@ -80,15 +173,14 @@ def test_rng_random_range_and_uniform():
     assert all(0.0 <= d < 1.0 for d in draws)
     assert abs(np.mean(draws) - 0.5) < 0.02
     lo, hi = -3.0, 5.0
-    assert all(lo <= rng.uniform(lo, hi) < hi for _ in range(1000))
+    draws = rng.uniform(lo, hi, size=1000)
+    assert np.all((lo <= draws) & (draws < hi))
 
 
 def test_rng_randint_unbiased_small_n():
-    rng = SeededRng(3)
-    counts = np.zeros(7, dtype=int)
-    for _ in range(70_000):
-        counts[rng.randint(7)] += 1
-    assert counts.min() > 9_000  # each bucket near 10k
+    # 70,000 randint(7) draws, made at once through randint's own _below
+    counts = np.bincount(SeededRng(3)._below(np.full(70_000, 7, dtype=np.uint64)).astype(np.int64), minlength=7)
+    assert counts.size == 7 and counts.min() > 9_000  # each bucket near 10k
 
 
 def test_rng_shuffle_is_permutation():
@@ -100,8 +192,7 @@ def test_rng_shuffle_is_permutation():
 
 
 def test_rng_gauss_moments():
-    rng = SeededRng(17)
-    draws = np.array([rng.gauss() for _ in range(50_000)])
+    draws = SeededRng(17).gauss(size=50_000)
     assert abs(draws.mean()) < 0.02
     assert abs(draws.std() - 1.0) < 0.02
 
@@ -135,53 +226,18 @@ def test_rng_weighted_index_never_picks_a_zero_weight(monkeypatch, weights, last
 
 def test_rng_state_roundtrip():
     rng = SeededRng(99)
-    for _ in range(10):
-        rng.next_u64()
+    rng.raw(10)
     saved = rng.state()
-    expected = [rng.next_u64() for _ in range(5)]
+    expected = rng.raw(5).tolist()
     rng2 = SeededRng(0)
     rng2.set_state(saved)
-    assert [rng2.next_u64() for _ in range(5)] == expected
+    assert rng2.raw(5).tolist() == expected
+    oracle = Xoshiro(saved)
+    assert [oracle.next_u64() for _ in range(5)] == expected
+    assert rng2.state() == oracle.state()
 
 
-# --- bulk draws against the scalar reference --------------------------------
-
-def _rotl(x, k):
-    return ((x << k) | (x >> (64 - k))) & MASK
-
-
-def _step_back(state):
-    """Inverse of one xoshiro256** state update."""
-    a0, a1, a2, a3 = state
-    x3 = _rotl(a3, 64 - 45)  # s3 ^ s1
-    s0 = a0 ^ x3
-    v = a1 ^ a2  # s1 ^ (s1 << 17)
-    s1 = (v ^ (v << 17) ^ (v << 34) ^ (v << 51)) & MASK
-    return (s0, s1, a1 ^ s1 ^ s0, x3 ^ s1)
-
-
-def _planted(state, position, word):
-    """A state whose stream yields `word` at `position` (0-based): `state`
-    with its s1 solved for `word`, then stepped back `position` times."""
-    x = _rotl((word * pow(9, -1, 1 << 64)) & MASK, 64 - 7)
-    state = (state[0], (x * pow(5, -1, 1 << 64)) & MASK, state[2], state[3])
-    for _ in range(position):
-        state = _step_back(state)
-    return state
-
-
-def _rngs(state):
-    bulk, scalar = SeededRng(0), SeededRng(0)
-    bulk.set_state(state)
-    scalar.set_state(state)
-    return bulk, scalar
-
-
-def _scalar_shuffle(rng, seq):
-    for i in range(len(seq) - 1, 0, -1):
-        j = rng.randint(i + 1)
-        seq[i], seq[j] = seq[j], seq[i]
-
+# --- bulk draws against the oracle ---------------------------------------------
 
 # the all-zero state is a fixed point that seeding never produces
 STATES = st.tuples(*[st.integers(0, MASK)] * 4).filter(any)
@@ -198,30 +254,30 @@ POSITIONS = st.sampled_from([0, 1, LANE - 1, LANE, 3 * LANE + 2, PASS // 2 - 1, 
 
 
 def test_step_back_inverts_next_u64():
-    rng = SeededRng(5)
-    before = rng.state()
-    rng.next_u64()
-    assert _step_back(rng.state()) == before
-    for word in (0, MASK, 12345):
-        bulk, _ = _rngs(_planted(before, 3, word))
-        assert [bulk.next_u64() for _ in range(4)][3] == word
+    oracle = Xoshiro(SeededRng(5).state())
+    before = oracle.state()
+    oracle.next_u64()
+    assert _step_back(oracle.state()) == before
+    for words in ((0,), (MASK,), (12345,), (0, 0), (MASK, 7)):
+        bulk, _ = _rngs(_planted(before, 3, *words))
+        assert tuple(bulk.raw(5).tolist()[3:3 + len(words)]) == words
 
 
 @settings(max_examples=30, deadline=None)
 @given(STATES, SIZES)
 def test_raw_matches_next_u64(state, n):
-    bulk, scalar = _rngs(state)
-    assert bulk.raw(n).tolist() == [scalar.next_u64() for _ in range(n)]
-    assert bulk.state() == scalar.state()
+    bulk, oracle = _rngs(state)
+    assert bulk.raw(n).tolist() == [oracle.next_u64() for _ in range(n)]
+    assert bulk.state() == oracle.state()
 
 
 @pytest.mark.parametrize("n", [1, 15, 16, 17, 255, 256, 257, 8191, 8192, 8193, PASS - 1, PASS + 1, 10 ** 6 + 3])
 def test_raw_matches_next_u64_at_lane_and_pass_boundaries(cold_jumps, n):
     # the lane grows from 16 to 32 words at n = 512 and to 128 at 8192; PASS
     # words fill one pass, and 10**6 + 3 ends in a partial pass and lane
-    bulk, scalar = SeededRng(n), SeededRng(n)
-    assert bulk.raw(n).tolist() == [scalar.next_u64() for _ in range(n)]
-    assert bulk.state() == scalar.state()
+    bulk, oracle = _rngs(SeededRng(n).state())
+    assert bulk.raw(n).tolist() == [oracle.next_u64() for _ in range(n)]
+    assert bulk.state() == oracle.state()
 
 
 def test_raw_holds_one_pass_of_temporaries_and_caches_packed_bits(cold_jumps):
@@ -248,25 +304,38 @@ def test_raw_holds_one_pass_of_temporaries_and_caches_packed_bits(cold_jumps):
 @settings(max_examples=20, deadline=None)
 @given(STATES, SIZES)
 def test_bulk_gauss_uniform_and_shuffle_match_scalar_helpers(state, n):
-    bulk, scalar = _rngs(state)
-    assert bulk.gauss(size=n).tolist() == [scalar.gauss() for _ in range(n)]
-    assert bulk.gauss(0.5, 3.0, size=(1, n)).ravel().tolist() == [scalar.gauss(0.5, 3.0) for _ in range(n)]
-    assert bulk.uniform(-0.3, 2.0, size=n).tolist() == [scalar.uniform(-0.3, 2.0) for _ in range(n)]
-    seq_bulk, seq_scalar = list(range(n)), list(range(n))
+    # every draw against the oracle's word-by-word one, and the state after them
+    bulk, oracle = _rngs(state)
+    assert bulk.gauss(size=n).tolist() == oracle.gauss(0.0, 1.0, n)
+    assert bulk.gauss(0.5, 3.0, size=(1, n)).ravel().tolist() == oracle.gauss(0.5, 3.0, n)
+    lo, hi = -0.3, 2.0
+    assert bulk.uniform(lo, hi, size=n).tolist() == [lo + (hi - lo) * oracle.random() for _ in range(n)]
+    assert [bulk.random(), bulk.randint(n), bulk.randint(10)] == \
+        [oracle.random(), oracle.randint(n), oracle.randint(10)]
+    seq_bulk, seq_oracle = list(range(n)), list(range(n))
     bulk.shuffle(seq_bulk)
-    _scalar_shuffle(scalar, seq_scalar)
-    assert seq_bulk == seq_scalar
-    assert bulk.state() == scalar.state()
+    oracle.shuffle(seq_oracle)
+    assert seq_bulk == seq_oracle
+    assert bulk.state() == oracle.state()
 
 
 @settings(max_examples=15, deadline=None)
 @given(PLANT_STATES, POSITIONS)
 def test_bulk_gauss_redraws_a_zero_u1_like_the_scalar_helper(state, item):
-    # the word at 2 * item is item's u1; 0 makes the scalar helper draw u1 again
-    bulk, scalar = _rngs(_planted(state, 2 * item, 0))
+    # the word at 2 * item is item's u1; 0 makes the oracle draw u1 again
+    bulk, oracle = _rngs(_planted(state, 2 * item, 0))
     n = item + 5
-    assert bulk.gauss(size=n).tolist() == [scalar.gauss() for _ in range(n)]
-    assert bulk.state() == scalar.state()
+    assert bulk.gauss(size=n).tolist() == oracle.gauss(0.0, 1.0, n)
+    assert bulk.state() == oracle.state()
+
+
+@pytest.mark.parametrize("item", [0, 1, LANE - 1, LANE, 3 * LANE + 2])
+def test_bulk_gauss_redraws_a_u1_that_is_0_again(item):
+    # item's u1 is 0 and so is the word after it, drawn as u1 in its place
+    bulk, oracle = _rngs(_planted(SeededRng(item).state(), 2 * item, 0, 0))
+    n = item + 5
+    assert bulk.gauss(size=n).tolist() == oracle.gauss(0.0, 1.0, n)
+    assert bulk.state() == oracle.state()
 
 
 @settings(max_examples=15, deadline=None)
@@ -274,12 +343,33 @@ def test_bulk_gauss_redraws_a_zero_u1_like_the_scalar_helper(state, item):
 def test_bulk_shuffle_rejects_the_top_word_like_randint(state, draw):
     # draw p of a shuffle of n items is randint(n - p); with n - p = 10, not a
     # power of two, randint rejects 2**64 - 1 and draws again
-    bulk, scalar = _rngs(_planted(state, draw, MASK))
-    seq_bulk, seq_scalar = list(range(draw + 10)), list(range(draw + 10))
+    bulk, oracle = _rngs(_planted(state, draw, MASK))
+    seq_bulk, seq_oracle = list(range(draw + 10)), list(range(draw + 10))
     bulk.shuffle(seq_bulk)
-    _scalar_shuffle(scalar, seq_scalar)
-    assert seq_bulk == seq_scalar
-    assert bulk.state() == scalar.state()
+    oracle.shuffle(seq_oracle)
+    assert seq_bulk == seq_oracle
+    assert bulk.state() == oracle.state()
+
+
+@pytest.mark.parametrize("draw", [0, 1, LANE])
+def test_bulk_shuffle_judges_the_words_after_a_redraw_in_their_new_places(draw):
+    # draw p, randint(10), rejects 2**64 - 1; the next word, 2**64 - 7, is
+    # above randint(9)'s limit but not randint(10)'s, so it is kept in p's place
+    bulk, oracle = _rngs(_planted(SeededRng(draw).state(), draw, MASK, MASK - 6))
+    seq_bulk, seq_oracle = list(range(draw + 10)), list(range(draw + 10))
+    bulk.shuffle(seq_bulk)
+    oracle.shuffle(seq_oracle)
+    assert seq_bulk == seq_oracle
+    assert bulk.state() == oracle.state()
+
+
+@pytest.mark.parametrize("position", [0, 1, LANE])
+@pytest.mark.parametrize("words", [(MASK,), (MASK, MASK), (MASK, 3)])
+def test_randint_rejects_the_top_word_like_the_oracle(position, words):
+    # randint(10) rejects 2**64 - 1 and draws again, twice when the next word is it too
+    bulk, oracle = _rngs(_planted(SeededRng(position).state(), position, *words))
+    assert [bulk.randint(10) for _ in range(position + 3)] == [oracle.randint(10) for _ in range(position + 3)]
+    assert bulk.state() == oracle.state()
 
 
 # --- gauss against math's log and cos ----------------------------------------
@@ -322,19 +412,17 @@ def test_gauss_edge_words_give_finite_nonzero_draws_within_the_bound():
     start = SeededRng(8).state()
     planted = [(0, word) for word in U1_EDGES.values()] + [(1, word) for word in U2_EDGES.values()]
     for position, word in planted:  # item 2's u1 or u2
-        bulk, twin = _rngs(_planted(start, 4 + position, word))
-        draws, words = bulk.gauss(size=4), twin.raw(8)
+        bulk, oracle = _rngs(_planted(start, 4 + position, word))
+        draws, words = bulk.gauss(size=4), np.array([oracle.next_u64() for _ in range(8)], dtype=np.uint64)
         assert words[4 + position] == word
         assert np.all(np.isfinite(draws)) and np.all(draws != 0.0)
         assert _ulps(draws, _math_box_muller(words)).max() <= GAUSS_ULPS
-    for u1 in U1_EDGES:  # both at once, through the scalar helper
-        for u2 in U2_EDGES:
-            rng = SeededRng(0)
-            rng.random = iter([u1, u2]).__next__
-            draw = rng.gauss()
-            assert math.isfinite(draw) and draw != 0.0
-            expected = math.sqrt(-2 * math.log(u1)) * math.cos(2 * math.pi * u2)
-            assert _ulps(draw, expected) <= GAUSS_ULPS
+    # both at once, every pair through the transform
+    u1, u2 = (np.ravel(u) for u in np.meshgrid(list(U1_EDGES), list(U2_EDGES)))
+    draws = tensor._box_muller(u1, u2)
+    assert np.all(np.isfinite(draws)) and np.all(draws != 0.0)
+    expected = [math.sqrt(-2 * math.log(a)) * math.cos(2 * math.pi * b) for a, b in zip(u1.tolist(), u2.tolist())]
+    assert _ulps(draws, expected).max() <= GAUSS_ULPS
 
 
 GAUSS_DIGEST = """\
