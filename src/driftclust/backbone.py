@@ -119,12 +119,8 @@ class Backbone:
         self._check_batch(samples)
         out = np.empty((samples.shape[0], self.spec.output_dim))
 
-        def extract(run, scratch):
-            for rows in run:
-                self._transform(samples[rows], out[rows], scratch)
-
         with RowPool(samples.shape[0], self._chunk_rows) as pool:
-            pool.each(extract)
+            pool.each(lambda rows, scratch: self._transform(samples[rows], out[rows], scratch))
         return out
 
     def head_inputs(self, samples: np.ndarray) -> np.ndarray:
@@ -181,15 +177,11 @@ class TinyConvBackbone(Backbone):
         super().__init__(spec)
         h, w, c = spec.input_shape
         rng = SeededRng(spec.seed)
-        self.w1 = self._draw_conv(_CONV1_CHANNELS, c, rng)
-        self.w2 = self._draw_conv(_CONV2_CHANNELS, _CONV1_CHANNELS, rng)
+        self.w1 = rng.uniform(-1.0, 1.0, size=(_CONV1_CHANNELS, c, 3, 3))
+        self.w2 = rng.uniform(-1.0, 1.0, size=(_CONV2_CHANNELS, _CONV1_CHANNELS, 3, 3))
         self.projection = _unit_rows(spec.output_dim, _conv_stack_dim(h, w), rng)
         # (9 * c_in, c_out), rows in (dy, dx, c_in) order; used as kernel.T
         self._kernels = tuple(w.transpose(2, 3, 1, 0).reshape(-1, w.shape[0]) for w in (self.w1, self.w2))
-
-    @staticmethod
-    def _draw_conv(c_out, c_in, rng):
-        return rng.uniform(-1.0, 1.0, size=(c_out, c_in, 3, 3))
 
     @staticmethod
     def _conv_relu_pool(x, kernel, scratch):

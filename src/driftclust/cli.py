@@ -259,13 +259,15 @@ def run_sweep_cell(settings) -> dict:
 
 
 def cmd_sweep(ns) -> int:
+    if ns.parallel < 0:
+        raise ConfigError(f"--parallel must be 0 or more worker processes, got {ns.parallel}")
     settings = resolve_settings(ns)
     grid = _parse_grid(ns.grid)
     cells = [{**settings, **dict(zip(grid, values))} for values in itertools.product(*grid.values())]
     for cell in cells:  # an error that cluster would stop on exits 2 before any cell runs
         check_dataset_source(cell)
 
-    if ns.parallel and ns.parallel > 1:
+    if ns.parallel > 1:
         # fork starts every worker at the first task, so start no more than there are
         # cells; the workers run their whole-set passes side by side, so each takes its
         # share of the CPUs

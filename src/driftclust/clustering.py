@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .tensor import ConfigError, DimensionError, RowPool, SeededRng, label_array
+from .tensor import ConfigError, DimensionError, RowPool, SeededRng, _check_finite, label_array
 
 _PASS_ENTRIES = 2 ** 20  # n x k entries per distance or one-hot pass: 8 MiB of float64
 
@@ -22,8 +22,7 @@ class CentroidBank:
         c = np.ascontiguousarray(centroids, dtype=np.float64)
         if c.ndim != 2 or c.shape[0] == 0 or c.shape[1] == 0:
             raise DimensionError(f"centroids must be a non-empty 2-D array, got shape {c.shape}")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("centroids contain non-finite entries")
+        _check_finite(c, "centroid matrix")
         given = np.asarray(counts)
         with np.errstate(invalid="ignore"):  # a NaN or out-of-range count fails the checks below
             n = given.astype(np.int64)
@@ -69,14 +68,13 @@ def seed_kmeanspp(features, k: int, rng: SeededRng) -> CentroidBank:
         part = -(-pool.chunk // len(pool.runs))
         pool.buffers("diff", (part, x.shape[1]))
 
-        def nearer(run, scratch):
+        def nearer(rows, scratch):
             diff, seed = scratch["diff"], x[chosen[-1]]
-            for rows in run:
-                for lo in range(rows.start, rows.stop, part):
-                    sub = slice(lo, min(lo + part, rows.stop))
-                    d = diff[:sub.stop - lo]
-                    np.subtract(x[sub], seed, out=d)
-                    np.minimum(d2[sub], np.einsum("ij,ij->i", d, d), out=d2[sub])
+            for lo in range(rows.start, rows.stop, part):
+                sub = slice(lo, min(lo + part, rows.stop))
+                d = diff[:sub.stop - lo]
+                np.subtract(x[sub], seed, out=d)
+                np.minimum(d2[sub], np.einsum("ij,ij->i", d, d), out=d2[sub])
 
         while True:
             pool.each(nearer)
@@ -139,11 +137,10 @@ def assign_pass(pool: RowPool, bank: CentroidBank, feats, sq_norms=None):
     c = bank.centroids
     cc = np.einsum("ij,ij->i", c, c)
 
-    def nearest(run, scratch):
-        for rows in run:
-            x = feats(rows, scratch)
-            xx = np.einsum("ij,ij->i", x, x) if sq_norms is None else sq_norms[rows]
-            _nearest(x, xx, c, cc, labels[rows], dists[rows])
+    def nearest(rows, scratch):
+        x = feats(rows, scratch)
+        xx = np.einsum("ij,ij->i", x, x) if sq_norms is None else sq_norms[rows]
+        _nearest(x, xx, c, cc, labels[rows], dists[rows])
 
     pool.each(nearest)
     return labels, dists

@@ -198,14 +198,22 @@ def _text_lines(path):
             raise CsvFormatError(f"{path} is not UTF-8 text: {exc}") from None
 
 
+def _label(text: str, where: str) -> np.int64:
+    """A label parsed as int() parses it (3, not 3.0 or 1e3); else CsvFormatError at where."""
+    try:  # np.int64 parses as int() does and raises OverflowError outside 64 bits
+        return np.int64(text)
+    except (ValueError, OverflowError):
+        raise CsvFormatError(f"{where}: label {text!r} is not a 64-bit integer") from None
+
+
 def load_csv(path) -> Dataset:
     """CSV feature table, one sample per row.
 
     A non-numeric first row is treated as a header; if its last column is
     named "label" the final column holds integer ground-truth labels,
     otherwise every column is a feature. Rows must all have the same width,
-    every value must be finite and every label a 64-bit integer; a violation
-    raises CsvFormatError naming the row and the column (both 1-based).
+    every value must be finite and every label a 64-bit integer (_label); a
+    violation raises CsvFormatError naming the row and the column (1-based).
     """
     lines = [ln for _, ln in _text_lines(path)]
     if not lines:
@@ -234,19 +242,15 @@ def load_csv(path) -> Dataset:
         if len(parts) != width:
             raise CsvFormatError(f"row {rownum}: expected {width} columns, got {len(parts)}")
         try:
-            values = [float(v) for v in parts]
+            values = [float(v) for v in parts[:feat_dim]]
         except ValueError as exc:
             raise CsvFormatError(f"row {rownum}: {exc}") from None
         for col, v in enumerate(values):
             if not math.isfinite(v):
                 raise CsvFormatError(f"row {rownum}, column {col + 1}: non-finite value {parts[col]!r}")
+        feats[i] = values
         if labeled:
-            if not (values[-1].is_integer() and abs(values[-1]) < 2.0 ** 63):
-                raise CsvFormatError(f"row {rownum}, column {width}: label {parts[-1]!r} is not a 64-bit integer")
-            feats[i] = values[:-1]
-            labels[i] = int(values[-1])
-        else:
-            feats[i] = values
+            labels[i] = _label(parts[-1], f"row {rownum}, column {width}")
     n = feats.shape[0]
     return Dataset(samples=feats.reshape(n, 1, feat_dim, 1), labels=labels, name="csv")
 
@@ -284,10 +288,7 @@ def load_labels(path) -> np.ndarray:
         *index, text = [s.strip() for s in line.split(",")]
         if len(index) > 1 or index and not index[0].removeprefix("-").isdecimal():
             raise CsvFormatError(f"{path} line {lineno}: {line!r} is not index,label or a bare label")
-        try:  # np.int64 parses as int() does and raises OverflowError outside 64 bits
-            out.append(np.int64(text))
-        except (ValueError, OverflowError):
-            raise CsvFormatError(f"{path} line {lineno}: label {text!r} is not a 64-bit integer") from None
+        out.append(_label(text, f"{path} line {lineno}"))
     if not out:
         raise CsvFormatError(f"no labels found in {path}")
     return np.asarray(out, dtype=np.int64)

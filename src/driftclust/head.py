@@ -145,10 +145,9 @@ class FeatureHead:
         y = np.maximum(u_out, 0.0)
         return ForwardTrace(x, u_hidden, h, u_out, y)
 
-    def hidden_batch(self, xs: np.ndarray, out=None) -> np.ndarray:
-        """Hidden features for a stack of inputs (rows), read-only weights;
-        written into out, one row per input, if given."""
-        return relu_product(xs, self.w_hidden, out)
+    def hidden_batch(self, xs: np.ndarray) -> np.ndarray:
+        """Hidden features for a stack of inputs (rows), read-only weights."""
+        return relu_product(xs, self.w_hidden)
 
     def backward(self, trace: ForwardTrace, label: int):
         """Loss gradients w.r.t. both weight matrices for one sample, t = one_hot(label).

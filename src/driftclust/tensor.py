@@ -154,9 +154,9 @@ class RowPool:
     GOTO_NUM_THREADS or OMP_NUM_THREADS gives when the process starts, and
     over the processes that share_cpus names; with none of the variables
     set it is 1, as OpenBLAS then already runs each product on every CPU.
-    each(work) calls work(run, scratch) on every run: the calling thread
-    takes the first run and pool threads the others, each run with a
-    scratch dict of its own that lives as long as the pool. numpy releases
+    each(work) calls work(rows, scratch) on every chunk, a run's chunks in
+    order on one thread with the run's own scratch dict, which lives as long
+    as the pool; the calling thread takes the first run. numpy releases
     the GIL in products and elementwise loops, so the runs overlap. A pass
     makes the same calls on each chunk whatever the worker count, so its
     results do not depend on it. Work on a pool thread calls nothing that
@@ -188,10 +188,14 @@ class RowPool:
             scratch[name] = np.empty(shape)
 
     def each(self, work) -> None:
-        """work(run, scratch) on every run; the first error raised reaches the caller."""
+        """work(rows, scratch) on every chunk; the first error raised reaches the caller."""
+        def walk(run, scratch):
+            for rows in run:
+                work(rows, scratch)
+
         first, *rest = zip(self.runs, self._scratch)
-        futures = [self._pool.submit(work, *run) for run in rest]
-        work(*first)
+        futures = [self._pool.submit(walk, *run) for run in rest]
+        walk(*first)
         for future in futures:
             future.result()
 
@@ -354,8 +358,7 @@ class SeededRng:
     """
 
     def __init__(self, seed: int):
-        self.seed = seed & MASK64
-        x = self.seed
+        x = seed & MASK64
         state = []
         for _ in range(4):
             x = (x + 0x9E3779B97F4A7C15) & MASK64
@@ -425,17 +428,16 @@ class SeededRng:
             raise ValueError("randint bound must be positive")
         return int(self._below(np.array([n], dtype=np.uint64))[0])
 
-    def gauss(self, mu: float = 0.0, sigma: float = 1.0, *, size) -> np.ndarray:
-        """An array of that shape of Box-Muller draws (no cached spare, keeps
-        state minimal), filled in stream order: mu + sigma * _box_muller(u1,
-        u2) from two words an item."""
+    def gauss(self, *, size) -> np.ndarray:
+        """An array of that shape of standard normal draws, filled in stream
+        order: _box_muller(u1, u2) from two words an item, no cached spare."""
         n = int(np.prod(size))
         # a u1 of 0 is rejected; no name keeps the words alive through the transform
         u = _unit_floats(self._redraw(self.raw(2 * n), lambda w: 2 * np.flatnonzero(w[0::2] < 1 << 11)))
         u = u.reshape(n, 2)
         out = np.empty(n)
         for rows in row_chunks(n, _GAUSS_CHUNK):
-            out[rows] = mu + sigma * _box_muller(u[rows, 0], u[rows, 1])
+            out[rows] = _box_muller(u[rows, 0], u[rows, 1])
         return out.reshape(size)
 
     def shuffle(self, seq) -> None:

@@ -105,9 +105,9 @@ class JointTrainer:
 
     The trainer holds no whole-set float64 copy of its input: `inputs` is the
     backbone's head_inputs, which for flatten are the samples in their own
-    dtype, and _rows converts the rows a step needs. A pass over the whole
-    set runs in row_chunks on a tensor.RowPool; only seeding (and Lloyd)
-    needs all n x hidden features at once.
+    dtype, and _rows converts the rows a step or a pass's chunk needs. A
+    pass over the whole set runs in row_chunks on a tensor.RowPool; only
+    seeding (and Lloyd) needs all n x hidden features at once.
     """
 
     def __init__(self, dataset: Dataset, backbone_spec: BackboneSpec, config: TrainerConfig,
@@ -122,9 +122,8 @@ class JointTrainer:
         self.dataset = dataset
         self.config = config
         self.truth = ground_truth
-        self.extractor = build_backbone(backbone_spec)
         # the backbone is frozen, so what is not elementwise is extracted once up front
-        self.inputs = self.extractor.head_inputs(dataset.samples)
+        self.inputs = build_backbone(backbone_spec).head_inputs(dataset.samples)
         self.rng = SeededRng(config.seed)
         if resume is not None:
             self._restore(resume)
@@ -213,9 +212,11 @@ class JointTrainer:
     def _capped(self):
         return self.config.max_iters > 0 and self.iterations >= self.config.max_iters
 
-    def _rows(self, rows):
-        """Head inputs (float64) of the samples that an index list, int array or slice picks."""
-        return to_float(self.inputs[rows])
+    def _rows(self, rows, out=None):
+        """Head inputs (float64, into out if given) of the samples that an index
+        list, int array or slice picks: the one conversion of self.inputs, for
+        mini-batches, fine-tune pairs and every whole-set pass."""
+        return to_float(self.inputs[rows], out)
 
     def _pool(self) -> RowPool:
         """A tensor.RowPool over the samples; when the head inputs need
@@ -226,20 +227,16 @@ class JointTrainer:
             pool.buffers("inputs", (pool.chunk, self.inputs.shape[1]))
         return pool
 
-    def _hidden(self, rows, scratch, out=None) -> np.ndarray:
-        """Hidden features of a chunk's samples under the current head, on a pool run."""
-        return relu_product(to_float(self.inputs[rows], scratch.get("inputs")), self.head.w_hidden, out)
+    def _hidden(self, rows, scratch, out) -> np.ndarray:
+        """Hidden features of a chunk's samples under the current head, into out,
+        on a pool run; its head input goes into the run's "inputs" buffer, if any."""
+        return relu_product(self._rows(rows, scratch.get("inputs")), self.head.w_hidden, out)
 
     def _features(self) -> np.ndarray:
         """Hidden features of every sample under the current head."""
         out = np.empty((self.dataset.n, self.head.hidden_dim))
-
-        def hidden(run, scratch):
-            for rows in run:
-                self._hidden(rows, scratch, out[rows])
-
         with self._pool() as pool:
-            pool.each(hidden)
+            pool.each(lambda rows, scratch: self._hidden(rows, scratch, out[rows]))
         return out
 
     def assign_all(self) -> np.ndarray:
@@ -297,19 +294,19 @@ class JointTrainer:
                     pairs, self.buffer = self.buffer[:cfg.n_m], self.buffer[cfg.n_m:]
                     self._finetune_pass(pairs)
 
-            feats = self._update_features(xs, hidden, cfg.mode)
+            feats = self._update_features(xs, hidden)
             update_centroid(self.bank, labels, feats)
             self.iterations += 1
         return True
 
-    def _update_features(self, xs, assigned_hidden, mode):
+    def _update_features(self, xs, assigned_hidden):
         """Feature rows used for the centroid updates of the current batch."""
-        if mode == "full" and self.head.last_delta_hidden is not None:
+        if self.config.mode == "full" and self.head.last_delta_hidden is not None:
             if self.config.drift_rollback == "last_step":
                 return self.head.rollback_hidden_batch(xs)
             # a step delta implies a finished pass, and every pass leaves a snapshot
             return self.snapshot_head.hidden_batch(xs)
-        if mode == "baseline1" and self.finetunes > 0:
+        if self.config.mode == "baseline1" and self.finetunes > 0:
             # no compensation: whatever the weights are right now
             return self.head.hidden_batch(xs)
         return assigned_hidden

@@ -214,6 +214,11 @@ def test_bad_idx_file_gives_io_exit(tmp_path, capsys):
     ("0.5,0.25,inf", "row 3, column 3"),  # non-finite label
     ("0.5,0.25,1.7", "row 3, column 3"),  # fractional label
     ("0.5,0.25,1e300", "row 3, column 3"),  # label beyond int64
+    ("0.5,0.25,3.0", "row 3, column 3"),  # a float literal, as in a label file
+    ("0.5,0.25,1e3", "row 3, column 3"),
+    ("0.5,0.25,9223372036854775808", "row 3, column 3"),  # 2^63
+    ("0.5,0.25,-9223372036854775809", "row 3, column 3"),
+    ("0.5,0.25,x", "row 3, column 3"),  # not a number
 ])
 def test_bad_csv_value_gives_io_exit(tmp_path, capsys, bad_row, where):
     path = tmp_path / "bad.csv"
@@ -404,6 +409,17 @@ def test_sweep_rejects_a_bad_grid_before_any_cell(tmp_path, monkeypatch, capsys,
     assert err.startswith(f"config error: {message}") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("parallel", ["-1", "-3"])
+def test_sweep_rejects_a_negative_parallel_before_any_cell(tmp_path, monkeypatch, capsys, parallel):
+    ran = []
+    monkeypatch.setattr(cli, "run_sweep_cell", ran.append)
+    out = tmp_path / "sweep.csv"
+    assert main(sweep_args(tmp_path, out, grid("km=5,10") + ["--parallel", parallel])) == 2
+    assert ran == [] and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --parallel must be 0 or more") and err.count("\n") == 1
+
+
 def test_sweep_without_a_grid_runs_one_cell(tmp_path):
     out = tmp_path / "sweep.csv"
     assert main(sweep_args(tmp_path, out, ["--epochs", "1"])) == 0
@@ -457,13 +473,13 @@ def test_sweep_starts_no_more_workers_than_cells(tmp_path, monkeypatch):
 
 
 def _pass_threads():
-    # the threads that run one whole-set pass over 4 chunks; each run waits
-    # for all the others, so no thread can take a second run
+    # the threads that run one whole-set pass over 4 chunks; each chunk waits
+    # for one chunk of every other run, so no thread can take a second run
     threads = set()
     with tensor.RowPool(4 * tensor.ROW_CHUNK) as pool:
         barrier = threading.Barrier(len(pool.runs), timeout=60)
 
-        def work(run, scratch):
+        def work(rows, scratch):
             threads.add(threading.get_ident())
             barrier.wait()
 

@@ -225,6 +225,15 @@ def test_csv_header_with_label_column(tmp_path):
     assert np.array_equal(ds.samples.reshape(2, 2), [[0.5, 0.25], [0.125, 2.0]])
 
 
+def test_csv_labels_load_exactly_over_the_whole_int64_range(tmp_path):
+    # 2^53 + 1 and 2^53 stay two ids, and both ends of int64 load
+    labels = [2 ** 53 + 1, 2 ** 53, 2 ** 63 - 1, -2 ** 63, 0]
+    path = tmp_path / "ids.csv"
+    path.write_text("f0,label\n" + "".join(f"{i}.5,{lab}\n" for i, lab in enumerate(labels)))
+    ds = load_csv(path)
+    assert ds.labels.dtype == np.int64 and ds.labels.tolist() == labels
+
+
 def test_csv_header_without_label_column(tmp_path):
     path = tmp_path / "feat.csv"
     path.write_text("a,b\n1.0,2.0\n")

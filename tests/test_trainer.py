@@ -187,9 +187,9 @@ def watch_centroid_updates(monkeypatch, check):
                 done += 1
         return done, loss
 
-    def recording_update_features(trainer, xs, assigned_hidden, mode):
+    def recording_update_features(trainer, xs, assigned_hidden):
         batch.update(trainer=trainer, xs=xs)
-        return update_features(trainer, xs, assigned_hidden, mode)
+        return update_features(trainer, xs, assigned_hidden)
 
     def checking_update_centroid(bank, labels, feats):
         check(batch["trainer"], pre_step_heads, batch["xs"], feats)
@@ -385,6 +385,45 @@ def test_run_returns_the_last_epochs_nmi_labels_without_another_pass(monkeypatch
     result = trainer.run()
     assert len(calls) == passes
     assert result.labels.tobytes() == assign_all(trainer).tobytes()
+
+
+def test_every_head_input_comes_through_rows(monkeypatch):
+    # 1100 uint8 images in two row chunks: the seeding features, assign_all,
+    # baseline3's Lloyd input, the mini-batches and the fine-tune pairs all
+    # convert the kept inputs through _rows, the one head-input path
+    images, _ = mnist_like(1100, seed=4, side=8)
+    dataset = Dataset(images[..., None], None, "idx")
+    spec = BackboneSpec("flatten", dataset.shape, 64, seed=1)
+    config = TrainerConfig(k=10, n_m=50, k_m=10, epochs=1, hidden_dim=16, seed=3)
+    calls, rows_of = [], JointTrainer._rows
+
+    def recording(trainer, rows, out=None):
+        calls.append(rows)
+        return rows_of(trainer, rows, out)
+
+    def whole_set_pass():
+        # row chunks that together cover every sample once or more
+        chunks = [rows for rows in calls if isinstance(rows, slice)]
+        assert chunks and sorted({i for rows in chunks for i in range(dataset.n)[rows]}) == \
+            list(range(dataset.n))
+        return chunks
+
+    monkeypatch.setattr(JointTrainer, "_rows", recording)
+    trainer = JointTrainer(dataset, spec, config)  # k-means++ seeding features
+    assert len(whole_set_pass()) == len(calls) == 2
+    calls.clear()
+    trainer.assign_all()
+    assert len(whole_set_pass()) == len(calls) == 2
+    calls.clear()
+    trainer.run()  # one epoch, then assign_all for the final labels
+    batches = [rows for rows in calls if isinstance(rows, np.ndarray)]
+    pairs = [rows for rows in calls if isinstance(rows, list)]
+    assert sorted(np.concatenate(batches).tolist()) == list(range(dataset.n))
+    assert trainer.finetunes == len(pairs) > 0 and {len(p) for p in pairs} == {config.n_m}
+    assert len(batches) + len(pairs) + len(whole_set_pass()) == len(calls)
+    calls.clear()
+    JointTrainer(dataset, spec, dataclasses.replace(config, mode="baseline3")).run()
+    assert len(whole_set_pass()) == len(calls) == 2  # Lloyd's features
 
 
 def test_rollback_after_resume_uses_the_restored_step():
