@@ -243,7 +243,7 @@ def _parse_grid(entries):
 
 
 def run_sweep_cell(settings) -> dict:
-    """nmi, finetunes and wall_ms of one run; a ConfigError or DivergenceError is its "error"."""
+    """nmi, finetunes and wall_ms of one run; a config, memory or divergence error is its "error"."""
     started = time.perf_counter()
     row = {"nmi": "nan", "finetunes": 0, "error": None}
     try:
@@ -252,7 +252,7 @@ def run_sweep_cell(settings) -> dict:
         if result.nmi_history:
             row["nmi"] = f"{result.nmi_history[-1]:.6f}"
         row["finetunes"] = result.finetunes
-    except (ConfigError, DivergenceError) as exc:
+    except (ConfigError, MemoryError, DivergenceError) as exc:
         row["error"] = str(exc)
     row["wall_ms"] = int(round((time.perf_counter() - started) * 1000))
     return row
@@ -332,7 +332,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return 3
-    except ConfigError as exc:
+    except (ConfigError, MemoryError) as exc:  # a size the host cannot allocate is a setting's fault
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

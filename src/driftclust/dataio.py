@@ -7,7 +7,7 @@ with an optional trailing "label" column, and synthetic Gaussian blobs.
 Checkpoint layout (all multi-byte integers little-endian):
 
     8 bytes   magic "DRIFTCLU"
-    u32       format version (currently 1)
+    u32       format version (currently 2; a version-1 file is refused)
     payload   u64-length-prefixed sections
     u32       CRC-32 of the payload bytes
 
@@ -37,7 +37,7 @@ from .tensor import ConfigError, SeededRng
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 CHECKPOINT_MAGIC = b"DRIFTCLU"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 _GZIP_PIECE = 1 << 16  # bytes per read of an IDX file and per decompressed piece of a gzipped one
 
 
@@ -375,9 +375,7 @@ class TrainerState:
     w_hidden: np.ndarray = _stored(_MATRIX)
     w_out: np.ndarray = _stored(_MATRIX)
     last_delta_hidden: Optional[np.ndarray] = _stored(_MATRIX)  # last SGD step, for rollback
-    last_delta_out: Optional[np.ndarray] = _stored(_MATRIX)
     snap_w_hidden: Optional[np.ndarray] = _stored(_MATRIX)  # pre-pass weights, for snapshot rollback
-    snap_w_out: Optional[np.ndarray] = _stored(_MATRIX)
     centroids: np.ndarray = _stored(_MATRIX)
     counts: np.ndarray = _stored(_vector("<u8", lambda a: a.astype(np.int64)))
     rng_state: tuple = _stored(_vector("<u8", lambda a: tuple(a.tolist())))

@@ -8,27 +8,29 @@ feature h) and an output layer scored against one-hot pseudo-labels:
     loss     = 1/2 * sum_j (y_j - t_j)^2,   t = one_hot(label)
 
 Gradients are hand-derived with the ReLU derivative taken as the indicator
-1[u > 0] (zero at u == 0). Each SGD step keeps the raw gradients it
+1[u > 0] (zero at u == 0). Each SGD step keeps the hidden-layer gradient it
 applied, so the hidden feature under the previous weights can be
-reconstructed later as relu((W1 + eta * last_delta1) @ x); that rollback is
-what keeps centroid updates consistent with the features they were assigned
-under.
+reconstructed later as relu((W1 + eta * last_delta_hidden) @ x); that
+rollback is what keeps centroid updates consistent with the features they
+were assigned under. Only the first layer enters h, so the output layer's
+gradient is never kept.
 
 Both layers live in one flat float64 buffer, `params`, with w_hidden and
 w_out as C-contiguous views of it; the gradients of the latest step fill a
-second flat buffer, whose views are last_delta_hidden and last_delta_out,
-and eta * grad a third. `sgd_pass` runs a whole fine-tune pass in one loop:
-each step computes forward, loss and backward inline and updates both
-layers with one multiply and one subtract over the buffers. Its two outer
-products go through BLAS as a column times a row, which writes +0.0 where a
-factor is zero and the elementwise product (as `backward` computes it) is
--0.0, and the product's bits everywhere else. The stored deltas therefore
-hold no -0.0; weights, and with them labels and metrics, keep their bits,
-because w - eta * (+-0.0) == w for every nonzero weight. For the same
+second flat buffer, whose hidden half is last_delta_hidden and whose output
+half is scratch that each step fills, and eta * grad a third. `sgd_pass`
+runs a whole fine-tune pass in one loop: each step computes forward, loss
+and backward inline and updates both layers with one multiply and one
+subtract over the buffers. Its two outer products go through BLAS as a
+column times a row, which writes +0.0 where a factor is zero and the
+elementwise product (as `backward` computes it) is -0.0, and the product's
+bits everywhere else. The gradients therefore hold no -0.0; weights, and
+with them labels and metrics, keep their bits, because
+w - eta * (+-0.0) == w for every nonzero weight. For the same
 reason the pass applies the output ReLU's mask to the label entry of
 y - t alone: every other entry is y_j = max(u_j, 0), which the mask
 1[u_j > 0] leaves as it is, and a zero whose sign differs from `backward`'s
-reaches the deltas only through those BLAS products.
+reaches the gradients only through those BLAS products.
 """
 
 from collections import namedtuple
@@ -85,25 +87,23 @@ def _layers(flat, shape_hidden, shape_out):
 
 
 class FeatureHead:
-    def __init__(self, w_hidden, w_out, eta, last_delta_hidden=None, last_delta_out=None):
+    def __init__(self, w_hidden, w_out, eta, last_delta_hidden=None):
         layers = (matrix(w_hidden), matrix(w_out))
         if layers[1].shape[1] != layers[0].shape[0]:
             raise DimensionError(f"output layer expects {layers[1].shape[1]} hidden units, "
                                  f"head has {layers[0].shape[0]}")
         if not np.isfinite(eta) or eta < 0:
             raise ValueError(f"learning rate must be finite and nonnegative, got {eta}")
-        if (last_delta_hidden is None) != (last_delta_out is None):
-            raise ValueError("a head stores both step deltas or neither")
+        params = np.concatenate([w.ravel() for w in layers])
         grads = None
         if last_delta_hidden is not None:
-            deltas = (matrix(last_delta_hidden), matrix(last_delta_out))
-            for delta, w in zip(deltas, layers):
-                if delta.shape != w.shape:
-                    raise DimensionError(f"stored delta shape {delta.shape} does not match weights {w.shape}")
-            grads = np.concatenate([d.ravel() for d in deltas])
+            delta = matrix(last_delta_hidden)
+            if delta.shape != layers[0].shape:
+                raise DimensionError(f"stored delta shape {delta.shape} does not match weights "
+                                     f"{layers[0].shape}")
+            grads = np.concatenate([delta.ravel(), np.zeros(layers[1].size)])  # output half: scratch
         self.eta = float(eta)
-        self._adopt(np.concatenate([w.ravel() for w in layers]), grads,
-                    layers[0].shape, layers[1].shape)
+        self._adopt(params, grads, layers[0].shape, layers[1].shape)
 
     def _adopt(self, params, grads, shape_hidden, shape_out):
         """Take the flat buffers as this head's own: params, and grads (the latest
@@ -112,9 +112,9 @@ class FeatureHead:
         self.w_hidden, self.w_out = _layers(params, shape_hidden, shape_out)
         self._grads = np.empty_like(params) if grads is None else grads
         self._grad_layers = _layers(self._grads, shape_hidden, shape_out)
-        self.last_delta_hidden, self.last_delta_out = (None, None) if grads is None else self._grad_layers
+        self.last_delta_hidden = None if grads is None else self._grad_layers[0]
         self._step = np.empty_like(params)  # eta * grad
-        self._w_prev = None  # W1 + eta * last_delta1, built on the first rollback after a step
+        self._w_prev = None  # W1 + eta * last_delta_hidden, built on the first rollback after a step
 
     @property
     def input_dim(self):
@@ -172,9 +172,9 @@ class FeatureHead:
 
         The pass stops at the first step whose loss is non-finite or above
         LOSS_LIMIT and leaves that step unapplied, so the head holds the last
-        good step. The gradients of that step stay in this head's buffer as
-        last_delta_*; the next step overwrites them. Every label is checked
-        by tensor.label_array before any step.
+        good step. The gradients of that step stay in this head's buffer, its
+        hidden half as last_delta_hidden; the next step overwrites them. Every
+        label is checked by tensor.label_array before any step.
         """
         xs = np.asarray(xs, dtype=np.float64)
         if xs.ndim != 2 or xs.shape[1] != self.input_dim or len(labels) != len(xs):
@@ -216,7 +216,7 @@ class FeatureHead:
             params -= step
             done += 1
         if done:
-            self.last_delta_hidden, self.last_delta_out = grad_hidden, grad_out
+            self.last_delta_hidden = grad_hidden
             self._w_prev = None
         return done, loss
 
@@ -226,13 +226,9 @@ class FeatureHead:
         return self.sgd_pass(np.asarray(x)[None], (label,))[1]
 
     def rollback_hidden_batch(self, xs: np.ndarray) -> np.ndarray:
-        """Hidden features of a stack of inputs (rows) under the pre-step
-        weights W + eta * last_delta.
-
-        Only the first layer enters h, but the rollback is defined on both
-        layers; the head itself is left untouched.
-        """
-        if self.last_delta_hidden is None or self.last_delta_out is None:
+        """Hidden features of a stack of inputs (rows) under the pre-step hidden
+        weights W1 + eta * last_delta_hidden; the head itself is left untouched."""
+        if self.last_delta_hidden is None:
             raise NoHistoryError("no SGD step recorded yet, nothing to roll back")
         if self._w_prev is None:
             self._w_prev = self.w_hidden + self.eta * self.last_delta_hidden

@@ -8,9 +8,9 @@ per-sample SGD; finally the batch moves each centroid it was assigned to in
 one running-mean step, as if its rows had been fed one by one at rate 1/count.
 
 Once any fine-tune has happened, "full" mode compensates feature drift by
-updating centroids with features reconstructed under rolled-back weights
-(one SGD step back by default, or the snapshot taken before the latest
-fine-tune pass with drift_rollback="snapshot"). Modes:
+updating centroids with features reconstructed under rolled-back hidden
+weights (one SGD step back by default, or the hidden weights copied before
+the latest fine-tune pass with drift_rollback="snapshot"). Modes:
 
     full       the complete method with drift compensation
     baseline1  same loop, but centroid updates always use current features
@@ -32,7 +32,7 @@ from .clustering import (CentroidBank, assign_batch, assign_pass, lloyd_kmeans, 
 from .dataio import CheckpointError, Dataset, TrainerState
 from .head import LOSS_LIMIT, FeatureHead, init_head, relu_product
 from .metrics import nmi
-from .tensor import ConfigError, RowPool, SeededRng, label_array
+from .tensor import ConfigError, RowPool, SeededRng, label_array, matrix
 
 MODES = ("full", "baseline1", "baseline2", "baseline3")
 ROLLBACK_MODES = ("last_step", "snapshot")
@@ -121,6 +121,8 @@ class JointTrainer:
                 raise ConfigError("ground truth length must match the dataset")
         self.dataset = dataset
         self.config = config
+        # only a full run with snapshot rollback reads the pre-pass hidden weights
+        self._snapshots = config.mode == "full" and config.drift_rollback == "snapshot"
         self.truth = ground_truth
         # the backbone is frozen, so what is not elementwise is extracted once up front
         self.inputs = build_backbone(backbone_spec).head_inputs(dataset.samples)
@@ -131,7 +133,7 @@ class JointTrainer:
 
         self.head = init_head(backbone_spec.output_dim, config.hidden_dim, config.k,
                               config.eta, self.rng)
-        self.snapshot_head = None
+        self.snapshot = None  # the hidden weights before the latest pass, when _snapshots
         self.buffer = []  # (sample index, pseudo-label) pairs awaiting a fine-tune pass
         self.epochs_done = self.finetunes = self.iterations = 0
         self.nmi_history = []
@@ -144,30 +146,30 @@ class JointTrainer:
         """Inverse of to_checkpoint, and the one place resumed state is checked.
         The head, the bank and the RNG check their own inputs; this adds what
         only the run knows: shapes against the config and the input dimension,
-        rollback state present exactly when a fine-tune pass happened, buffer
+        the step delta present exactly when a fine-tune pass happened and the
+        snapshot exactly when one happened in a run that reads it, buffer
         bounds, and progress counters and centroid counts that agree with each
         other, the config and the dataset (checkpoints are written at epoch
         ends). A state that does not fit raises CheckpointError."""
         state = copy.deepcopy(state)  # training mutates what it adopts; the caller's state stays
         cfg, n = self.config, self.dataset.n
         tuned = state.finetunes > 0
-        if any((m is not None) != tuned for m in (state.last_delta_hidden, state.last_delta_out,
-                                                   state.snap_w_hidden, state.snap_w_out)):
-            raise CheckpointError("checkpoint must hold both step deltas and both snapshot matrices "
-                                  "if it records a fine-tune pass, and none of them otherwise")
+        if (state.last_delta_hidden is not None) != tuned \
+                or (state.snap_w_hidden is not None) != (tuned and self._snapshots):
+            raise CheckpointError("checkpoint must hold the step delta if it records a fine-tune pass, "
+                                  "the snapshot if it also rolls back to snapshots in full mode, and "
+                                  "neither otherwise")
         try:
-            self.head = FeatureHead(state.w_hidden, state.w_out, cfg.eta,
-                                    state.last_delta_hidden, state.last_delta_out)
-            self.snapshot_head = FeatureHead(state.snap_w_hidden, state.snap_w_out, cfg.eta) \
-                if tuned else None
+            self.head = FeatureHead(state.w_hidden, state.w_out, cfg.eta, state.last_delta_hidden)
+            self.snapshot = None if state.snap_w_hidden is None else matrix(state.snap_w_hidden)
             self.bank = CentroidBank(state.centroids, state.counts)
             self.rng.set_state(state.rng_state)
             label_array([lab for _, lab in state.buffer], cfg.k)  # the buffered pairs' labels
         except ValueError as exc:
             raise CheckpointError(f"checkpoint state is invalid: {exc}") from None
         dims = (self.inputs.shape[1], cfg.hidden_dim, cfg.k)
-        heads = (self.head, self.snapshot_head) if tuned else (self.head,)
-        if any((h.input_dim, h.hidden_dim, h.k) != dims for h in heads) \
+        if (self.head.input_dim, self.head.hidden_dim, self.head.k) != dims \
+                or self.snapshot is not None and self.snapshot.shape != self.head.w_hidden.shape \
                 or self.bank.centroids.shape != (cfg.k, cfg.hidden_dim):
             raise CheckpointError(f"checkpoint shapes do not fit this run: it needs {dims[1]}x{dims[0]} "
                                   f"hidden and {cfg.k}x{cfg.hidden_dim} output weights and centroids")
@@ -198,12 +200,9 @@ class JointTrainer:
 
     def to_checkpoint(self, config_text: str) -> TrainerState:
         """The run's state as a copy that later training does not change."""
-        head, snap = self.head, self.snapshot_head
         return copy.deepcopy(TrainerState(
-            config_text=config_text, w_hidden=head.w_hidden, w_out=head.w_out,
-            last_delta_hidden=head.last_delta_hidden, last_delta_out=head.last_delta_out,
-            snap_w_hidden=None if snap is None else snap.w_hidden,
-            snap_w_out=None if snap is None else snap.w_out,
+            config_text=config_text, w_hidden=self.head.w_hidden, w_out=self.head.w_out,
+            last_delta_hidden=self.head.last_delta_hidden, snap_w_hidden=self.snapshot,
             centroids=self.bank.centroids, counts=self.bank.counts, rng_state=self.rng.state(),
             epochs_done=self.epochs_done, finetunes=self.finetunes, iterations=self.iterations,
             buffer=self.buffer, nmi_history=self.nmi_history,
@@ -305,7 +304,7 @@ class JointTrainer:
             if self.config.drift_rollback == "last_step":
                 return self.head.rollback_hidden_batch(xs)
             # a step delta implies a finished pass, and every pass leaves a snapshot
-            return self.snapshot_head.hidden_batch(xs)
+            return relu_product(xs, self.snapshot)
         if self.config.mode == "baseline1" and self.finetunes > 0:
             # no compensation: whatever the weights are right now
             return self.head.hidden_batch(xs)
@@ -316,7 +315,8 @@ class JointTrainer:
         whose loss is non-finite or above LOSS_LIMIT; the weights are checked once
         after the pass, before any centroid update reads them."""
         head = self.head
-        pre_pass_head = head.copy()
+        if self._snapshots:
+            self.snapshot = head.w_hidden.copy()
         xs = self._rows([sample_idx for sample_idx, _ in pairs])
         # an overflowing step is reported below as DivergenceError, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
@@ -326,5 +326,4 @@ class JointTrainer:
                                   f"at iteration {self.iterations}")
         if not np.isfinite(head.params).all():
             raise DivergenceError(f"non-finite weights after SGD at iteration {self.iterations}")
-        self.snapshot_head = pre_pass_head
         self.finetunes += 1

@@ -17,12 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import blas_pinned_env, cli_digests, mnist_like, write_idx_fixture
-from driftclust import cli, clustering, tensor
+from driftclust import cli, clustering, dataio, tensor
 from driftclust.cli import main
 from driftclust.dataio import load_checkpoint, load_labels, save_checkpoint, save_labels
 from driftclust.metrics import nmi
 from driftclust.tensor import DimensionError
-from driftclust.trainer import TrainerConfig
+from driftclust.trainer import ROLLBACK_MODES, TrainerConfig
 
 
 def blob_args(tmp, k=4, points=40, dim=8, sep=25.0, **extra):
@@ -130,6 +130,9 @@ def test_km_zero_rejected(capsys):
     assert "k_m" in err
 
 
+UNALLOCATABLE = str(10 ** 15)
+
+
 @pytest.mark.parametrize("files,args,code,message", [
     ({}, ["--blob-points", "0"], 2, "points_per_cluster"),
     ({}, ["--blob-separation", "inf"], 2, "separation"),
@@ -150,6 +153,11 @@ def test_km_zero_rejected(capsys):
     # NaN fails every comparison, so it passed a "tol < 0" check and Lloyd never stopped early
     ({}, ["--mode", "baseline3", "--lloyd-tol", "nan"], 2, "lloyd_tol"),
     ({"nan.cfg": "lloyd_tol=nan\n"}, ["--mode", "baseline3", "--config", "nan.cfg"], 2, "lloyd_tol"),
+    # sizes whose arrays the host cannot allocate: 10^15 rows or columns are far
+    # beyond any address space, so allocation fails at once under any overcommit setting
+    ({}, ["--hidden-dim", UNALLOCATABLE], 2, "config error: Unable to allocate"),
+    ({}, ["--blob-points", UNALLOCATABLE], 2, "config error: Unable to allocate"),
+    ({}, ["--backbone", "randproj", "--backbone-dim", UNALLOCATABLE], 2, "config error: Unable to allocate"),
 ])
 def test_bad_input_gets_its_exit_code(tmp_path, monkeypatch, capsys, files, args, code, message):
     monkeypatch.chdir(tmp_path)
@@ -373,6 +381,16 @@ def test_sweep_records_a_cell_the_grid_cannot_run(tmp_path, capsys, parallel):
     assert "sweep cell km=60 epochs=1 seed=1 failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("parallel", [[], ["--parallel", "2"]])
+def test_sweep_records_a_cell_the_host_cannot_allocate(tmp_path, capsys, parallel):
+    out = tmp_path / "sweep.csv"
+    assert main(sweep_args(tmp_path, out, grid(f"hidden_dim=16,{UNALLOCATABLE}", "epochs=1") + parallel)) == 0
+    rows = [ln.split(",") for ln in out.read_text().strip().splitlines()[1:]]
+    assert [(r[0], r[2] == "nan") for r in rows] == [("16", False), (UNALLOCATABLE, True)]
+    err = capsys.readouterr().err
+    assert f"sweep cell hidden_dim={UNALLOCATABLE} epochs=1 failed: Unable to allocate" in err
+
+
 def _cell_fails_late_for_seed_1(cell):
     # a sweep cell that fails; seed 1, the first cell, finishes last
     if cell["seed"] == 1:
@@ -560,23 +578,20 @@ RESUME_N, RESUME_K = 220, 4
 
 
 def test_cli_checkpoint_resume_reproduces_unbroken(tmp_path):
-    base = RESUME_BASE
-    full_labels = tmp_path / "full.csv"
-    assert main(["cluster"] + base + ["--epochs", "4",
-                                      "--out-labels", str(full_labels),
-                                      "--out-metrics", str(tmp_path / "full.txt")]) == 0
-
-    ckpt = tmp_path / "mid.ckpt"
-    assert main(["cluster"] + base + ["--epochs", "2", "--checkpoint", str(ckpt),
-                                      "--out-labels", str(tmp_path / "half.csv"),
-                                      "--out-metrics", str(tmp_path / "half.txt")]) == 0
-
-    resumed_labels = tmp_path / "resumed.csv"
-    assert main(["cluster"] + base + ["--epochs", "4", "--resume", str(ckpt),
-                                      "--out-labels", str(resumed_labels),
-                                      "--out-metrics", str(tmp_path / "resumed.txt")]) == 0
-    assert full_labels.read_bytes() == resumed_labels.read_bytes()
-    assert (tmp_path / "full.txt").read_bytes() == (tmp_path / "resumed.txt").read_bytes()
+    # under either rollback, a run resumed after epoch 2 writes the labels,
+    # metrics and final checkpoint of the unbroken run
+    for rollback in ROLLBACK_MODES:
+        base, out = RESUME_BASE + ["--drift-rollback", rollback], tmp_path / rollback
+        out.mkdir()
+        ckpt = out / "mid.ckpt"
+        assert main(["cluster"] + base + ["--epochs", "2", "--checkpoint", str(ckpt),
+                                          "--out-labels", str(out / "half.csv"),
+                                          "--out-metrics", str(out / "half.txt")]) == 0
+        full, resumed = out / "full", out / "resumed"
+        full.mkdir()
+        resumed.mkdir()
+        want = cli_digests(full, ["cluster"] + base + ["--epochs", "4"])
+        assert cli_digests(resumed, ["cluster"] + base + ["--epochs", "4", "--resume", str(ckpt)]) == want
 
 
 @pytest.fixture(scope="module")
@@ -591,8 +606,7 @@ def epoch2_checkpoint(tmp_path_factory):
 
 
 def split_sections(blob):
-    """Section bodies of a checkpoint file, in file order: config text, six
-    head matrices, centroids, counts, rng state, progress, buffer, nmi history."""
+    """Section bodies of a checkpoint file, in file order (dataio._LAYOUT)."""
     payload, sections, pos = blob[12:-4], [], 0
     while pos < len(payload):
         (length,) = struct.unpack_from("<Q", payload, pos)
@@ -625,7 +639,13 @@ def bump(body, offset, by=1):
     return overwrite(body, offset, "<Q", struct.unpack_from("<Q", body, offset)[0] + by)
 
 
-COUNTS, RNG, PROGRESS, BUFFER, NMI = 8, 9, 10, 11, 12
+SECTION = {names[0]: i for i, (_, names) in enumerate(dataio._LAYOUT)}  # by its first field
+W_HIDDEN, DELTA, SNAPSHOT, COUNTS, RNG, PROGRESS, BUFFER, NMI = (SECTION[name] for name in (
+    "w_hidden", "last_delta_hidden", "snap_w_hidden", "counts", "rng_state", "epochs_done", "buffer",
+    "nmi_history"))
+MATRICES = [i for i, (codec, _) in enumerate(dataio._LAYOUT) if codec is dataio._MATRIX]
+# sections led by u32 dims or a count: all but the config text and the progress counters
+HEADERED = [i for i, (codec, _) in enumerate(dataio._LAYOUT) if codec not in (dataio._TEXT, dataio._PROGRESS)]
 
 
 @pytest.mark.parametrize("section,mutate", [
@@ -635,9 +655,9 @@ COUNTS, RNG, PROGRESS, BUFFER, NMI = 8, 9, 10, 11, 12
     (RNG, lambda body: struct.pack("<I", 3) + body[4:-8]),  # 3 RNG words
     (BUFFER, lambda body: overwrite(body, 4, "<Q", 10 ** 6)),  # sample index 10^6
     (BUFFER, lambda body: overwrite(body, 12, "<I", 99)),  # label 99 at k=4
-    (1, lambda body: struct.pack("<II", 2, 2) + bytes(32)),  # 2x2 w_hidden
-    (4, lambda body: struct.pack("<II", 0, 0)),  # one step delta without the other
-    (6, lambda body: struct.pack("<II", 0, 0)),  # one snapshot matrix without the other
+    (W_HIDDEN, lambda body: struct.pack("<II", 2, 2) + bytes(32)),  # 2x2 w_hidden
+    (DELTA, lambda body: struct.pack("<II", 0, 0)),  # no step delta after fine-tune passes
+    (SNAPSHOT, lambda body: struct.pack("<II", 16, 8) + bytes(16 * 8 * 8)),  # a snapshot in a last-step run
     (PROGRESS, lambda body: overwrite(body, 0, "<Q", 0)),  # epochs_done 0 after two epochs
     (PROGRESS, lambda body: bump(body, 8)),  # finetunes
     (PROGRESS, lambda body: bump(body, 16)),  # iterations
@@ -646,7 +666,7 @@ COUNTS, RNG, PROGRESS, BUFFER, NMI = 8, 9, 10, 11, 12
     (NMI, lambda body: overwrite(body, 4, "<d", 1.5)),
     (NMI, lambda body: overwrite(body, 4, "<d", -0.25)),
 ], ids=["short-counts", "count-zero", "count-plus-one", "three-rng-words", "buffer-index",
-        "buffer-label", "w-hidden-2x2", "half-delta", "half-snapshot", "epochs-done-zero",
+        "buffer-label", "w-hidden-2x2", "delta-missing", "snapshot-in-last-step-run", "epochs-done-zero",
         "finetunes-plus-one", "iterations-plus-one", "nmi-short", "nmi-nan", "nmi-above-one", "nmi-negative"])
 def test_malformed_checkpoint_gives_io_exit(epoch2_checkpoint, section, mutate, capsys):
     work, blob = epoch2_checkpoint
@@ -656,7 +676,29 @@ def test_malformed_checkpoint_gives_io_exit(epoch2_checkpoint, section, mutate, 
     assert "I/O error" in capsys.readouterr().err
 
 
-HEADERED = (1, 2, 3, 4, 5, 6, 7, COUNTS, RNG, BUFFER, 12)  # sections led by u32 dims or a count
+@pytest.mark.parametrize("snapshot", [struct.pack("<II", 0, 0), struct.pack("<II", 16, 7) + bytes(16 * 7 * 8)],
+                         ids=["missing", "16x7"])
+def test_snapshot_run_checkpoint_needs_its_hidden_weight_snapshot(tmp_path, capsys, snapshot):
+    args = ["cluster"] + RESUME_BASE + ["--drift-rollback", "snapshot", "--out-labels", str(tmp_path / "l.csv"),
+                                        "--out-metrics", str(tmp_path / "m.txt")]
+    ckpt = tmp_path / "epoch2.ckpt"
+    assert main(args + ["--epochs", "2", "--checkpoint", str(ckpt)]) == 0
+    blob = ckpt.read_bytes()
+    sections = split_sections(blob)
+    assert sections[SNAPSHOT][:8] == struct.pack("<II", 16, 8)  # the 16x8 hidden weights
+    sections[SNAPSHOT] = snapshot
+    ckpt.write_bytes(join_sections(blob, sections))
+    assert main(args + ["--epochs", "3", "--resume", str(ckpt)]) == 4
+    assert "I/O error" in capsys.readouterr().err
+
+
+def test_version_1_checkpoint_gives_io_exit_naming_both_versions(epoch2_checkpoint, capsys):
+    # version 1 also stored the output layer's step delta and snapshot; the
+    # CRC covers the payload alone, so it stays valid
+    work, blob = epoch2_checkpoint
+    version1 = blob[:8] + struct.pack("<I", 1) + blob[12:]
+    assert resume_with(work, version1) == 4
+    assert "unsupported checkpoint version 1, expected 2" in capsys.readouterr().err
 
 
 @settings(max_examples=150, deadline=None)
@@ -674,7 +716,7 @@ def test_resume_from_mutated_section_is_exact_or_io_error(epoch2_checkpoint, dat
     elif kind == "extend":
         body += data.draw(st.binary(min_size=1, max_size=24), label="extra")
     elif kind == "header":
-        offset = data.draw(st.sampled_from([0, 4] if index < COUNTS else [0]), label="offset")
+        offset = data.draw(st.sampled_from([0, 4] if index in MATRICES else [0]), label="offset")
         (old,) = struct.unpack_from("<I", body, offset)
         new = data.draw(st.integers(0, 2 ** 32 - 1).filter(lambda v: v != old), label="value")
         body = overwrite(body, offset, "<I", new)
@@ -713,9 +755,10 @@ def test_tinyconv_lloyd_outputs_are_pinned(tmp_path):
     # 300 noisy copies of 10 random prototypes through tinyconv and Lloyd at
     # tol 0 (a fixed point after 8 sweeps); the labels and metrics digests
     # were taken when Lloyd still ran all 200 sweeps, the checkpoint's when
-    # gauss came to be built from IEEE basic operations (a new tinyconv
-    # projection). At 14x14 the tinyconv products give the same
-    # bits with 1, 2 or 4 OpenBLAS threads; at 28x28 they do not.
+    # the checkpoint dropped the output layer's rollback state (version 2;
+    # its weights are those of the portable gauss's tinyconv projection). At
+    # 14x14 the tinyconv products give the same bits with 1, 2 or 4 OpenBLAS
+    # threads; at 28x28 they do not.
     rng = np.random.RandomState(5)
     protos = rng.uniform(0.0, 255.0, size=(10, 14, 14))
     truth = rng.randint(0, 10, size=300)
@@ -728,7 +771,7 @@ def test_tinyconv_lloyd_outputs_are_pinned(tmp_path):
     assert digests == {
         "labels.csv": "89e35c0c664f4e1e66993ed98b6f97da2ac406b1172ba707bc51dff15cf95568",
         "metrics.txt": "ee9fffc42c8dcaac50ddc44e0075f67f72dcc6440bc70c20c7f92c9b8a7bff9c",
-        "run.ckpt": "933c7549f9cc382d1e4561c6cbfcc9ef5406cc03d67ceb0714763817f321430e",
+        "run.ckpt": "b761784bf85d39da984aed4237389bc1f977b239cc7f15fe9b5a356965202f6a",
     }
 
 
@@ -754,37 +797,37 @@ def pixel_joint_args(tmp_path):
     (BLOB_JOINT + ["--mode", "full"], {
         "labels.csv": "2b458060e379ac3fab181e76ba05208c2552efe907a78d73abb422863306a273",
         "metrics.txt": "ee58b6c64f5825366fd9ccec0d0c2d801d382c3ef7c07a19521219657a7a711d",
-        "run.ckpt": "7203a5f1e544dc5d212c6f0d6e19bc474dffcb01a0220c8171d579f53c363f02"}),
+        "run.ckpt": "a348f0035a2a26a0e910e2dd4cd8a52f726998af08652dd5174a08afbab4d7f1"}),
     (BLOB_JOINT + ["--mode", "full", "--drift-rollback", "snapshot", "--eta", "0.5"], {
         "labels.csv": "eddad0201a5846a71ce50fe8db203409f631cf3dfdd33de2ce241c9ff041e5f5",
         "metrics.txt": "96741eb2e3b9349f325faffc81eebd9698ba1d75ecddf0d0728d143a40cd6c5b",
-        "run.ckpt": "b12903da69cb7e42416d0d4cf47c8349ff00e9216580bfda71eb08f21fd0d251"}),
+        "run.ckpt": "c9caff100b722d8b9d38874b7b5cdf5d571d9fad5150e1ad28a744cbbbc450d0"}),
     (BLOB_JOINT + ["--mode", "baseline1"], {
         "labels.csv": "8ebbd0046d9a82663fd92e12d47c050b3e71455178634f9daafb544474579246",
         "metrics.txt": "80905d305c62dfcab191b3990d6e999e5bf98986554222e08ce28218747f913a",
-        "run.ckpt": "0ed36e0b59cceae40b8a41435bc5de1177a8decbba21b5643e21e2e4dc61b97b"}),
+        "run.ckpt": "b86865064eac9c149124d4afcccca55876979982e20676a591d2da3936aec86f"}),
     (BLOB_JOINT + ["--mode", "baseline2"], {
         "labels.csv": "3a0c074641011b0aea495bd53c38e50a593ffae7455a16d95eb25193ed639025",
         "metrics.txt": "804ede0c1c3169ac5abcf291ddc1ead89cd27ece7e6d74065c4658b339b0bd84",
-        "run.ckpt": "a685b869143e5a2180051a53a50c0f7c1d43cd10df3c7cb701f2598c55248916"}),
+        "run.ckpt": "f273583a7f4120571cd05a3b1d96e6f3c0bf86626386f6d18ce6b702dbd0d636"}),
     # 160 = 5 * 30 + 10: the last batch holds 10 rows, so k_m = 12 is clipped to 10
     (BLOB_JOINT + ["--mode", "full", "--nm", "30", "--km", "12"], {
         "labels.csv": "3ebe8b64d7d956d150d3fcd59a3b5e3114e322df7d4b74dec425ed348a175ee1",
         "metrics.txt": "a99f754116f8d5e98e6e167b036aeab450efec62ca09d13e0db936072df7c2ea",
-        "run.ckpt": "119d07efaf96f47e40e741d2966df80a57e0a782608d0753e435d10ed50ee7e1"}),
+        "run.ckpt": "f24684547f94fbcbaee6bdb5b6f1b1da5772cede306dc4824b5b2e1a3e04b972"}),
     # 8 batches per epoch: the cap cuts the second epoch after 3 of them
     (BLOB_JOINT + ["--mode", "full", "--max-iters", "11"], {
         "labels.csv": "b88309c3398f1e3877e262fbca022f9fccb138f4ecdc7dbb57d928e33cfa360e",
         "metrics.txt": "9bc212cbce5348a8038c298c921b5324666e073a14a6af38b5971022a67e548c",
-        "run.ckpt": "c3a53d7a9612a31ee600f4217db648d5acc8d3480ecf190138c300a63227ed78"}),
+        "run.ckpt": "a6089ad93f2a872319d8e7de709e733a65c0f914375fe95b6c19ac2ece23cdb1"}),
     (pixel_joint_args, {
         "labels.csv": "41f3229a2734565886c4a1dd92f2c3d1e830f10ff0e715c78038a197869c611c",
         "metrics.txt": "5138bbc4e3589f3605f7293167d1422e2d74b454df3bda60ae32c87c7bb7c7e8",
-        "run.ckpt": "78de86b883755293e7febd62e8667e4b2ee64cfa9ba8d3ca4b93dfb0ab2a5de3"}),
+        "run.ckpt": "a0aa9afece336aa253775c6f458cd2acc2cbd49df9dee37515cda2e497baa74d"}),
 ], ids=["full", "snapshot", "baseline1", "baseline2", "short_last_batch", "max_iters", "idx_flatten"])
 def test_blob_joint_outputs_are_pinned(tmp_path, args, pins):
     # four loosely separated blobs, so almost every SGD step applies a nonzero
-    # gradient and the checkpoint's step deltas hold zeros, all of them +0.0
+    # gradient and the checkpoint's step delta holds zeros, all of them +0.0
     # (the head's BLAS outer products never write -0.0 for a zero factor), and
     # its centroids those of update_centroid's one running-mean step per batch;
     # the last run reads uint8 pixels instead of blobs
@@ -819,19 +862,18 @@ def test_blob_joint_outputs_do_not_depend_on_blas_threads(tmp_path, mode):
                          ids=["last_step", "snapshot"])
 def test_checkpoints_with_negative_zero_deltas_resume_the_same(tmp_path, mode):
     # checkpoints written while the head's outer products were numpy broadcasts
-    # store -0.0 for some zero entries of last_delta_*; flipping every zero
-    # there to -0.0 must not change the resumed run
+    # store -0.0 for some zero entries of last_delta_hidden; flipping every
+    # zero there to -0.0 must not change the resumed run
     epoch1 = tmp_path / "epoch1.ckpt"
     assert main(BLOB_JOINT + mode + ["--epochs", "1", "--checkpoint", str(epoch1),
                                      "--out-labels", str(tmp_path / "l.csv"),
                                      "--out-metrics", str(tmp_path / "m.txt")]) == 0
     state = load_checkpoint(epoch1)
-    names = ("last_delta_hidden", "last_delta_out")
-    deltas = [getattr(state, name) for name in names]
-    assert all(np.any(d == 0.0) and not np.any(np.signbit(d[d == 0.0])) for d in deltas)
+    delta = state.last_delta_hidden
+    assert np.any(delta == 0.0) and not np.any(np.signbit(delta[delta == 0.0]))
     negative = tmp_path / "negative.ckpt"
-    save_checkpoint(negative, dataclasses.replace(
-        state, **{name: np.where(d == 0.0, -0.0, d) for name, d in zip(names, deltas)}))
+    negative_zeros = np.where(delta == 0.0, -0.0, delta)
+    save_checkpoint(negative, dataclasses.replace(state, last_delta_hidden=negative_zeros))
     assert negative.read_bytes() != epoch1.read_bytes()
     runs = []
     for ckpt in (epoch1, negative):

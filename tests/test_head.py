@@ -12,6 +12,12 @@ def random_head(rng, input_dim=5, hidden_dim=4, k=3, eta=0.1):
     return init_head(input_dim, hidden_dim, k, eta, rng)
 
 
+def grad_out(head):
+    """The output half of the head's gradient buffer: the latest step's output
+    gradient, scratch that no rollback reads and the next step overwrites."""
+    return head._grad_layers[1]
+
+
 def two_loop_forward(w1, w2, x):
     """Independent forward oracle written with explicit loops."""
     u1 = [sum(w1[i][m] * x[m] for m in range(len(x))) for i in range(len(w1))]
@@ -150,7 +156,7 @@ def test_sgd_step_scalar_arithmetic():
     assert head.w_hidden[0, 0] == pytest.approx(1.025)
     assert head.w_out[0, 0] == pytest.approx(1.025)
     assert np.array_equal(head.last_delta_hidden, np.array([[-0.25]]))
-    assert np.array_equal(head.last_delta_out, np.array([[-0.25]]))
+    assert np.array_equal(grad_out(head), np.array([[-0.25]]))
 
 
 def test_sgd_step_zero_gradients_and_zero_eta():
@@ -159,7 +165,7 @@ def test_sgd_step_zero_gradients_and_zero_eta():
     w1, w2 = head.w_hidden.copy(), head.w_out.copy()
     head.sgd_step(np.zeros(5), 0)  # a zero input has zero gradients under any head
     assert np.array_equal(head.w_hidden, w1) and np.array_equal(head.w_out, w2)
-    assert np.all(head.last_delta_hidden == 0.0) and np.all(head.last_delta_out == 0.0)
+    assert np.all(head.last_delta_hidden == 0.0) and np.all(grad_out(head) == 0.0)
 
     head_zero = random_head(SeededRng(4), eta=0.0)
     x = rng.gauss(size=5)
@@ -168,7 +174,7 @@ def test_sgd_step_zero_gradients_and_zero_eta():
     head_zero.sgd_step(x, 1)
     assert np.array_equal(head_zero.w_hidden, w1) and np.array_equal(head_zero.w_out, w2)
     assert np.array_equal(head_zero.last_delta_hidden, g1)
-    assert np.array_equal(head_zero.last_delta_out, g2)
+    assert np.array_equal(grad_out(head_zero), g2)
 
 
 def test_step_buffers_hold_the_latest_gradients_and_copies_own_theirs():
@@ -180,16 +186,15 @@ def test_step_buffers_hold_the_latest_gradients_and_copies_own_theirs():
     for i, (x, label) in enumerate(samples):
         want = head.backward(head.forward(x), label)
         head.sgd_step(x, label)
-        got = (head.last_delta_hidden, head.last_delta_out)
+        got = (head.last_delta_hidden, grad_out(head))
         assert all(g.tobytes() == plus_zeros(w).tobytes() for g, w in zip(got, want)), i
         assert not any(signed_zeros(g) for g in got), i
         if i == 3:
             mid = head.copy()
-            frozen = [a.copy() for a in (mid.w_hidden, mid.w_out, mid.last_delta_hidden,
-                                         mid.last_delta_out)]
-            ours = (head.w_hidden, head.w_out, head.last_delta_hidden, head.last_delta_out)
+            frozen = [a.copy() for a in state(mid).values()]
+            ours = state(head).values()
             assert not any(np.shares_memory(a, b) for a in frozen for b in ours)
-    after = (mid.w_hidden, mid.w_out, mid.last_delta_hidden, mid.last_delta_out)
+    after = state(mid).values()
     assert all(a.tobytes() == f.tobytes() for a, f in zip(after, frozen))
     mid.sgd_step(*samples[0])  # the copy steps on its own buffers
     assert not np.shares_memory(mid.last_delta_hidden, head.last_delta_hidden)
@@ -199,11 +204,10 @@ def test_step_buffers_hold_the_latest_gradients_and_copies_own_theirs():
 def test_sgd_step_over_the_loss_limit_leaves_the_head_untouched():
     head = FeatureHead(np.eye(2) * 2e3, np.eye(2) * 2e3, eta=0.1)
     head.sgd_step(np.array([1e-7, 0.0]), 0)
-    before = [a.copy() for a in (head.w_hidden, head.w_out, head.last_delta_hidden,
-                                 head.last_delta_out)]
+    before = [a.copy() for a in state(head).values()]
     loss = head.sgd_step(np.array([1.0, 0.0]), 1)  # y = (4e6, 0): loss 8e12
     assert loss > LOSS_LIMIT
-    after = (head.w_hidden, head.w_out, head.last_delta_hidden, head.last_delta_out)
+    after = state(head).values()
     assert all(a.tobytes() == b.tobytes() for a, b in zip(after, before))
     assert np.isnan(head.sgd_step(np.array([np.nan, 0.0]), 1))
     assert all(a.tobytes() == b.tobytes() for a, b in zip(after, before))
@@ -284,7 +288,7 @@ def test_init_head_deterministic_and_bounded():
     assert np.array_equal(h1.w_hidden, h2.w_hidden) and np.array_equal(h1.w_out, h2.w_out)
     s = np.sqrt(6.0 / (7 + 5))
     assert np.all(np.abs(h1.w_hidden) <= s)
-    assert h1.last_delta_hidden is None and h1.last_delta_out is None
+    assert h1.last_delta_hidden is None and not hasattr(h1, "last_delta_out")
 
 
 def test_init_head_weights_are_pinned():
@@ -319,18 +323,17 @@ def test_hidden_batch_matches_forward():
 def reference_pass(head, xs, labels):
     """A fine-tune pass built from forward, sse_loss, backward and the two-layer
     update on a copy of `head`: (steps applied, last loss, the stepped copy)."""
-    ref = FeatureHead(head.w_hidden, head.w_out, head.eta,
-                      head.last_delta_hidden, head.last_delta_out)
+    ref = head.copy()
     done, loss = 0, 0.0
     for x, label in zip(xs, labels):
         trace = ref.forward(x)
         loss = sse_loss(trace.y, label)
         if not loss <= LOSS_LIMIT:
             break
-        grad_hidden, grad_out = ref.backward(trace, label)
+        grad_hidden, g_out = ref.backward(trace, label)
         ref.w_hidden -= ref.eta * grad_hidden
-        ref.w_out -= ref.eta * grad_out
-        ref.last_delta_hidden, ref.last_delta_out = grad_hidden, grad_out
+        ref.w_out -= ref.eta * g_out
+        ref.last_delta_hidden, grad_out(ref)[...] = grad_hidden, g_out
         done += 1
     return done, loss, ref
 
@@ -344,8 +347,15 @@ def plus_zeros(a):
     return a + 0.0
 
 
-DELTAS = ("last_delta_hidden", "last_delta_out")
-STATE = ("w_hidden", "w_out") + DELTAS
+def state(head):
+    """A head's weights, its step delta and its output gradient (None, as the
+    delta, before any step), by name."""
+    stepped = head.last_delta_hidden is not None
+    return {"w_hidden": head.w_hidden, "w_out": head.w_out,
+            "last_delta_hidden": head.last_delta_hidden, "grad_out": grad_out(head) if stepped else None}
+
+
+DELTAS = ("last_delta_hidden", "grad_out")
 
 
 def assert_pass_matches_reference(head, xs, labels):
@@ -358,8 +368,8 @@ def assert_pass_matches_reference(head, xs, labels):
         done, loss = head.sgd_pass(xs, labels)
     assert done == want_done
     assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
-    for name in STATE:
-        got, want = getattr(head, name), getattr(ref, name)
+    for name, got in state(head).items():
+        want = state(ref)[name]
         assert (got is None) == (want is None), name
         if got is not None and name in DELTAS:
             assert signed_zeros(got) == 0, name
@@ -385,7 +395,7 @@ def test_sgd_pass_matches_forward_loss_backward_reference(seed):
         labels = [rng.randint(dims[2]) for _ in range(n)]
         done, ref = assert_pass_matches_reference(head, xs, labels)
         assert done == n
-        zeros += [signed_zeros(getattr(ref, name)) for name in DELTAS]
+        zeros += [signed_zeros(state(ref)[name]) for name in DELTAS]
     assert np.all(zeros > 0)
 
 
@@ -419,8 +429,8 @@ def test_sgd_pass_checks_its_inputs_once():
         head.sgd_pass(np.ones((3, 5)), [0, 1, 3])  # no step is taken before the bad label
     assert head.w_hidden.tobytes() == w1.tobytes() and head.w_out.tobytes() == w2.tobytes()
     assert head.last_delta_hidden is None
-    with pytest.raises(ValueError, match="both step deltas or neither"):
-        FeatureHead(head.w_hidden, head.w_out, 0.1, last_delta_hidden=head.w_hidden)
+    with pytest.raises(DimensionError, match="stored delta shape"):
+        FeatureHead(head.w_hidden, head.w_out, 0.1, last_delta_hidden=head.w_out)
 
 
 @pytest.mark.parametrize("bad", [0.5, np.float64(1.0), True, np.bool_(False), -1, np.int64(3)],
@@ -471,11 +481,11 @@ def test_head_owns_flat_buffers_of_c_contiguous_layers():
     head.sgd_step(rng.gauss(size=5), 1)
     assert w1.tobytes() == caller.tobytes()  # the head trains its own copy
     assert not np.shares_memory(head.w_hidden, w1)
-    arrays = [getattr(head, name) for name in STATE]
+    arrays = list(state(head).values())
     assert all(a.flags.c_contiguous for a in arrays)
     assert np.shares_memory(head.w_hidden, head.params) and np.shares_memory(head.w_out, head.params)
     twin = head.copy()
-    twins = [getattr(twin, name) for name in STATE] + [twin.params]
+    twins = list(state(twin).values()) + [twin.params]
     assert all(a.flags.c_contiguous for a in twins)
     assert not any(np.shares_memory(a, b) for a in twins for b in arrays + [head.params])
     assert all(a.tobytes() == b.tobytes() for a, b in zip(twins, arrays))

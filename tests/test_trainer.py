@@ -291,11 +291,11 @@ def _check_one_hot(t):
 class OracleHead:
     """The validated per-sample step the trainer's lean path replaced: a
     checked one-hot target, np.outer gradients, a whole-matrix finiteness
-    check after every step and copied rollback deltas."""
+    check after every step, a copied rollback delta and the output gradient."""
 
     def __init__(self, head):
         self.w_hidden, self.w_out, self.eta = head.w_hidden.copy(), head.w_out.copy(), head.eta
-        self.last_delta_hidden = self.last_delta_out = None
+        self.last_delta_hidden = self.grad_out = None
         self.steps = self.live_steps = 0
 
     def step(self, x, label):
@@ -321,7 +321,7 @@ class OracleHead:
         if not (np.all(np.isfinite(self.w_hidden)) and np.all(np.isfinite(self.w_out))):
             raise FloatingPointError("weights became non-finite during SGD step")
         self.last_delta_hidden = np.array(grad_hidden, dtype=np.float64)
-        self.last_delta_out = np.array(grad_out, dtype=np.float64)
+        self.grad_out = np.array(grad_out, dtype=np.float64)
         self.steps += 1
         self.live_steps += bool(np.any(grad_hidden) or np.any(grad_out))
 
@@ -339,8 +339,9 @@ def test_finetune_pass_matches_validated_oracle():
         trainer._finetune_pass(pairs)
         for sample_idx, label in pairs:
             oracle.step(trainer.inputs[sample_idx], label)
-        for name in ("w_hidden", "w_out", "last_delta_hidden", "last_delta_out"):
+        for name in ("w_hidden", "w_out", "last_delta_hidden"):
             assert np.array_equal(getattr(trainer.head, name), getattr(oracle, name)), name
+        assert np.array_equal(trainer.head._grad_layers[1], oracle.grad_out)  # the output half
     assert trainer.finetunes == 5 and oracle.steps == 100
     assert oracle.live_steps >= oracle.steps // 2, oracle.live_steps
 
