@@ -52,10 +52,11 @@ def seed_kmeanspp(features, k: int, rng: SeededRng) -> CentroidBank:
     the squared distance to the nearest seed already chosen. All counts start
     at 1 (the seed is its own first assignment).
 
-    Each round updates the distances on a tensor.RowPool. A row's distance
-    to a seed does not depend on the rows beside it, so each worker takes
-    its share of a chunk's rows at a time, and the workers' difference
-    buffers together hold one chunk, as a single worker's does."""
+    Each of the k - 1 rounds updates the distances on a tensor.RowPool and
+    then draws a seed. A row's distance to a seed does not depend on the
+    rows beside it, so each worker takes its share of a chunk's rows at a
+    time, and the workers' difference buffers together hold one chunk, as a
+    single worker's does."""
     x = _as_feature_array(features)
     n = x.shape[0]
     if k < 1:
@@ -76,10 +77,8 @@ def seed_kmeanspp(features, k: int, rng: SeededRng) -> CentroidBank:
                 np.subtract(x[sub], seed, out=d)
                 np.minimum(d2[sub], np.einsum("ij,ij->i", d, d), out=d2[sub])
 
-        while True:
+        while len(chosen) < k:
             pool.each(nearer)
-            if len(chosen) == k:
-                break
             total = float(d2.sum())
             if not math.isfinite(total):
                 raise ConfigError("squared feature distances overflow float64; rescale the data")

@@ -166,7 +166,8 @@ def gen_blobs(k: int, points_per_cluster: int, dim: int, separation: float,
               noise_sigma: float, rng: SeededRng) -> Dataset:
     """Synthetic benchmark: k centers uniform on a sphere of radius
     `separation`, points are center plus isotropic Gaussian noise. Ground
-    truth labels are attached; samples are shaped (1, dim, 1)."""
+    truth labels are attached; samples are shaped (1, dim, 1). One gauss
+    draw gives the centers and one more every cluster's noise, in order."""
     if k <= 0 or points_per_cluster <= 0 or dim <= 0:
         raise ConfigError("k, points_per_cluster and dim must be positive")
     if not (0 < separation < math.inf and 0 <= noise_sigma < math.inf):
@@ -176,14 +177,11 @@ def gen_blobs(k: int, points_per_cluster: int, dim: int, separation: float,
     centers = rng.gauss(size=(k, dim))
     for center in centers:
         center *= separation / float(np.sqrt(np.dot(center, center)))
-    n = k * points_per_cluster
-    samples = np.empty((n, dim))
-    for i, block in enumerate(samples.reshape(k, points_per_cluster, dim)):
-        block[...] = rng.gauss(size=block.shape)
-        block *= noise_sigma
-        block += centers[i]
+    samples = rng.gauss(size=(k, points_per_cluster, dim))
+    samples *= noise_sigma
+    samples += centers[:, None, :]
     labels = np.repeat(np.arange(k, dtype=np.int64), points_per_cluster)
-    return Dataset(samples=samples.reshape(n, 1, dim, 1), labels=labels, name="blobs")
+    return Dataset(samples=samples.reshape(-1, 1, dim, 1), labels=labels, name="blobs")
 
 
 def _text_lines(path):

@@ -18,7 +18,8 @@ import numpy as np
 MASK64 = 0xFFFFFFFFFFFFFFFF
 _LANES = 512  # most lanes of a bulk pass, and most words per lane: 2 MiB of words
 ROW_CHUNK = 1024  # rows per slice of a whole-set pass: 1 MiB of float64 at 128 columns
-_GAUSS_CHUNK = 4096  # items per slice of a bulk gauss: its temporaries stay 32 KiB, in cache
+_GAUSS_SLICE = 1 << 20  # most items per raw draw of a gauss: 16 MiB of words; _redraw keeps stream order
+_GAUSS_CHUNK = 4096  # items a gauss turns into floats and transforms at a time: 32 KiB, in cache
 # the variables OpenBLAS reads its thread count from, in the order it reads them
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
@@ -252,6 +253,14 @@ def _jump(i: int) -> np.ndarray:
     return np.packbits(_gf2(half, half), axis=1)
 
 
+def _draw_size(size) -> int:
+    """Values in a draw of that shape; ConfigError, naming it, when one array cannot hold them."""
+    n = math.prod(map(int, size if np.iterable(size) else (size,)))
+    if n > np.iinfo(np.intp).max // 16:  # 8 bytes a value, padded to whole lanes, fit one array
+        raise ConfigError(f"cannot draw an array of shape {size}: {n} values do not fit in one array")
+    return n
+
+
 def _unit_floats(words: np.ndarray) -> np.ndarray:
     """random() of each word: 53 high bits scaled into [0, 1)."""
     floats = (words >> 11).astype(np.float64)
@@ -420,7 +429,7 @@ class SeededRng:
 
     def uniform(self, lo: float, hi: float, size) -> np.ndarray:
         """An array of that shape of lo + (hi - lo) * random(), filled in stream order."""
-        return lo + (hi - lo) * _unit_floats(self.raw(int(np.prod(size)))).reshape(size)
+        return lo + (hi - lo) * _unit_floats(self.raw(_draw_size(size))).reshape(size)
 
     def randint(self, n: int) -> int:
         """Uniform integer in [0, n), unbiased via rejection."""
@@ -430,14 +439,14 @@ class SeededRng:
 
     def gauss(self, *, size) -> np.ndarray:
         """An array of that shape of standard normal draws, filled in stream
-        order: _box_muller(u1, u2) from two words an item, no cached spare."""
-        n = int(np.prod(size))
-        # a u1 of 0 is rejected; no name keeps the words alive through the transform
-        u = _unit_floats(self._redraw(self.raw(2 * n), lambda w: 2 * np.flatnonzero(w[0::2] < 1 << 11)))
-        u = u.reshape(n, 2)
-        out = np.empty(n)
-        for rows in row_chunks(n, _GAUSS_CHUNK):
-            out[rows] = _box_muller(u[rows, 0], u[rows, 1])
+        order: _box_muller(u1, u2) from two words an item, no cached spare; a u1 of 0 is drawn again."""
+        out = np.empty(_draw_size(size))
+        for items in np.split(out, range(_GAUSS_SLICE, out.size, _GAUSS_SLICE)):
+            words = self._redraw(self.raw(2 * items.size), lambda w: 2 * np.flatnonzero(w[0::2] < 1 << 11))
+            for rows in row_chunks(items.size, _GAUSS_CHUNK):
+                u = _unit_floats(words.reshape(-1, 2)[rows])
+                items[rows] = _box_muller(u[:, 0], u[:, 1])
+            del words  # before the next slice's are drawn
         return out.reshape(size)
 
     def shuffle(self, seq) -> None:

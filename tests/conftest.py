@@ -16,6 +16,7 @@ from driftclust.trainer import TrainerConfig
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+MASK = (1 << 64) - 1
 
 
 def blas_pinned_env(threads):
@@ -121,3 +122,34 @@ def acceptance_blob_setup(seed, **config_overrides):
     defaults = dict(k=10, mode="full", seed=seed)
     defaults.update(config_overrides)
     return dataset, spec, TrainerConfig(**defaults)
+
+
+# --- xoshiro256** states that yield chosen words --------------------------------
+
+def rotl(x, k):
+    return ((x << k) | (x >> (64 - k))) & MASK
+
+
+def step_back(state):
+    """Inverse of one xoshiro256** state update."""
+    a0, a1, a2, a3 = state
+    x3 = rotl(a3, 64 - 45)  # s3 ^ s1
+    s0 = a0 ^ x3
+    v = a1 ^ a2  # s1 ^ (s1 << 17)
+    s1 = (v ^ (v << 17) ^ (v << 34) ^ (v << 51)) & MASK
+    return (s0, s1, a1 ^ s1 ^ s0, x3 ^ s1)
+
+
+def planted(state, position, *words):
+    """A state whose stream yields `words` (one or two) from `position`
+    (0-based) on: `state` with its s1 solved for the first word and its s2
+    for the second (the next s1 is s0 ^ s1 ^ s2), then stepped back
+    `position` times."""
+    s0, _, s2, s3 = state
+    x = [(rotl((w * pow(9, -1, 1 << 64)) & MASK, 64 - 7) * pow(5, -1, 1 << 64)) & MASK for w in words]
+    if len(x) > 1:
+        s2 = s0 ^ x[0] ^ x[1]
+    state = (s0, x[0], s2, s3)
+    for _ in range(position):
+        state = step_back(state)
+    return state

@@ -131,6 +131,9 @@ def test_km_zero_rejected(capsys):
 
 
 UNALLOCATABLE = str(10 ** 15)
+PAST_ANY_ARRAY = str(10 ** 18)  # within int64, but not times the other dimensions
+PAST_ANY_INDEX = str(10 ** 20)  # past int64 on its own
+CANNOT_DRAW = "config error: cannot draw an array of shape "
 
 
 @pytest.mark.parametrize("files,args,code,message", [
@@ -158,6 +161,12 @@ UNALLOCATABLE = str(10 ** 15)
     ({}, ["--hidden-dim", UNALLOCATABLE], 2, "config error: Unable to allocate"),
     ({}, ["--blob-points", UNALLOCATABLE], 2, "config error: Unable to allocate"),
     ({}, ["--backbone", "randproj", "--backbone-dim", UNALLOCATABLE], 2, "config error: Unable to allocate"),
+    # sizes past any array numpy can make: the draw that would hold them names its shape
+    ({}, ["--blob-points", PAST_ANY_ARRAY], 2, f"{CANNOT_DRAW}(10, {PAST_ANY_ARRAY}, 50)"),
+    ({}, ["--blob-dim", PAST_ANY_ARRAY], 2, f"{CANNOT_DRAW}(10, {PAST_ANY_ARRAY})"),
+    ({}, ["--hidden-dim", PAST_ANY_INDEX], 2, f"{CANNOT_DRAW}({PAST_ANY_INDEX}, 50)"),
+    ({}, ["--backbone", "randproj", "--backbone-dim", PAST_ANY_INDEX], 2,
+     f"{CANNOT_DRAW}({PAST_ANY_INDEX}, 50)"),
 ])
 def test_bad_input_gets_its_exit_code(tmp_path, monkeypatch, capsys, files, args, code, message):
     monkeypatch.chdir(tmp_path)
@@ -389,6 +398,16 @@ def test_sweep_records_a_cell_the_host_cannot_allocate(tmp_path, capsys, paralle
     assert [(r[0], r[2] == "nan") for r in rows] == [("16", False), (UNALLOCATABLE, True)]
     err = capsys.readouterr().err
     assert f"sweep cell hidden_dim={UNALLOCATABLE} epochs=1 failed: Unable to allocate" in err
+
+
+@pytest.mark.parametrize("parallel", [[], ["--parallel", "2"]])
+def test_sweep_records_a_cell_past_any_array_size(tmp_path, capsys, parallel):
+    out = tmp_path / "sweep.csv"
+    assert main(sweep_args(tmp_path, out, grid(f"blob_points=5,{PAST_ANY_ARRAY}", "epochs=1") + parallel)) == 0
+    rows = [ln.split(",") for ln in out.read_text().strip().splitlines()[1:]]
+    assert [(r[0], r[2] == "nan") for r in rows] == [("5", False), (PAST_ANY_ARRAY, True)]
+    failed = f"sweep cell blob_points={PAST_ANY_ARRAY} epochs=1 failed: "
+    assert failed + f"cannot draw an array of shape (4, {PAST_ANY_ARRAY}, 8)" in capsys.readouterr().err
 
 
 def _cell_fails_late_for_seed_1(cell):

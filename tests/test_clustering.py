@@ -45,6 +45,17 @@ def test_seed_rejects_insufficient_or_degenerate():
         seed_kmeanspp(np.ones((10, 3)), 2, SeededRng(0))  # identical samples
 
 
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_seeding_runs_a_distance_round_per_seed_after_the_first(monkeypatch, k):
+    # the distances after the last seed are never read, so no round computes them
+    rounds = []
+    each = tensor.RowPool.each
+    monkeypatch.setattr(tensor.RowPool, "each", lambda pool, work: rounds.append(work) or each(pool, work))
+    feats = SeededRng(3).gauss(size=(40, 4))
+    bank = seed_kmeanspp(feats, k, SeededRng(5))
+    assert len(rounds) == k - 1 and bank.centroids.shape == (k, 4)
+
+
 def test_seed_covers_separated_blobs():
     # three far-apart blobs: the squared-distance law should pick one seed in
     # each blob nearly always

@@ -9,8 +9,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import write_idx_fixture
-from driftclust import dataio
+from conftest import planted, write_idx_fixture
+from driftclust import dataio, tensor
 from driftclust.clustering import lloyd_kmeans
 from driftclust.dataio import (CheckpointError, CsvFormatError, IdxFormatError, TrainerState,
                                atomic_write_bytes, gen_blobs, load_checkpoint, load_csv,
@@ -183,6 +183,37 @@ def test_blobs_benchmark_set_is_pinned():
         "c3556f4a243d7dc7c1fb41d5302fb5050146cd15b4b1e72e41d57339c79a1367"
     assert rng.state() == (16910642681060273710, 15705961282128593385,
                            9436931461749330467, 5928406104882842675)
+
+
+def _per_cluster_blobs(k, points, dim, separation, sigma, rng):
+    """The blob samples as one gauss call a cluster draws them."""
+    centers = rng.gauss(size=(k, dim))
+    for center in centers:
+        center *= separation / float(np.sqrt(np.dot(center, center)))
+    samples = np.empty((k * points, dim))
+    for i, block in enumerate(samples.reshape(k, points, dim)):
+        block[...] = rng.gauss(size=block.shape)
+        block *= sigma
+        block += centers[i]
+    return samples
+
+
+# noise items: inside the second cluster, and the last and first items of
+# gauss slices, patched down to 256 items
+@pytest.mark.parametrize("item", [230, 255, 256])
+def test_gen_blobs_draws_the_noise_of_a_call_per_cluster(monkeypatch, item):
+    monkeypatch.setattr(tensor, "_GAUSS_SLICE", 256)
+    k, points, dim = 3, 40, 5  # 200 noise items a cluster
+    u1 = 2 * (k * dim + item)  # the noise words follow the centers', two an item
+    state = planted(SeededRng(item).state(), u1, 0)
+    rng, reference, probe = SeededRng(0), SeededRng(0), SeededRng(0)
+    for r in (rng, reference, probe):
+        r.set_state(state)
+    assert probe.raw(u1 + 1)[-1] == 0  # a zero u1, which both draw again
+    ds = gen_blobs(k, points, dim, 10.0, 1.5, rng)
+    expected = _per_cluster_blobs(k, points, dim, 10.0, 1.5, reference)
+    assert ds.samples.reshape(k * points, dim).tobytes() == expected.tobytes()
+    assert rng.state() == reference.state()
 
 
 @pytest.mark.slow

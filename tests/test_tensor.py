@@ -10,11 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import blas_pinned_env
+from conftest import MASK, blas_pinned_env, planted, rotl, step_back
 from driftclust import tensor
 from driftclust.tensor import _LANES, ROW_CHUNK, DimensionError, SeededRng, label_array, matrix, row_chunks
-
-MASK = (1 << 64) - 1
 
 
 def test_vector_and_matrix_validation():
@@ -58,10 +56,6 @@ def test_row_chunks_take_a_chunk_length_and_make_none_of_no_rows():
 
 # --- the stream oracle --------------------------------------------------------
 
-def _rotl(x, k):
-    return ((x << k) | (x >> (64 - k))) & MASK
-
-
 class Xoshiro:
     """The stream oracle: the xoshiro256** recurrence of SeededRng's
     docstring on Python ints, one word a call, and each draw made from it
@@ -75,14 +69,14 @@ class Xoshiro:
 
     def next_u64(self):
         s = self.s
-        result = (_rotl((s[1] * 5) & MASK, 7) * 9) & MASK
+        result = (rotl((s[1] * 5) & MASK, 7) * 9) & MASK
         t = (s[1] << 17) & MASK
         s[2] ^= s[0]
         s[3] ^= s[1]
         s[1] ^= s[2]
         s[0] ^= s[3]
         s[2] ^= t
-        s[3] = _rotl(s[3], 45)
+        s[3] = rotl(s[3], 45)
         return result
 
     def random(self):
@@ -111,31 +105,6 @@ class Xoshiro:
         for i in range(len(seq) - 1, 0, -1):
             j = self.randint(i + 1)
             seq[i], seq[j] = seq[j], seq[i]
-
-
-def _step_back(state):
-    """Inverse of one xoshiro256** state update."""
-    a0, a1, a2, a3 = state
-    x3 = _rotl(a3, 64 - 45)  # s3 ^ s1
-    s0 = a0 ^ x3
-    v = a1 ^ a2  # s1 ^ (s1 << 17)
-    s1 = (v ^ (v << 17) ^ (v << 34) ^ (v << 51)) & MASK
-    return (s0, s1, a1 ^ s1 ^ s0, x3 ^ s1)
-
-
-def _planted(state, position, *words):
-    """A state whose stream yields `words` (one or two) from `position`
-    (0-based) on: `state` with its s1 solved for the first word and its s2
-    for the second (the next s1 is s0 ^ s1 ^ s2), then stepped back
-    `position` times."""
-    s0, _, s2, s3 = state
-    x = [(_rotl((w * pow(9, -1, 1 << 64)) & MASK, 64 - 7) * pow(5, -1, 1 << 64)) & MASK for w in words]
-    if len(x) > 1:
-        s2 = s0 ^ x[0] ^ x[1]
-    state = (s0, x[0], s2, s3)
-    for _ in range(position):
-        state = _step_back(state)
-    return state
 
 
 def _rngs(state):
@@ -251,15 +220,16 @@ LANE, PASS = 16, _LANES * _LANES
 # item) more than one bulk pass
 SIZES = st.sampled_from([1, LANE - 1, LANE, LANE + 1, 7 * LANE + 5, PASS // 2 + LANE + 1])
 POSITIONS = st.sampled_from([0, 1, LANE - 1, LANE, 3 * LANE + 2, PASS // 2 - 1, PASS // 2 + 2])
+GAUSS_SLICE = 64  # items per raw draw of a gauss, patched down from tensor._GAUSS_SLICE
 
 
 def test_step_back_inverts_next_u64():
     oracle = Xoshiro(SeededRng(5).state())
     before = oracle.state()
     oracle.next_u64()
-    assert _step_back(oracle.state()) == before
+    assert step_back(oracle.state()) == before
     for words in ((0,), (MASK,), (12345,), (0, 0), (MASK, 7)):
-        bulk, _ = _rngs(_planted(before, 3, *words))
+        bulk, _ = _rngs(planted(before, 3, *words))
         assert tuple(bulk.raw(5).tolist()[3:3 + len(words)]) == words
 
 
@@ -301,6 +271,27 @@ def test_raw_holds_one_pass_of_temporaries_and_caches_packed_bits(cold_jumps):
     assert kept - 8 * n < 8 * _LANES + rungs * 9 * 2 ** 10
 
 
+# (items a slice, most bytes beside the output) of a gauss of 10**6 items:
+# one slice of words, 16 bytes an item, and raw's pass temporaries, up to 3
+# MiB (see above) for a full pass and one more copy of the words for less
+@pytest.mark.parametrize("slice_items,beside", [(None, 16 * 10 ** 6 + 3 * 2 ** 20),
+                                                (2 ** 16, 2 * 16 * 2 ** 16 + 2 ** 18)])
+def test_gauss_holds_at_most_one_slice_of_words_beside_its_output(monkeypatch, slice_items, beside):
+    n = 10 ** 6
+    if slice_items is not None:  # 16 slices, not one
+        monkeypatch.setattr(tensor, "_GAUSS_SLICE", slice_items)
+    SeededRng(1).gauss(size=n)  # the jump ladder, which outlives the call
+    tracemalloc.start()
+    try:
+        draws = SeededRng(3).gauss(size=n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert draws.size == n
+    # never a float per word of the whole draw, nor two slices of words
+    assert peak - 8 * n < beside
+
+
 @settings(max_examples=20, deadline=None)
 @given(STATES, SIZES)
 def test_bulk_gauss_uniform_and_shuffle_match_scalar_helpers(state, n):
@@ -323,7 +314,7 @@ def test_bulk_gauss_uniform_and_shuffle_match_scalar_helpers(state, n):
 @given(PLANT_STATES, POSITIONS)
 def test_bulk_gauss_redraws_a_zero_u1_like_the_scalar_helper(state, item):
     # the word at 2 * item is item's u1; 0 makes the oracle draw u1 again
-    bulk, oracle = _rngs(_planted(state, 2 * item, 0))
+    bulk, oracle = _rngs(planted(state, 2 * item, 0))
     n = item + 5
     assert bulk.gauss(size=n).tolist() == oracle.gauss(n)
     assert bulk.state() == oracle.state()
@@ -332,8 +323,20 @@ def test_bulk_gauss_redraws_a_zero_u1_like_the_scalar_helper(state, item):
 @pytest.mark.parametrize("item", [0, 1, LANE - 1, LANE, 3 * LANE + 2])
 def test_bulk_gauss_redraws_a_u1_that_is_0_again(item):
     # item's u1 is 0 and so is the word after it, drawn as u1 in its place
-    bulk, oracle = _rngs(_planted(SeededRng(item).state(), 2 * item, 0, 0))
+    bulk, oracle = _rngs(planted(SeededRng(item).state(), 2 * item, 0, 0))
     n = item + 5
+    assert bulk.gauss(size=n).tolist() == oracle.gauss(n)
+    assert bulk.state() == oracle.state()
+
+
+@pytest.mark.parametrize("words", [(0,), (0, 0)])
+@pytest.mark.parametrize("item", [0, GAUSS_SLICE - 1, GAUSS_SLICE, 2 * GAUSS_SLICE - 1])
+def test_gauss_slices_take_the_words_of_one_draw(monkeypatch, item, words):
+    # a zero u1 (and a zero in its place) at the ends of slices of 64 items:
+    # a slice's redraw takes the word that would start the next slice
+    monkeypatch.setattr(tensor, "_GAUSS_SLICE", GAUSS_SLICE)
+    bulk, oracle = _rngs(planted(SeededRng(item).state(), 2 * item, *words))
+    n = 2 * GAUSS_SLICE + 5
     assert bulk.gauss(size=n).tolist() == oracle.gauss(n)
     assert bulk.state() == oracle.state()
 
@@ -343,7 +346,7 @@ def test_bulk_gauss_redraws_a_u1_that_is_0_again(item):
 def test_bulk_shuffle_rejects_the_top_word_like_randint(state, draw):
     # draw p of a shuffle of n items is randint(n - p); with n - p = 10, not a
     # power of two, randint rejects 2**64 - 1 and draws again
-    bulk, oracle = _rngs(_planted(state, draw, MASK))
+    bulk, oracle = _rngs(planted(state, draw, MASK))
     seq_bulk, seq_oracle = list(range(draw + 10)), list(range(draw + 10))
     bulk.shuffle(seq_bulk)
     oracle.shuffle(seq_oracle)
@@ -355,7 +358,7 @@ def test_bulk_shuffle_rejects_the_top_word_like_randint(state, draw):
 def test_bulk_shuffle_judges_the_words_after_a_redraw_in_their_new_places(draw):
     # draw p, randint(10), rejects 2**64 - 1; the next word, 2**64 - 7, is
     # above randint(9)'s limit but not randint(10)'s, so it is kept in p's place
-    bulk, oracle = _rngs(_planted(SeededRng(draw).state(), draw, MASK, MASK - 6))
+    bulk, oracle = _rngs(planted(SeededRng(draw).state(), draw, MASK, MASK - 6))
     seq_bulk, seq_oracle = list(range(draw + 10)), list(range(draw + 10))
     bulk.shuffle(seq_bulk)
     oracle.shuffle(seq_oracle)
@@ -367,7 +370,7 @@ def test_bulk_shuffle_judges_the_words_after_a_redraw_in_their_new_places(draw):
 @pytest.mark.parametrize("words", [(MASK,), (MASK, MASK), (MASK, 3)])
 def test_randint_rejects_the_top_word_like_the_oracle(position, words):
     # randint(10) rejects 2**64 - 1 and draws again, twice when the next word is it too
-    bulk, oracle = _rngs(_planted(SeededRng(position).state(), position, *words))
+    bulk, oracle = _rngs(planted(SeededRng(position).state(), position, *words))
     assert [bulk.randint(10) for _ in range(position + 3)] == [oracle.randint(10) for _ in range(position + 3)]
     assert bulk.state() == oracle.state()
 
@@ -410,9 +413,9 @@ U2_EDGES = {0.0: 0, 0.25: 1 << 62, 0.5: 1 << 63, 0.75: 3 << 62}
 
 def test_gauss_edge_words_give_finite_nonzero_draws_within_the_bound():
     start = SeededRng(8).state()
-    planted = [(0, word) for word in U1_EDGES.values()] + [(1, word) for word in U2_EDGES.values()]
-    for position, word in planted:  # item 2's u1 or u2
-        bulk, oracle = _rngs(_planted(start, 4 + position, word))
+    edges = [(0, word) for word in U1_EDGES.values()] + [(1, word) for word in U2_EDGES.values()]
+    for position, word in edges:  # item 2's u1 or u2
+        bulk, oracle = _rngs(planted(start, 4 + position, word))
         draws, words = bulk.gauss(size=4), np.array([oracle.next_u64() for _ in range(8)], dtype=np.uint64)
         assert words[4 + position] == word
         assert np.all(np.isfinite(draws)) and np.all(draws != 0.0)
