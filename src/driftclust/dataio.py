@@ -7,16 +7,16 @@ with an optional trailing "label" column, and synthetic Gaussian blobs.
 Checkpoint layout (all multi-byte integers little-endian):
 
     8 bytes   magic "DRIFTCLU"
-    u32       format version (currently 2; a version-1 file is refused)
+    u32       format version (currently 3; version-1 and version-2 files are refused)
     payload   u64-length-prefixed sections
     u32       CRC-32 of the payload bytes
 
-The field declaration of TrainerState is the payload layout: its fields are
-in file order and each names the codec of its section, so save_checkpoint and
-load_checkpoint only walk that declaration. Matrices are u32 rows, u32 cols,
-then f64 row-major (0 x 0 when absent); vectors are a u32 count, then the
-items; the three progress counters share one section of three u64. File
-writes go through a temp-file-and-rename so readers never see partial state.
+The field declaration of TrainerState is the payload layout: each field is
+one section, in file order, and names the codec of its section, so
+save_checkpoint and load_checkpoint only walk that declaration. Matrices are
+u32 rows, u32 cols, then f64 row-major (0 x 0 when absent); vectors are a u32
+count, then the items; counters are one u64. File writes go through a
+temp-file-and-rename so readers never see partial state.
 """
 
 import functools
@@ -37,7 +37,7 @@ from .tensor import ConfigError, SeededRng
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 CHECKPOINT_MAGIC = b"DRIFTCLU"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 _GZIP_PIECE = 1 << 16  # bytes per read of an IDX file and per decompressed piece of a gzipped one
 
 
@@ -295,15 +295,14 @@ def load_labels(path) -> np.ndarray:
 
 
 class _Codec(NamedTuple):
-    """How one checkpoint section stores `arity` consecutive TrainerState fields."""
-    encode: Callable  # field values -> section body
-    decode: Callable  # (section body, name of its first field) -> tuple of field values
-    arity: int = 1
+    """How one checkpoint section stores one TrainerState field."""
+    encode: Callable  # field value -> section body
+    decode: Callable  # (section body, field name) -> field value
 
 
 def _decode_text(body: bytes, what: str):
     try:
-        return (body.decode("utf-8"),)
+        return body.decode("utf-8")
     except UnicodeDecodeError:
         raise CheckpointError(f"{what} section is not valid UTF-8") from None
 
@@ -323,10 +322,10 @@ def _decode_matrix(body: bytes, what: str):
     if rows == 0 and cols == 0:
         if len(body) != 8:
             raise CheckpointError(f"{what} empty-matrix sentinel carries data")
-        return (None,)
+        return None
     if len(body) != 8 + rows * cols * 8:
         raise CheckpointError(f"{what} section size mismatch for {rows}x{cols}")
-    return (np.frombuffer(body, dtype="<f8", offset=8).reshape(rows, cols).copy(),)
+    return np.frombuffer(body, dtype="<f8", offset=8).reshape(rows, cols).copy()
 
 
 def _vector(dtype, convert) -> _Codec:
@@ -344,19 +343,19 @@ def _vector(dtype, convert) -> _Codec:
         if len(body) != 4 + count * dtype.itemsize:
             raise CheckpointError(f"{what} section holds {len(body) - 4} bytes after its header, "
                                   f"expected {count} x {dtype.itemsize}")
-        return (convert(np.frombuffer(body, dtype=dtype, offset=4, count=count)),)
+        return convert(np.frombuffer(body, dtype=dtype, offset=4, count=count))
     return _Codec(encode, decode)
 
 
-def _decode_progress(body: bytes, what: str):
-    if len(body) != 24:
-        raise CheckpointError(f"progress section holds {len(body)} bytes, expected 24")
-    return struct.unpack("<QQQ", body)
+def _decode_counter(body: bytes, what: str):
+    if len(body) != 8:
+        raise CheckpointError(f"{what} section holds {len(body)} bytes, expected 8")
+    return struct.unpack("<Q", body)[0]
 
 
 _TEXT = _Codec(lambda text: text.encode("utf-8"), _decode_text)
 _MATRIX = _Codec(_encode_matrix, _decode_matrix)
-_PROGRESS = _Codec(lambda *counters: struct.pack("<QQQ", *counters), _decode_progress, arity=3)
+_COUNTER = _Codec(lambda value: struct.pack("<Q", value), _decode_counter)
 _PAIR = np.dtype([("sample", "<u8"), ("label", "<u4")])  # 12 bytes, unpadded
 
 
@@ -367,34 +366,22 @@ def _stored(codec: _Codec):
 @dataclass
 class TrainerState:
     """Everything a joint run carries from one mini-batch to the next, and
-    the checkpoint layout: one section per field, in declaration order,
-    except that the three progress counters share one section."""
+    the checkpoint layout: one section per field, in declaration order."""
     config_text: str = _stored(_TEXT)
     w_hidden: np.ndarray = _stored(_MATRIX)
     w_out: np.ndarray = _stored(_MATRIX)
-    last_delta_hidden: Optional[np.ndarray] = _stored(_MATRIX)  # last SGD step, for rollback
-    snap_w_hidden: Optional[np.ndarray] = _stored(_MATRIX)  # pre-pass weights, for snapshot rollback
+    w_rollback: Optional[np.ndarray] = _stored(_MATRIX)  # hidden weights of a full run's rollback
     centroids: np.ndarray = _stored(_MATRIX)
     counts: np.ndarray = _stored(_vector("<u8", lambda a: a.astype(np.int64)))
     rng_state: tuple = _stored(_vector("<u8", lambda a: tuple(a.tolist())))
-    epochs_done: int = _stored(_PROGRESS)
-    finetunes: int = _stored(_PROGRESS)
-    iterations: int = _stored(_PROGRESS)
+    epochs_done: int = _stored(_COUNTER)
+    finetunes: int = _stored(_COUNTER)
+    iterations: int = _stored(_COUNTER)
     buffer: list = _stored(_vector(_PAIR, np.ndarray.tolist))  # (sample index, label) pairs
     nmi_history: list = _stored(_vector("<f8", np.ndarray.tolist))
 
 
-def _layout():
-    """(codec, names of the fields its section stores) per section, in file order."""
-    state_fields, sections, at = fields(TrainerState), [], 0
-    while at < len(state_fields):
-        codec = state_fields[at].metadata["codec"]
-        sections.append((codec, [f.name for f in state_fields[at:at + codec.arity]]))
-        at += codec.arity
-    return tuple(sections)
-
-
-_LAYOUT = _layout()
+_LAYOUT = tuple((f.name, f.metadata["codec"]) for f in fields(TrainerState))  # one section per field
 
 
 def _split_sections(payload: bytes, count: int) -> list:
@@ -414,7 +401,7 @@ def _split_sections(payload: bytes, count: int) -> list:
 
 
 def save_checkpoint(path, state: TrainerState) -> None:
-    bodies = [codec.encode(*(getattr(state, name) for name in names)) for codec, names in _LAYOUT]
+    bodies = [codec.encode(getattr(state, name)) for name, codec in _LAYOUT]
     payload = b"".join(struct.pack("<Q", len(body)) + body for body in bodies)
     blob = (CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION) + payload
             + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
@@ -435,7 +422,6 @@ def load_checkpoint(path) -> TrainerState:
     if zlib.crc32(payload) & 0xFFFFFFFF != crc:
         raise CheckpointError("checkpoint payload fails its CRC-32 check")
 
-    values = {}
-    for (codec, names), body in zip(_LAYOUT, _split_sections(payload, len(_LAYOUT))):
-        values.update(zip(names, codec.decode(body, names[0])))
-    return TrainerState(**values)
+    bodies = _split_sections(payload, len(_LAYOUT))
+    return TrainerState(**{name: codec.decode(body, name)
+                           for (name, codec), body in zip(_LAYOUT, bodies)})

@@ -8,12 +8,13 @@ feature h) and an output layer scored against one-hot pseudo-labels:
     loss     = 1/2 * sum_j (y_j - t_j)^2,   t = one_hot(label)
 
 Gradients are hand-derived with the ReLU derivative taken as the indicator
-1[u > 0] (zero at u == 0). Each SGD step keeps the hidden-layer gradient it
-applied, so the hidden feature under the previous weights can be
-reconstructed later as relu((W1 + eta * last_delta_hidden) @ x); that
-rollback is what keeps centroid updates consistent with the features they
-were assigned under. Only the first layer enters h, so the output layer's
-gradient is never kept.
+1[u > 0] (zero at u == 0). A pass that applies a step ends by setting the
+rollback weights, w_rollback = W1 + eta * last_delta_hidden: the hidden
+weights from before its last step, whose features keep centroid updates
+consistent with the features they were assigned under. A trainer may set
+w_rollback to other hidden weights (those from before the whole pass); it
+is the one matrix rollback_hidden_batch reads. Only the first layer enters
+h, so the output layer has no rollback state.
 
 Both layers live in one flat float64 buffer, `params`, with w_hidden and
 w_out as C-contiguous views of it; the gradients of the latest step fill a
@@ -87,34 +88,26 @@ def _layers(flat, shape_hidden, shape_out):
 
 
 class FeatureHead:
-    def __init__(self, w_hidden, w_out, eta, last_delta_hidden=None):
+    def __init__(self, w_hidden, w_out, eta, w_rollback=None):
         layers = (matrix(w_hidden), matrix(w_out))
         if layers[1].shape[1] != layers[0].shape[0]:
             raise DimensionError(f"output layer expects {layers[1].shape[1]} hidden units, "
                                  f"head has {layers[0].shape[0]}")
         if not np.isfinite(eta) or eta < 0:
             raise ValueError(f"learning rate must be finite and nonnegative, got {eta}")
-        params = np.concatenate([w.ravel() for w in layers])
-        grads = None
-        if last_delta_hidden is not None:
-            delta = matrix(last_delta_hidden)
-            if delta.shape != layers[0].shape:
-                raise DimensionError(f"stored delta shape {delta.shape} does not match weights "
-                                     f"{layers[0].shape}")
-            grads = np.concatenate([delta.ravel(), np.zeros(layers[1].size)])  # output half: scratch
+        if w_rollback is not None:
+            w_rollback = matrix(w_rollback).copy()
+            if w_rollback.shape != layers[0].shape:
+                raise DimensionError(f"rollback weights shape {w_rollback.shape} does not match "
+                                     f"hidden weights {layers[0].shape}")
         self.eta = float(eta)
-        self._adopt(params, grads, layers[0].shape, layers[1].shape)
-
-    def _adopt(self, params, grads, shape_hidden, shape_out):
-        """Take the flat buffers as this head's own: params, and grads (the latest
-        step's gradients, or None before any step)."""
-        self.params = params
-        self.w_hidden, self.w_out = _layers(params, shape_hidden, shape_out)
-        self._grads = np.empty_like(params) if grads is None else grads
-        self._grad_layers = _layers(self._grads, shape_hidden, shape_out)
-        self.last_delta_hidden = None if grads is None else self._grad_layers[0]
-        self._step = np.empty_like(params)  # eta * grad
-        self._w_prev = None  # W1 + eta * last_delta_hidden, built on the first rollback after a step
+        self.w_rollback = w_rollback  # hidden weights that rollback features use; None before a pass
+        self.params = np.concatenate([w.ravel() for w in layers])
+        self.w_hidden, self.w_out = _layers(self.params, layers[0].shape, layers[1].shape)
+        self._grads = np.empty_like(self.params)
+        self._grad_layers = _layers(self._grads, layers[0].shape, layers[1].shape)
+        self.last_delta_hidden = None  # the hidden half of _grads once this head has stepped
+        self._step = np.empty_like(self.params)  # eta * grad
 
     @property
     def input_dim(self):
@@ -129,11 +122,10 @@ class FeatureHead:
         return self.w_out.shape[0]
 
     def copy(self):
-        head = object.__new__(FeatureHead)
-        head.eta = self.eta
-        grads = None if self.last_delta_hidden is None else self._grads.copy()
-        head._adopt(self.params.copy(), grads, self.w_hidden.shape, self.w_out.shape)
-        return head
+        """A head built from this one's weights, rate and rollback weights: it
+        owns copies of them, and gradient buffers that hold no step until it
+        takes one."""
+        return FeatureHead(self.w_hidden, self.w_out, self.eta, self.w_rollback)
 
     def forward(self, x: np.ndarray) -> ForwardTrace:
         x = np.asarray(x, dtype=np.float64)
@@ -173,8 +165,10 @@ class FeatureHead:
         The pass stops at the first step whose loss is non-finite or above
         LOSS_LIMIT and leaves that step unapplied, so the head holds the last
         good step. The gradients of that step stay in this head's buffer, its
-        hidden half as last_delta_hidden; the next step overwrites them. Every
-        label is checked by tensor.label_array before any step.
+        hidden half as last_delta_hidden; the next step overwrites them. A pass
+        that applied a step sets w_rollback = w_hidden + eta * last_delta_hidden,
+        the hidden weights from before its last step. Every label is checked
+        by tensor.label_array before any step.
         """
         xs = np.asarray(xs, dtype=np.float64)
         if xs.ndim != 2 or xs.shape[1] != self.input_dim or len(labels) != len(xs):
@@ -217,7 +211,7 @@ class FeatureHead:
             done += 1
         if done:
             self.last_delta_hidden = grad_hidden
-            self._w_prev = None
+            self.w_rollback = self.w_hidden + eta * grad_hidden
         return done, loss
 
     def sgd_step(self, x: np.ndarray, label: int) -> float:
@@ -226,20 +220,18 @@ class FeatureHead:
         return self.sgd_pass(np.asarray(x)[None], (label,))[1]
 
     def rollback_hidden_batch(self, xs: np.ndarray) -> np.ndarray:
-        """Hidden features of a stack of inputs (rows) under the pre-step hidden
-        weights W1 + eta * last_delta_hidden; the head itself is left untouched."""
-        if self.last_delta_hidden is None:
-            raise NoHistoryError("no SGD step recorded yet, nothing to roll back")
-        if self._w_prev is None:
-            self._w_prev = self.w_hidden + self.eta * self.last_delta_hidden
-        return relu_product(xs, self._w_prev)
+        """Hidden features of a stack of inputs (rows) under the rollback weights
+        w_rollback; the head itself is left untouched."""
+        if self.w_rollback is None:
+            raise NoHistoryError("no fine-tune pass recorded yet, nothing to roll back")
+        return relu_product(xs, self.w_rollback)
 
 
 def init_head(input_dim: int, hidden_dim: int, k: int, eta: float, rng: SeededRng) -> FeatureHead:
     """Fresh head with uniform weights in [-s, s], s = sqrt(6/(fan_in+fan_out)).
 
     Weights are drawn row-major, first layer then output layer, so the same
-    seed always yields the same head. No step history yet.
+    seed always yields the same head. No step or rollback weights yet.
     """
     if input_dim <= 0 or hidden_dim <= 0 or k <= 0:
         raise ValueError("all head dimensions must be positive")

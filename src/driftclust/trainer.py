@@ -8,12 +8,15 @@ per-sample SGD; finally the batch moves each centroid it was assigned to in
 one running-mean step, as if its rows had been fed one by one at rate 1/count.
 
 Once any fine-tune has happened, "full" mode compensates feature drift by
-updating centroids with features reconstructed under rolled-back hidden
-weights (one SGD step back by default, or the hidden weights copied before
-the latest fine-tune pass with drift_rollback="snapshot"). Modes:
+updating centroids with features under the head's rollback weights,
+FeatureHead.w_rollback: the hidden weights one SGD step back by default, or
+those copied before the latest fine-tune pass with drift_rollback="snapshot".
+They are the one piece of rollback state, and only a full run's checkpoint
+stores them. Modes:
 
     full       the complete method with drift compensation
-    baseline1  same loop, but centroid updates always use current features
+    baseline1  same loop, but centroid updates use current features, taken
+               again in a batch whose fine-tune pass moved the head
     baseline2  frozen head, plain mini-batch k-means
     baseline3  frozen head, full-set Lloyd k-means
 """
@@ -32,7 +35,7 @@ from .clustering import (CentroidBank, assign_batch, assign_pass, lloyd_kmeans, 
 from .dataio import CheckpointError, Dataset, TrainerState
 from .head import LOSS_LIMIT, FeatureHead, init_head, relu_product
 from .metrics import nmi
-from .tensor import ConfigError, RowPool, SeededRng, label_array, matrix
+from .tensor import ConfigError, RowPool, SeededRng, label_array
 
 MODES = ("full", "baseline1", "baseline2", "baseline3")
 ROLLBACK_MODES = ("last_step", "snapshot")
@@ -121,7 +124,7 @@ class JointTrainer:
                 raise ConfigError("ground truth length must match the dataset")
         self.dataset = dataset
         self.config = config
-        # only a full run with snapshot rollback reads the pre-pass hidden weights
+        # only a full run with snapshot rollback rolls back to the pre-pass hidden weights
         self._snapshots = config.mode == "full" and config.drift_rollback == "snapshot"
         self.truth = ground_truth
         # the backbone is frozen, so what is not elementwise is extracted once up front
@@ -133,7 +136,6 @@ class JointTrainer:
 
         self.head = init_head(backbone_spec.output_dim, config.hidden_dim, config.k,
                               config.eta, self.rng)
-        self.snapshot = None  # the hidden weights before the latest pass, when _snapshots
         self.buffer = []  # (sample index, pseudo-label) pairs awaiting a fine-tune pass
         self.epochs_done = self.finetunes = self.iterations = 0
         self.nmi_history = []
@@ -146,22 +148,18 @@ class JointTrainer:
         """Inverse of to_checkpoint, and the one place resumed state is checked.
         The head, the bank and the RNG check their own inputs; this adds what
         only the run knows: shapes against the config and the input dimension,
-        the step delta present exactly when a fine-tune pass happened and the
-        snapshot exactly when one happened in a run that reads it, buffer
-        bounds, and progress counters and centroid counts that agree with each
-        other, the config and the dataset (checkpoints are written at epoch
-        ends). A state that does not fit raises CheckpointError."""
+        the rollback weights present exactly when a full run records a
+        fine-tune pass, buffer bounds, and progress counters and centroid
+        counts that agree with each other, the config and the dataset
+        (checkpoints are written at epoch ends). A state that does not fit
+        raises CheckpointError."""
         state = copy.deepcopy(state)  # training mutates what it adopts; the caller's state stays
         cfg, n = self.config, self.dataset.n
-        tuned = state.finetunes > 0
-        if (state.last_delta_hidden is not None) != tuned \
-                or (state.snap_w_hidden is not None) != (tuned and self._snapshots):
-            raise CheckpointError("checkpoint must hold the step delta if it records a fine-tune pass, "
-                                  "the snapshot if it also rolls back to snapshots in full mode, and "
-                                  "neither otherwise")
+        if (state.w_rollback is not None) != (cfg.mode == "full" and state.finetunes > 0):
+            raise CheckpointError("checkpoint must hold rollback weights if it records a fine-tune "
+                                  "pass of a full run, and none otherwise")
         try:
-            self.head = FeatureHead(state.w_hidden, state.w_out, cfg.eta, state.last_delta_hidden)
-            self.snapshot = None if state.snap_w_hidden is None else matrix(state.snap_w_hidden)
+            self.head = FeatureHead(state.w_hidden, state.w_out, cfg.eta, state.w_rollback)
             self.bank = CentroidBank(state.centroids, state.counts)
             self.rng.set_state(state.rng_state)
             label_array([lab for _, lab in state.buffer], cfg.k)  # the buffered pairs' labels
@@ -169,7 +167,6 @@ class JointTrainer:
             raise CheckpointError(f"checkpoint state is invalid: {exc}") from None
         dims = (self.inputs.shape[1], cfg.hidden_dim, cfg.k)
         if (self.head.input_dim, self.head.hidden_dim, self.head.k) != dims \
-                or self.snapshot is not None and self.snapshot.shape != self.head.w_hidden.shape \
                 or self.bank.centroids.shape != (cfg.k, cfg.hidden_dim):
             raise CheckpointError(f"checkpoint shapes do not fit this run: it needs {dims[1]}x{dims[0]} "
                                   f"hidden and {cfg.k}x{cfg.hidden_dim} output weights and centroids")
@@ -199,10 +196,12 @@ class JointTrainer:
         self.nmi_history = list(state.nmi_history)
 
     def to_checkpoint(self, config_text: str) -> TrainerState:
-        """The run's state as a copy that later training does not change."""
+        """The run's state as a copy that later training does not change. Only a
+        full run's centroid updates read the rollback weights, so only its
+        state holds them."""
         return copy.deepcopy(TrainerState(
             config_text=config_text, w_hidden=self.head.w_hidden, w_out=self.head.w_out,
-            last_delta_hidden=self.head.last_delta_hidden, snap_w_hidden=self.snapshot,
+            w_rollback=self.head.w_rollback if self.config.mode == "full" else None,
             centroids=self.bank.centroids, counts=self.bank.counts, rng_state=self.rng.state(),
             epochs_done=self.epochs_done, finetunes=self.finetunes, iterations=self.iterations,
             buffer=self.buffer, nmi_history=self.nmi_history,
@@ -286,6 +285,7 @@ class JointTrainer:
             hidden = self.head.hidden_batch(xs)
             labels, dists = assign_batch(self.bank, hidden)
 
+            passes = self.finetunes
             if cfg.mode in ("full", "baseline1"):
                 top = _top_indices(dists, cfg.k_m)  # a short last batch buffers all its rows
                 self.buffer.extend(zip(batch[top].tolist(), labels[top].tolist()))
@@ -293,19 +293,18 @@ class JointTrainer:
                     pairs, self.buffer = self.buffer[:cfg.n_m], self.buffer[cfg.n_m:]
                     self._finetune_pass(pairs)
 
-            feats = self._update_features(xs, hidden)
+            feats = self._update_features(xs, hidden, self.finetunes > passes)
             update_centroid(self.bank, labels, feats)
             self.iterations += 1
         return True
 
-    def _update_features(self, xs, assigned_hidden):
-        """Feature rows used for the centroid updates of the current batch."""
-        if self.config.mode == "full" and self.head.last_delta_hidden is not None:
-            if self.config.drift_rollback == "last_step":
-                return self.head.rollback_hidden_batch(xs)
-            # a step delta implies a finished pass, and every pass leaves a snapshot
-            return relu_product(xs, self.snapshot)
-        if self.config.mode == "baseline1" and self.finetunes > 0:
+    def _update_features(self, xs, assigned_hidden, tuned):
+        """Feature rows used for the centroid updates of the current batch, whose
+        features under the head it was assigned with are assigned_hidden; tuned
+        says whether a fine-tune pass moved the head since."""
+        if self.config.mode == "full" and self.finetunes > 0:
+            return self.head.rollback_hidden_batch(xs)
+        if self.config.mode == "baseline1" and tuned:
             # no compensation: whatever the weights are right now
             return self.head.hidden_batch(xs)
         return assigned_hidden
@@ -315,8 +314,7 @@ class JointTrainer:
         whose loss is non-finite or above LOSS_LIMIT; the weights are checked once
         after the pass, before any centroid update reads them."""
         head = self.head
-        if self._snapshots:
-            self.snapshot = head.w_hidden.copy()
+        snapshot = head.w_hidden.copy() if self._snapshots else None
         xs = self._rows([sample_idx for sample_idx, _ in pairs])
         # an overflowing step is reported below as DivergenceError, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
@@ -326,4 +324,6 @@ class JointTrainer:
                                   f"at iteration {self.iterations}")
         if not np.isfinite(head.params).all():
             raise DivergenceError(f"non-finite weights after SGD at iteration {self.iterations}")
+        if snapshot is not None:
+            head.w_rollback = snapshot
         self.finetunes += 1

@@ -2,12 +2,13 @@ import functools
 import hashlib
 import os
 import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from driftclust import tensor
+from driftclust import dataio, tensor
 from driftclust.backbone import BackboneSpec
 from driftclust.cli import main
 from driftclust.dataio import gen_blobs
@@ -34,6 +35,25 @@ def cli_digests(tmp_path, argv):
     flags = ("--out-labels", "--out-metrics", "--checkpoint")
     assert main(argv + [str(a) for flag, name in zip(flags, names) for a in (flag, tmp_path / name)]) == 0
     return {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in names}
+
+
+class Sections(dict):
+    """{TrainerState field name: section body} of checkpoint bytes, one field
+    per section in file order (dataio._LAYOUT). blob() gives the bytes back
+    with the current bodies, a valid CRC and the original magic and version."""
+
+    def __init__(self, blob):
+        payload, bodies, pos = blob[12:-4], [], 0
+        while pos < len(payload):
+            (length,) = struct.unpack_from("<Q", payload, pos)
+            bodies.append(payload[pos + 8:pos + 8 + length])
+            pos += 8 + length
+        super().__init__(zip((name for name, _ in dataio._LAYOUT), bodies))
+        self.head = blob[:12]
+
+    def blob(self):
+        payload = b"".join(struct.pack("<Q", len(body)) + body for body in self.values())
+        return self.head + payload + struct.pack("<I", zlib.crc32(payload))
 
 
 @pytest.fixture

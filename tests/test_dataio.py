@@ -306,11 +306,10 @@ def make_checkpoint():
         config_text="k=3\nmode='full'\n",
         w_hidden=np.arange(6, dtype=np.float64).reshape(2, 3),
         w_out=np.ones((3, 2)),
-        last_delta_hidden=np.full((2, 3), 0.25),
+        w_rollback=np.full((2, 3), 0.25),
         centroids=np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
         counts=np.array([4, 5, 6]),
         rng_state=rng.state(),
-        snap_w_hidden=np.zeros((2, 3)),
         epochs_done=2, finetunes=7, iterations=40,
         buffer=[(3, 1), (999, 2)],
         nmi_history=[0.5, 0.75],
@@ -325,8 +324,7 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert back.config_text == ckpt.config_text
     assert np.array_equal(back.w_hidden, ckpt.w_hidden)
     assert np.array_equal(back.w_out, ckpt.w_out)
-    assert np.array_equal(back.last_delta_hidden, ckpt.last_delta_hidden)
-    assert np.array_equal(back.snap_w_hidden, ckpt.snap_w_hidden)
+    assert np.array_equal(back.w_rollback, ckpt.w_rollback)
     assert np.array_equal(back.centroids, ckpt.centroids)
     assert back.counts.tolist() == [4, 5, 6]
     assert tuple(back.rng_state) == ckpt.rng_state
@@ -340,14 +338,14 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
 
 
 def test_checkpoint_bytes_are_pinned(tmp_path):
-    # format version 2, byte for byte; the fixture holds no BLAS-dependent
+    # format version 3, byte for byte; the fixture holds no BLAS-dependent
     # floats, so the digest is the same on every platform
     path = tmp_path / "state.ckpt"
     save_checkpoint(path, make_checkpoint())
     blob = path.read_bytes()
-    assert len(blob) == 536
+    assert len(blob) == 488
     assert hashlib.sha256(blob).hexdigest() == \
-        "8c0aeded7380e9f27c12d7a12f13032baf382fbe72e2c1057a404bec614f5e21"
+        "517840dd216aa222d03eb4763f97e02a3842ae9a278bd45317a5e099e5e12955"
 
 
 def test_checkpoint_flipped_byte_is_corruption(tmp_path):

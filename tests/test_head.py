@@ -179,7 +179,8 @@ def test_sgd_step_zero_gradients_and_zero_eta():
 
 def test_step_buffers_hold_the_latest_gradients_and_copies_own_theirs():
     # the head writes every step's gradients into the same arrays, so the
-    # deltas must be that step's own and a copy must not see later steps
+    # deltas must be that step's own and a copy must not see later steps; a
+    # copy takes the weights and the rollback weights, and no step of its own
     rng = SeededRng(36)
     head = random_head(rng, eta=0.05)
     samples = [(rng.gauss(size=5), rng.randint(3)) for _ in range(8)]
@@ -191,10 +192,12 @@ def test_step_buffers_hold_the_latest_gradients_and_copies_own_theirs():
         assert not any(signed_zeros(g) for g in got), i
         if i == 3:
             mid = head.copy()
-            frozen = [a.copy() for a in state(mid).values()]
-            ours = state(head).values()
-            assert not any(np.shares_memory(a, b) for a in frozen for b in ours)
-    after = state(mid).values()
+            assert mid.last_delta_hidden is None and mid.w_rollback.tobytes() == head.w_rollback.tobytes()
+            frozen = [a.copy() for a in present(mid)]
+            ours = present(head)
+            assert not any(np.shares_memory(a, b) for a in present(mid) for b in ours)
+    after = present(mid)
+    assert len(after) == len(frozen) == 3
     assert all(a.tobytes() == f.tobytes() for a, f in zip(after, frozen))
     mid.sgd_step(*samples[0])  # the copy steps on its own buffers
     assert not np.shares_memory(mid.last_delta_hidden, head.last_delta_hidden)
@@ -234,9 +237,9 @@ def test_rollback_weights_follow_every_step_and_are_built_once_per_step():
         head.sgd_step(xs[label], label)
         expected = np.maximum(xs @ (head.w_hidden + head.eta * head.last_delta_hidden).T, 0.0)
         assert head.rollback_hidden_batch(xs).tobytes() == expected.tobytes()
-        built = head._w_prev
+        built = head.w_rollback
         assert head.rollback_hidden_batch(xs[2:]).tobytes() == expected[2:].tobytes()
-        assert head._w_prev is built
+        assert head.w_rollback is built
         assert head.copy().rollback_hidden_batch(xs).tobytes() == expected.tobytes()
 
 
@@ -244,7 +247,7 @@ def test_rollback_with_zero_delta_equals_current():
     rng = SeededRng(32)
     head = random_head(rng)
     x = rng.gauss(size=5)
-    head.sgd_step(np.zeros(5), 0)  # zero gradients: the stored deltas are all zero
+    head.sgd_step(np.zeros(5), 0)  # zero gradients: the step delta is all zero
     assert np.all(head.last_delta_hidden == 0.0)
     assert np.array_equal(head.rollback_hidden_batch(x[None])[0], head.hidden_batch(x[None])[0])
 
@@ -288,7 +291,7 @@ def test_init_head_deterministic_and_bounded():
     assert np.array_equal(h1.w_hidden, h2.w_hidden) and np.array_equal(h1.w_out, h2.w_out)
     s = np.sqrt(6.0 / (7 + 5))
     assert np.all(np.abs(h1.w_hidden) <= s)
-    assert h1.last_delta_hidden is None and not hasattr(h1, "last_delta_out")
+    assert h1.last_delta_hidden is None and h1.w_rollback is None and not hasattr(h1, "last_delta_out")
 
 
 def test_init_head_weights_are_pinned():
@@ -322,8 +325,11 @@ def test_hidden_batch_matches_forward():
 
 def reference_pass(head, xs, labels):
     """A fine-tune pass built from forward, sse_loss, backward and the two-layer
-    update on a copy of `head`: (steps applied, last loss, the stepped copy)."""
+    update on a copy of `head` that also holds its latest gradients: (steps
+    applied, last loss, the stepped copy)."""
     ref = head.copy()
+    if head.last_delta_hidden is not None:
+        ref.last_delta_hidden, grad_out(ref)[...] = head.last_delta_hidden.copy(), grad_out(head)
     done, loss = 0, 0.0
     for x, label in zip(xs, labels):
         trace = ref.forward(x)
@@ -335,6 +341,8 @@ def reference_pass(head, xs, labels):
         ref.w_out -= ref.eta * g_out
         ref.last_delta_hidden, grad_out(ref)[...] = grad_hidden, g_out
         done += 1
+    if done:
+        ref.w_rollback = ref.w_hidden + ref.eta * ref.last_delta_hidden
     return done, loss, ref
 
 
@@ -348,11 +356,17 @@ def plus_zeros(a):
 
 
 def state(head):
-    """A head's weights, its step delta and its output gradient (None, as the
-    delta, before any step), by name."""
+    """A head's weights, its rollback weights (None before a pass), its step
+    delta and its output gradient (None, as the delta, before any step of its
+    own), by name."""
     stepped = head.last_delta_hidden is not None
-    return {"w_hidden": head.w_hidden, "w_out": head.w_out,
+    return {"w_hidden": head.w_hidden, "w_out": head.w_out, "w_rollback": head.w_rollback,
             "last_delta_hidden": head.last_delta_hidden, "grad_out": grad_out(head) if stepped else None}
+
+
+def present(head):
+    """The arrays of state(head) that the head holds."""
+    return [a for a in state(head).values() if a is not None]
 
 
 DELTAS = ("last_delta_hidden", "grad_out")
@@ -404,7 +418,7 @@ def test_sgd_pass_stops_at_the_first_diverging_step_and_keeps_the_last_good_one(
     head.sgd_step(np.array([1e-7, 0.0]), 0)
     xs = np.array([[2e-7, 0.0], [0.0, 1e-7], [1.0, 0.0], [1e-7, 0.0]])
     labels = [0, 1, 1, 0]
-    before = head.rollback_hidden_batch(xs)  # builds the rollback weights of the first step
+    before = head.rollback_hidden_batch(xs)  # under the rollback weights of the first step
     assert assert_pass_matches_reference(head, xs, labels)[0] == 2  # y = (4e6, 0) at step 3
     after = np.maximum(xs @ (head.w_hidden + head.eta * head.last_delta_hidden).T, 0.0)
     assert head.rollback_hidden_batch(xs).tobytes() == after.tobytes()
@@ -428,9 +442,9 @@ def test_sgd_pass_checks_its_inputs_once():
     with pytest.raises(ValueError, match="label 3"):
         head.sgd_pass(np.ones((3, 5)), [0, 1, 3])  # no step is taken before the bad label
     assert head.w_hidden.tobytes() == w1.tobytes() and head.w_out.tobytes() == w2.tobytes()
-    assert head.last_delta_hidden is None
-    with pytest.raises(DimensionError, match="stored delta shape"):
-        FeatureHead(head.w_hidden, head.w_out, 0.1, last_delta_hidden=head.w_out)
+    assert head.last_delta_hidden is None and head.w_rollback is None
+    with pytest.raises(DimensionError, match="rollback weights shape"):
+        FeatureHead(head.w_hidden, head.w_out, 0.1, w_rollback=head.w_out)
 
 
 @pytest.mark.parametrize("bad", [0.5, np.float64(1.0), True, np.bool_(False), -1, np.int64(3)],
@@ -481,11 +495,12 @@ def test_head_owns_flat_buffers_of_c_contiguous_layers():
     head.sgd_step(rng.gauss(size=5), 1)
     assert w1.tobytes() == caller.tobytes()  # the head trains its own copy
     assert not np.shares_memory(head.w_hidden, w1)
-    arrays = list(state(head).values())
-    assert all(a.flags.c_contiguous for a in arrays)
+    arrays = present(head)
+    assert len(arrays) == 5 and all(a.flags.c_contiguous for a in arrays)
     assert np.shares_memory(head.w_hidden, head.params) and np.shares_memory(head.w_out, head.params)
-    twin = head.copy()
-    twins = list(state(twin).values()) + [twin.params]
+    twin = head.copy()  # the weights and rollback weights, and gradient buffers of its own
+    assert twin.last_delta_hidden is None
+    twins = present(twin) + [twin.params, twin._grads]
     assert all(a.flags.c_contiguous for a in twins)
     assert not any(np.shares_memory(a, b) for a in twins for b in arrays + [head.params])
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(twins, arrays))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(present(twin), arrays[:3]))

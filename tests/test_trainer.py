@@ -1,4 +1,5 @@
 import dataclasses
+import struct
 import sys
 import tracemalloc
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import acceptance_blob_setup, mnist_like, small_blob_setup
+from conftest import Sections, acceptance_blob_setup, mnist_like, small_blob_setup
 from driftclust import tensor
 from driftclust import trainer as trainer_module
 from driftclust.backbone import BackboneSpec, build_backbone, to_float
@@ -187,9 +188,9 @@ def watch_centroid_updates(monkeypatch, check):
                 done += 1
         return done, loss
 
-    def recording_update_features(trainer, xs, assigned_hidden):
+    def recording_update_features(trainer, xs, assigned_hidden, tuned):
         batch.update(trainer=trainer, xs=xs)
-        return update_features(trainer, xs, assigned_hidden)
+        return update_features(trainer, xs, assigned_hidden, tuned)
 
     def checking_update_centroid(bank, labels, feats):
         check(batch["trainer"], pre_step_heads, batch["xs"], feats)
@@ -248,6 +249,23 @@ def test_baseline1_uses_post_finetune_features(monkeypatch):
     dataset, spec, config = small_blob_setup(eta=0.001, epochs=2, mode="baseline1")
     JointTrainer(dataset, spec, config).run()
     assert len(checked) > 100
+
+
+def test_baseline1_takes_features_again_only_in_batches_whose_pass_moved_the_head(monkeypatch):
+    # n_m = 20 and k_m = 5: a pass every fourth batch. The other batches'
+    # assignment features are the current ones, so each batch calls
+    # hidden_batch once for its assignment and once more after a pass
+    dataset, spec, config = small_blob_setup(eta=0.001, epochs=2, mode="baseline1")
+    calls, hidden_batch = [], FeatureHead.hidden_batch
+
+    def counted(head, xs):
+        calls.append(1)
+        return hidden_batch(head, xs)
+
+    monkeypatch.setattr(FeatureHead, "hidden_batch", counted)
+    result = JointTrainer(dataset, spec, config).run()
+    assert result.iterations == 20 and result.finetunes == 5
+    assert len(calls) == result.iterations + result.finetunes
 
 
 def test_divergence_guard_names_iteration():
@@ -434,9 +452,40 @@ def test_rollback_after_resume_uses_the_restored_step():
     xs = trainer._rows(slice(0, 30))
     before = trainer.head.rollback_hidden_batch(xs)
     resumed = JointTrainer(dataset, spec, config, resume=trainer.to_checkpoint("cfg"))
-    head = resumed.head
+    head = trainer.head
     expected = np.maximum(xs @ (head.w_hidden + head.eta * head.last_delta_hidden).T, 0.0)
-    assert head.rollback_hidden_batch(xs).tobytes() == expected.tobytes() == before.tobytes()
+    assert resumed.head.rollback_hidden_batch(xs).tobytes() == expected.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("mode,rollback", [("full", "last_step"), ("full", "snapshot"),
+                                           ("baseline1", "last_step"), ("baseline2", "last_step")])
+def test_only_full_checkpoints_store_the_rollback_weights(monkeypatch, tmp_path, mode, rollback):
+    # at each epoch end: the hidden weights from before the latest step
+    # (last_step) or the latest pass (snapshot), as a 16x8 matrix section, in a
+    # full run; an absent (0 x 0) section in the baselines
+    dataset, spec, config = small_blob_setup(epochs=2, mode=mode, drift_rollback=rollback)
+    before_pass, sgd_pass = [], FeatureHead.sgd_pass
+
+    def recording(head, xs, labels):
+        before_pass.append(head.w_hidden.copy())
+        return sgd_pass(head, xs, labels)
+
+    def check(trainer):
+        path = tmp_path / f"epoch{trainer.epochs_done}.ckpt"
+        save_checkpoint(path, trainer.to_checkpoint("cfg"))
+        body = Sections(path.read_bytes())["w_rollback"]
+        head = trainer.head
+        checked.append(trainer.epochs_done)
+        if mode != "full":
+            assert body == struct.pack("<II", 0, 0)
+            return
+        want = before_pass[-1] if rollback == "snapshot" else head.w_hidden + head.eta * head.last_delta_hidden
+        assert body == struct.pack("<II", 16, 8) + want.astype("<f8").tobytes()
+
+    monkeypatch.setattr(FeatureHead, "sgd_pass", recording)
+    checked = []
+    JointTrainer(dataset, spec, config).run(epoch_callback=check)
+    assert checked == [1, 2] and len(before_pass) == (5 if mode != "baseline2" else 0)
 
 
 def test_checkpoint_resume_reproduces_unbroken_run(tmp_path):
