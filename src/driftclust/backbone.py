@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ConfigError, RowPool, SeededRng
+from .tensor import ConfigError, SeededRng, pool_chunks
 
 BACKBONE_KINDS = ("flatten", "randproj", "tinyconv")
 
@@ -102,12 +102,13 @@ class Backbone:
     is smaller, and none of an empty one. A kind scales the chunk's pixels
     itself and keeps its working buffers in a scratch dict from chunk to chunk.
 
-    The chunks run on a tensor.RowPool: contiguous runs, one per worker
-    thread, each with its own scratch dict, so scratch memory is one chunk's
-    buffers per worker, a few MB each. Each chunk makes the same calls into
-    its own rows of the result whatever the worker count, so the features
-    do not depend on it. Workers call only _transform, to_float and
-    _buffer, none of which the benchmark's tracer wraps."""
+    Extraction runs on worker threads, as Lloyd's sweeps do, through
+    tensor.pool_chunks: contiguous runs of chunks, one per worker, each
+    with its own scratch dict, so scratch memory is one chunk's buffers per
+    worker, a few MB each. Each chunk makes the same calls into its own rows
+    of the result whatever the worker count, so the features do not depend
+    on it. Workers call only _transform, to_float and _buffer, none of
+    which the benchmark's tracer wraps."""
 
     _chunk_rows = _EXTRACT_CHUNK
 
@@ -118,9 +119,8 @@ class Backbone:
         """Features of every sample along the leading axis, one row each."""
         self._check_batch(samples)
         out = np.empty((samples.shape[0], self.spec.output_dim))
-
-        with RowPool(samples.shape[0], self._chunk_rows) as pool:
-            pool.each(lambda rows, scratch: self._transform(samples[rows], out[rows], scratch))
+        pool_chunks(samples.shape[0], self._chunk_rows,
+                    lambda rows, scratch: self._transform(samples[rows], out[rows], scratch))
         return out
 
     def head_inputs(self, samples: np.ndarray) -> np.ndarray:

@@ -8,12 +8,13 @@ feature h) and an output layer scored against one-hot pseudo-labels:
     loss     = 1/2 * sum_j (y_j - t_j)^2,   t = one_hot(label)
 
 Gradients are hand-derived with the ReLU derivative taken as the indicator
-1[u > 0] (zero at u == 0). A pass that applies a step ends by setting the
-rollback weights, w_rollback = W1 + eta * last_delta_hidden: the hidden
-weights from before its last step, whose features keep centroid updates
-consistent with the features they were assigned under. A trainer may set
-w_rollback to other hidden weights (those from before the whole pass); it
-is the one matrix rollback_hidden_batch reads. Only the first layer enters
+1[u > 0] (zero at u == 0). The rollback weights, w_rollback, are the one
+matrix rollback_hidden_batch reads: hidden weights whose features keep
+centroid updates consistent with the features they were assigned under.
+sgd_pass leaves them as they are. Its caller sets them when it will read
+them: step_back(), W1 + eta * last_delta_hidden, gives the hidden weights
+from before the latest step, and sgd_step sets them to it; a trainer may
+keep those from before a whole pass instead. Only the first layer enters
 h, so the output layer has no rollback state.
 
 Both layers live in one flat float64 buffer, `params`, with w_hidden and
@@ -75,8 +76,9 @@ def sse_loss(y: np.ndarray, label: int) -> float:
 
 def relu_product(xs, w, out=None) -> np.ndarray:
     """relu(xs @ w.T), into out if given: the hidden features of the input
-    rows xs under hidden weights w. Whole-set passes call it from pool
-    threads, where the traced FeatureHead.hidden_batch must not run."""
+    rows xs under hidden weights w. The trainer's whole-set passes call it,
+    not FeatureHead.hidden_batch, so the benchmark's hidden_batch spans
+    count the mini-batches alone."""
     h = np.matmul(xs, w.T, out=out)
     return np.maximum(h, 0.0, out=h)
 
@@ -165,10 +167,9 @@ class FeatureHead:
         The pass stops at the first step whose loss is non-finite or above
         LOSS_LIMIT and leaves that step unapplied, so the head holds the last
         good step. The gradients of that step stay in this head's buffer, its
-        hidden half as last_delta_hidden; the next step overwrites them. A pass
-        that applied a step sets w_rollback = w_hidden + eta * last_delta_hidden,
-        the hidden weights from before its last step. Every label is checked
-        by tensor.label_array before any step.
+        hidden half as last_delta_hidden; the next step overwrites them.
+        w_rollback is left as it is. Every label is checked by
+        tensor.label_array before any step.
         """
         xs = np.asarray(xs, dtype=np.float64)
         if xs.ndim != 2 or xs.shape[1] != self.input_dim or len(labels) != len(xs):
@@ -211,13 +212,21 @@ class FeatureHead:
             done += 1
         if done:
             self.last_delta_hidden = grad_hidden
-            self.w_rollback = self.w_hidden + eta * grad_hidden
         return done, loss
 
+    def step_back(self) -> np.ndarray:
+        """The hidden weights from before the latest SGD step, a new matrix:
+        w_hidden + eta * last_delta_hidden."""
+        return self.w_hidden + self.eta * self.last_delta_hidden
+
     def sgd_step(self, x: np.ndarray, label: int) -> float:
-        """The pass over the one pair (x, label). Returns its loss; a loss that is
-        non-finite or above LOSS_LIMIT leaves the head untouched."""
-        return self.sgd_pass(np.asarray(x)[None], (label,))[1]
+        """The pass over the one pair (x, label), after which w_rollback is
+        step_back(). Returns its loss; a loss that is non-finite or above
+        LOSS_LIMIT leaves the head untouched."""
+        done, loss = self.sgd_pass(np.asarray(x)[None], (label,))
+        if done:
+            self.w_rollback = self.step_back()
+        return loss
 
     def rollback_hidden_batch(self, xs: np.ndarray) -> np.ndarray:
         """Hidden features of a stack of inputs (rows) under the rollback weights

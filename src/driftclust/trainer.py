@@ -35,7 +35,7 @@ from .clustering import (CentroidBank, assign_batch, assign_pass, lloyd_kmeans, 
 from .dataio import CheckpointError, Dataset, TrainerState
 from .head import LOSS_LIMIT, FeatureHead, init_head, relu_product
 from .metrics import nmi
-from .tensor import ConfigError, RowPool, SeededRng, label_array
+from .tensor import ConfigError, SeededRng, label_array, row_chunks
 
 MODES = ("full", "baseline1", "baseline2", "baseline3")
 ROLLBACK_MODES = ("last_step", "snapshot")
@@ -109,8 +109,9 @@ class JointTrainer:
     The trainer holds no whole-set float64 copy of its input: `inputs` is the
     backbone's head_inputs, which for flatten are the samples in their own
     dtype, and _rows converts the rows a step or a pass's chunk needs. A
-    pass over the whole set runs in row_chunks on a tensor.RowPool; only
-    seeding (and Lloyd) needs all n x hidden features at once.
+    pass over the whole set walks its row_chunks on the calling thread with
+    one chunk of buffers; only seeding (and Lloyd) needs all n x hidden
+    features at once.
     """
 
     def __init__(self, dataset: Dataset, backbone_spec: BackboneSpec, config: TrainerConfig,
@@ -216,33 +217,28 @@ class JointTrainer:
         mini-batches, fine-tune pairs and every whole-set pass."""
         return to_float(self.inputs[rows], out)
 
-    def _pool(self) -> RowPool:
-        """A tensor.RowPool over the samples; when the head inputs need
-        scaling, each run gets a buffer for one chunk of them, made in the
-        calling thread."""
-        pool = RowPool(self.dataset.n)
-        if self.inputs.dtype != np.float64:
-            pool.buffers("inputs", (pool.chunk, self.inputs.shape[1]))
-        return pool
-
-    def _hidden(self, rows, scratch, out) -> np.ndarray:
-        """Hidden features of a chunk's samples under the current head, into out,
-        on a pool run; its head input goes into the run's "inputs" buffer, if any."""
-        return relu_product(self._rows(rows, scratch.get("inputs")), self.head.w_hidden, out)
+    def _hidden_pass(self):
+        """The row_chunks of the samples and hidden(rows, out), the hidden
+        features of a chunk's samples under the current head, into out; the
+        chunk's head input goes into one chunk's buffer, made here, when the
+        inputs need scaling."""
+        chunks = row_chunks(self.dataset.n)
+        inputs = None if self.inputs.dtype == np.float64 else np.empty((chunks[0].stop, self.inputs.shape[1]))
+        return chunks, lambda rows, out: relu_product(self._rows(rows, inputs), self.head.w_hidden, out)
 
     def _features(self) -> np.ndarray:
         """Hidden features of every sample under the current head."""
+        chunks, hidden = self._hidden_pass()
         out = np.empty((self.dataset.n, self.head.hidden_dim))
-        with self._pool() as pool:
-            pool.each(lambda rows, scratch: self._hidden(rows, scratch, out[rows]))
+        for rows in chunks:
+            hidden(rows, out[rows])
         return out
 
     def assign_all(self) -> np.ndarray:
         """Nearest-centroid labels of every sample under the current head."""
-        with self._pool() as pool:
-            pool.buffers("hidden", (pool.chunk, self.head.hidden_dim))
-            return assign_pass(pool, self.bank,
-                               lambda rows, scratch: self._hidden(rows, scratch, scratch["hidden"]))[0]
+        chunks, hidden = self._hidden_pass()
+        features = np.empty((chunks[0].stop, self.head.hidden_dim))  # one chunk's
+        return assign_pass(self.dataset.n, self.bank, lambda rows: hidden(rows, features))[0]
 
     def run(self, epoch_callback=None) -> RunResult:
         started = time.perf_counter()
@@ -312,7 +308,9 @@ class JointTrainer:
     def _finetune_pass(self, pairs):
         """Per-sample SGD on the pairs, one sgd_pass call. The pass stops at a step
         whose loss is non-finite or above LOSS_LIMIT; the weights are checked once
-        after the pass, before any centroid update reads them."""
+        after the pass, before any centroid update reads them. A full run then
+        sets the head's rollback weights: step_back(), or the pre-pass copy
+        under snapshot rollback; other modes never read them."""
         head = self.head
         snapshot = head.w_hidden.copy() if self._snapshots else None
         xs = self._rows([sample_idx for sample_idx, _ in pairs])
@@ -324,6 +322,6 @@ class JointTrainer:
                                   f"at iteration {self.iterations}")
         if not np.isfinite(head.params).all():
             raise DivergenceError(f"non-finite weights after SGD at iteration {self.iterations}")
-        if snapshot is not None:
-            head.w_rollback = snapshot
+        if self.config.mode == "full":  # the one mode whose centroid updates roll back
+            head.w_rollback = head.step_back() if snapshot is None else snapshot
         self.finetunes += 1

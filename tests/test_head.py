@@ -341,9 +341,7 @@ def reference_pass(head, xs, labels):
         ref.w_out -= ref.eta * g_out
         ref.last_delta_hidden, grad_out(ref)[...] = grad_hidden, g_out
         done += 1
-    if done:
-        ref.w_rollback = ref.w_hidden + ref.eta * ref.last_delta_hidden
-    return done, loss, ref
+    return done, loss, ref  # a pass leaves w_rollback as it was
 
 
 def signed_zeros(a):
@@ -420,8 +418,10 @@ def test_sgd_pass_stops_at_the_first_diverging_step_and_keeps_the_last_good_one(
     labels = [0, 1, 1, 0]
     before = head.rollback_hidden_batch(xs)  # under the rollback weights of the first step
     assert assert_pass_matches_reference(head, xs, labels)[0] == 2  # y = (4e6, 0) at step 3
+    assert head.rollback_hidden_batch(xs).tobytes() == before.tobytes()  # the pass kept them
+    # step_back gives the weights from before the last good step
     after = np.maximum(xs @ (head.w_hidden + head.eta * head.last_delta_hidden).T, 0.0)
-    assert head.rollback_hidden_batch(xs).tobytes() == after.tobytes()
+    assert np.maximum(xs @ head.step_back().T, 0.0).tobytes() == after.tobytes()
     assert before.tobytes() != after.tobytes()
 
     for nan_at in (0, 2):

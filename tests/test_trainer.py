@@ -364,6 +364,37 @@ def test_finetune_pass_matches_validated_oracle():
     assert oracle.live_steps >= oracle.steps // 2, oracle.live_steps
 
 
+@pytest.mark.parametrize("mode,rollback", [("full", "last_step"), ("full", "snapshot"),
+                                           ("baseline1", "last_step")])
+def test_finetune_pass_sets_the_rollback_weights_of_full_runs_only(monkeypatch, mode, rollback):
+    # after each pass of a full run, w_rollback holds the hidden weights from
+    # before its last step (step_back, once per pass) or from before the
+    # pass (snapshot); rollback features are built from them alone, and a
+    # copy of the head keeps them. baseline1 never reads them, so none are built
+    dataset, spec, config = small_blob_setup(k=4, dim=8, hidden_dim=16, separation=2.0, sigma=1.0,
+                                             eta=0.01, n_m=20, mode=mode, drift_rollback=rollback)
+    trainer = JointTrainer(dataset, spec, config)
+    head, xs, rng = trainer.head, trainer._rows(slice(0, 30)), SeededRng(404)
+    step_backs, step_back = [], FeatureHead.step_back
+    monkeypatch.setattr(FeatureHead, "step_back", lambda h: step_backs.append(1) or step_back(h))
+    for passes in range(1, 4):
+        before = head.w_hidden.copy()
+        trainer._finetune_pass([(rng.randint(dataset.n), rng.randint(config.k)) for _ in range(config.n_m)])
+        if mode != "full":
+            assert head.w_rollback is None
+            continue
+        want = before if rollback == "snapshot" else head.w_hidden + head.eta * head.last_delta_hidden
+        assert head.w_rollback.tobytes() == want.tobytes() and before.tobytes() != head.w_hidden.tobytes()
+        expected = np.maximum(xs @ want.T, 0.0)
+        built = head.w_rollback
+        assert head.rollback_hidden_batch(xs).tobytes() == expected.tobytes()
+        assert head.rollback_hidden_batch(xs[2:]).tobytes() == expected[2:].tobytes()
+        assert head.w_rollback is built
+        assert head.copy().rollback_hidden_batch(xs).tobytes() == expected.tobytes()
+        assert len(step_backs) == (passes if rollback == "last_step" else 0)
+    assert trainer.finetunes == 3 and (mode == "full" or not step_backs)
+
+
 @pytest.mark.xfail(strict=True, reason="dead ReLU outputs: on the blob benchmark only 26 of "
                    "10,000 SGD steps apply a nonzero gradient, so full and baseline1 end "
                    "bit-identical (ROADMAP item 1)")
@@ -590,34 +621,41 @@ def _pixel_run_peak(n):
     return peak, config
 
 
-def test_trainer_memory_per_sample_follows_hidden_dim_not_pixels(pass_workers):
+def test_trainer_memory_per_sample_follows_hidden_dim_not_pixels():
     # seeding holds n x hidden_dim features (8 * 128 bytes a sample); a
-    # float64 copy of the 28x28 pixels held 6272 bytes a sample more. One
-    # worker at both sizes: 2000 rows make one run of chunks, 4000 rows
-    # two, and each worker holds its own chunk (the test below)
-    pass_workers(1)
+    # float64 copy of the 28x28 pixels held 6272 bytes a sample more. Each
+    # whole-set pass holds one chunk of buffers whatever n is (the test below)
     (small, _), (large, config) = _pixel_run_peak(2000), _pixel_run_peak(4000)
     per_sample = (large - small) / 2000
     assert per_sample < 2 * 8 * config.hidden_dim, per_sample
 
 
-def test_each_pass_worker_adds_at_most_one_chunk_of_buffers(pass_workers):
-    # a worker holds one chunk's float64 pixels (784 a row), hidden features
-    # and distances to the k centroids, and a few chunk-long temporaries of
-    # the distance kernel; 4000 rows make two runs of chunks
-    peaks = []
-    for workers in (1, 2):
-        pass_workers(workers)
-        peak, config = _pixel_run_peak(4000)
-        peaks.append(peak)
-    chunk_bytes = tensor.ROW_CHUNK * (784 + config.hidden_dim + 2 * config.k) * 8
-    assert peaks[1] - peaks[0] <= 1.1 * chunk_bytes, (peaks, chunk_bytes)
+def test_a_whole_set_pass_holds_one_chunk_of_buffers():
+    # assign_all holds one chunk's float64 pixels (784 a row), hidden
+    # features and distances to the k centroids, a few chunk-long
+    # temporaries of the distance kernel and the n labels and distances;
+    # _features holds its n x hidden output and one chunk of pixels
+    samples, _, spec, config = pixel_setup(4000, seed=4, epochs=1)
+    trainer = JointTrainer(Dataset(samples, None, "idx"), spec, config)
+    chunk = tensor.ROW_CHUNK
+    for whole_set_pass, bound in (
+            (trainer.assign_all, chunk * (784 + config.hidden_dim + 2 * config.k) * 8),
+            (trainer._features, (chunk * 784 + 4000 * config.hidden_dim) * 8)):
+        tracemalloc.start()
+        try:
+            whole_set_pass()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert bound < 1.1 * peak and peak <= 1.1 * bound, (whole_set_pass.__name__, peak, bound)
 
 
 @pytest.mark.parametrize("kind", ["randproj", "tinyconv"])
 def test_whole_set_passes_do_not_depend_on_the_worker_count(pass_workers, kind):
-    # 4500 rows: row_chunks makes 5 chunks, the last overlapping the one
-    # before, so 4 workers take a run of chunks each; 141 tinyconv chunks
+    # extraction and Lloyd's sweeps run on the workers, every other pass on
+    # the calling thread. 4500 rows: row_chunks makes 5 chunks, the last overlapping the
+    # one before, so 4 workers take a run of randproj chunks each; 141
+    # tinyconv chunks
     samples = np.random.RandomState(12).randint(0, 256, size=(4500, 8, 8, 1)).astype(np.uint8)
     spec = BackboneSpec(kind, (8, 8, 1), 24, seed=3)
     config = TrainerConfig(k=10, hidden_dim=16, seed=5, epochs=0)
@@ -627,8 +665,7 @@ def test_whole_set_passes_do_not_depend_on_the_worker_count(pass_workers, kind):
     try:
         for workers in (1, 2, 4):
             pass_workers(workers)
-            with tensor.RowPool(4500) as pool:
-                assert len(pool.runs) == workers
+            assert len(tensor._runs(tensor.row_chunks(4500), tensor._pass_workers())) == workers
             trainer = JointTrainer(Dataset(samples, None, "idx"), spec, config)
             features = trainer._features()
             history = []
