@@ -102,13 +102,12 @@ class Backbone:
     is smaller, and none of an empty one. A kind scales the chunk's pixels
     itself and keeps its working buffers in a scratch dict from chunk to chunk.
 
-    Extraction runs on worker threads, as Lloyd's sweeps do, through
-    tensor.pool_chunks: contiguous runs of chunks, one per worker, each
-    with its own scratch dict, so scratch memory is one chunk's buffers per
-    worker, a few MB each. Each chunk makes the same calls into its own rows
-    of the result whatever the worker count, so the features do not depend
-    on it. Workers call only _transform, to_float and _buffer, none of
-    which the benchmark's tracer wraps."""
+    The chunks run on tensor.pool_chunks: contiguous runs, one per worker
+    thread, each with its own scratch dict, so scratch memory is one chunk's
+    buffers per worker, a few MB each. Each chunk makes the same calls into
+    its own rows of the result whatever the worker count, so the features
+    do not depend on it. Workers call only _transform, to_float and
+    _buffer, none of which the benchmark's tracer wraps."""
 
     _chunk_rows = _EXTRACT_CHUNK
 

@@ -10,8 +10,8 @@ import math
 
 import numpy as np
 
-from .tensor import (ConfigError, DimensionError, SeededRng, _check_finite, label_array, pool_chunks,
-                     row_chunks)
+from .tensor import (ConfigError, DimensionError, SeededRng, _check_finite, _pass_workers, label_array,
+                     pass_threads, pool_chunks, row_chunks)
 
 _PASS_ENTRIES = 2 ** 20  # n x k entries per distance or one-hot pass: 8 MiB of float64
 
@@ -53,9 +53,12 @@ def seed_kmeanspp(features, k: int, rng: SeededRng) -> CentroidBank:
     the squared distance to the nearest seed already chosen. All counts start
     at 1 (the seed is its own first assignment).
 
-    Each of the k - 1 rounds updates the distances with _nearer and then
-    draws a seed; no round follows the last seed, whose distances nothing
-    would read."""
+    Each of the k - 1 rounds updates the distances on tensor.pool_chunks
+    and then draws a seed; the rounds share one tensor.pass_threads()
+    executor. A row's distance to a seed does not depend on the rows beside
+    it, so a round's chunks hold a row chunk's rows over the worker count,
+    and the workers' difference buffers together hold one row chunk, as a
+    single worker's does."""
     x = _as_feature_array(features)
     n = x.shape[0]
     if k < 1:
@@ -63,29 +66,25 @@ def seed_kmeanspp(features, k: int, rng: SeededRng) -> CentroidBank:
     if n < k:
         raise ValueError(f"need at least k={k} samples to seed, got {n}")
     d2 = np.full(n, np.inf)
-    chunks = row_chunks(n)
-    diff = np.empty((chunks[0].stop, x.shape[1]))  # one chunk: every chunk has its length
     chosen = [rng.randint(n)]
-    while len(chosen) < k:
-        _nearer(x, x[chosen[-1]], d2, chunks, diff)
-        total = float(d2.sum())
-        if not math.isfinite(total):
-            raise ConfigError("squared feature distances overflow float64; rescale the data")
-        if total <= 0.0:
-            raise ConfigError(f"cannot seed k={k} centroids: the features hold fewer than k "
-                              "distinct points")
-        chosen.append(rng.weighted_index(d2))
-    return CentroidBank(x[chosen].copy(), np.ones(k, dtype=np.int64))
+    size = -(-row_chunks(n)[0].stop // _pass_workers())
 
-
-def _nearer(x, seed, d2, chunks, diff) -> None:
-    """One seeding round: each entry of d2 becomes the smaller of itself and
-    its row's squared distance to seed, chunk by chunk, with diff holding
-    one chunk of differences; a row that two chunks hold gets the same
-    minimum twice."""
-    for rows in chunks:
-        np.subtract(x[rows], seed, out=diff)
+    def nearer(rows, scratch):
+        diff = scratch["diff"]
+        np.subtract(x[rows], x[chosen[-1]], out=diff)
         np.minimum(d2[rows], np.einsum("ij,ij->i", diff, diff), out=d2[rows])
+
+    with pass_threads() as threads:
+        while len(chosen) < k:
+            pool_chunks(n, size, nearer, threads, {"diff": x.shape[1]})
+            total = float(d2.sum())
+            if not math.isfinite(total):
+                raise ConfigError("squared feature distances overflow float64; rescale the data")
+            if total <= 0.0:
+                raise ConfigError(f"cannot seed k={k} centroids: the features hold fewer than k "
+                                  "distinct points")
+            chosen.append(rng.weighted_index(d2))
+    return CentroidBank(x[chosen].copy(), np.ones(k, dtype=np.int64))
 
 
 def _nearest(x, xx, centroids, cc, labels, dists) -> None:
@@ -94,8 +93,8 @@ def _nearest(x, xx, centroids, cc, labels, dists) -> None:
     row norms of x and of the centroids. Rows go in slices of at most
     _PASS_ENTRIES distances, which take the expanded form, xx + cc - 2 x.c,
     with tiny negatives from cancellation clamped to zero. assign_batch
-    and assign_pass both call this kernel. It calls nothing that the
-    benchmark's tracer wraps, as Lloyd's sweeps run it on worker threads."""
+    and the pooled passes both call this kernel, which calls nothing the
+    benchmark's tracer wraps."""
     step = max(1, _PASS_ENTRIES // centroids.shape[0])
     for lo in range(0, x.shape[0], step):
         rows = slice(lo, lo + step)
@@ -123,29 +122,25 @@ def assign_batch(bank: CentroidBank, feats: np.ndarray):
     return labels, dists
 
 
-def assign_pass(n: int, bank: CentroidBank, feats, sq_norms=None, threads=False):
-    """assign_batch's labels and distances for every row of a whole-set pass
-    over n rows, in row_chunks: feats(rows) gives the feature rows of one
-    chunk, and sq_norms, if given, the squared norms of all of them. The
-    chunks run on the calling thread, or with threads on tensor.pool_chunks
-    workers. A chunk of tensor.ROW_CHUNK rows keeps the bits of the
-    whole-set product (tests/test_clustering.py checks k = 2, 10 and 50
-    under 1 and 2 BLAS threads), so the labels are assign_batch's."""
+def assign_pass(n: int, bank: CentroidBank, feats, sq_norms=None, threads=None, buffers=None):
+    """assign_batch's labels and distances for every row of a whole-set
+    pass over n rows, chunk by chunk on tensor.pool_chunks with its
+    `threads` and `buffers`: feats(rows, scratch) gives the feature rows of
+    one chunk, and sq_norms, if given, the squared norms of all of them. A
+    chunk of tensor.ROW_CHUNK rows keeps the bits of the whole-set product
+    (tests/test_clustering.py checks k = 2, 10 and 50 under 1 and 2 BLAS
+    threads), so the labels are assign_batch's."""
     labels = np.empty(n, dtype=np.int64)
     dists = np.empty(n)
     c = bank.centroids
     cc = np.einsum("ij,ij->i", c, c)
 
-    def nearest(rows, scratch=None):
-        x = feats(rows)
+    def nearest(rows, scratch):
+        x = feats(rows, scratch)
         xx = np.einsum("ij,ij->i", x, x) if sq_norms is None else sq_norms[rows]
         _nearest(x, xx, c, cc, labels[rows], dists[rows])
 
-    if threads:
-        pool_chunks(n, None, nearest)
-    else:
-        for rows in row_chunks(n):
-            nearest(rows)
+    pool_chunks(n, None, nearest, threads, buffers)
     return labels, dists
 
 
@@ -201,11 +196,9 @@ def _fill_empty(labels, dists, k: int):
 def lloyd_kmeans(features, k: int, rng: SeededRng, max_iters: int = 100,
                  tol: float = 1e-6, history_out=None):
     """Full-set Lloyd iterations on the k-means++ seeded bank. Each sweep
-    assigns every row through assign_pass on worker threads (Lloyd repeats
-    that pass over the same rows, so its threads repay their start;
-    README), refills empty clusters by _fill_empty's rule and sums the
-    clusters by one-hot products in passes of _PASS_ENTRIES entries, so no
-    n x k array is built.
+    assigns every row through assign_pass, all on one pass_threads(), refills
+    empty clusters by _fill_empty's rule and sums the clusters by one-hot
+    products in passes of _PASS_ENTRIES entries, so no n x k array is built.
 
     Stops when the largest centroid movement drops below tol, after
     max_iters sweeps, or, whatever tol is, at a fixed point: a sweep whose
@@ -225,31 +218,36 @@ def lloyd_kmeans(features, k: int, rng: SeededRng, max_iters: int = 100,
     bank = seed_kmeanspp(x, k, rng)
     xx = np.einsum("ij,ij->i", x, x)  # the features do not change between sweeps
     step = max(1, _PASS_ENTRIES // k)
-    previous = None  # the previous sweep's labels after the refill
-    labels = None  # the labels of the bank's centroids, once a sweep has them
-    for _ in range(max_iters):
-        sweep, own = assign_pass(n, bank, x.__getitem__, xx, threads=True)
-        if history_out is not None:
-            history_out.append(float(own.sum()))
-        filled, counts = _fill_empty(sweep, own, k)
-        if previous is not None and np.array_equal(filled, previous):
-            labels = sweep
-            break
-        previous = filled
-        for lo in range(0, n, step):
-            onehot = np.zeros((min(step, n - lo), k))
-            onehot[np.arange(onehot.shape[0]), filled[lo:lo + step]] = 1.0
-            block = onehot.T @ x[lo:lo + step]
-            sums = block if lo == 0 else sums + block
-        new_centroids = sums / counts[:, None]
-        fixed = np.array_equal(new_centroids, bank.centroids)
-        movement = float(np.sqrt(((new_centroids - bank.centroids) ** 2).sum(axis=1)).max())
-        bank.centroids = new_centroids
-        if fixed:
-            labels = sweep
-        if fixed or movement < tol:
-            break
-    if labels is None:
-        labels, _ = assign_pass(n, bank, x.__getitem__, xx, threads=True)
+
+    def rows_of(rows, scratch):
+        return x[rows]
+
+    with pass_threads() as threads:
+        previous = None  # the previous sweep's labels after the refill
+        labels = None  # the labels of the bank's centroids, once a sweep has them
+        for _ in range(max_iters):
+            sweep, own = assign_pass(n, bank, rows_of, xx, threads)
+            if history_out is not None:
+                history_out.append(float(own.sum()))
+            filled, counts = _fill_empty(sweep, own, k)
+            if previous is not None and np.array_equal(filled, previous):
+                labels = sweep
+                break
+            previous = filled
+            for lo in range(0, n, step):
+                onehot = np.zeros((min(step, n - lo), k))
+                onehot[np.arange(onehot.shape[0]), filled[lo:lo + step]] = 1.0
+                block = onehot.T @ x[lo:lo + step]
+                sums = block if lo == 0 else sums + block
+            new_centroids = sums / counts[:, None]
+            fixed = np.array_equal(new_centroids, bank.centroids)
+            movement = float(np.sqrt(((new_centroids - bank.centroids) ** 2).sum(axis=1)).max())
+            bank.centroids = new_centroids
+            if fixed:
+                labels = sweep
+            if fixed or movement < tol:
+                break
+        if labels is None:
+            labels, _ = assign_pass(n, bank, rows_of, xx, threads)
     bank.counts = np.maximum(np.bincount(labels, minlength=k), 1)
     return labels, bank

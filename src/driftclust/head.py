@@ -76,9 +76,8 @@ def sse_loss(y: np.ndarray, label: int) -> float:
 
 def relu_product(xs, w, out=None) -> np.ndarray:
     """relu(xs @ w.T), into out if given: the hidden features of the input
-    rows xs under hidden weights w. The trainer's whole-set passes call it,
-    not FeatureHead.hidden_batch, so the benchmark's hidden_batch spans
-    count the mini-batches alone."""
+    rows xs under hidden weights w. Whole-set passes call it from pool
+    threads, where the traced FeatureHead.hidden_batch must not run."""
     h = np.matmul(xs, w.T, out=out)
     return np.maximum(h, 0.0, out=h)
 

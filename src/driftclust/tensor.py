@@ -1,13 +1,13 @@
 """Validated dense float64 matrices and class labels, the row chunks of
-whole-set passes and the worker threads that extraction and Lloyd's sweeps
-run them on, a portable seeded RNG, and the error classes the other
-modules share.
+whole-set passes and the threads that run them, a portable seeded RNG, and
+the error classes the other modules share.
 
 Matrices are 2-D row-major numpy float64 arrays; the constructor below
 validates shape and finiteness so the rest of the package can assume
 well-formed inputs.
 """
 
+import contextlib
 import functools
 import math
 import operator
@@ -102,25 +102,24 @@ def _blas_threads(environ):
 # read once, when this module loads, as OpenBLAS reads them once when numpy
 # (imported above) loads: a variable set later changes neither of them
 _BLAS_THREADS = _blas_threads(os.environ)
-# processes that run pooled passes side by side on this process's CPUs
+# processes that run whole-set passes side by side on this process's CPUs
 _cpu_sharers = 1
 
 
 def share_cpus(processes):
-    """Make this process's pool_chunks workers its share of the CPUs when
-    `processes` processes, itself included, run side by side on them, as
-    the workers of `driftclust sweep --parallel` do."""
+    """Make this process's pass workers its share of the CPUs when
+    `processes` processes, itself included, run passes side by side on
+    them, as the workers of `driftclust sweep --parallel` do."""
     global _cpu_sharers
     _cpu_sharers = max(1, int(processes))
 
 
 def _pass_workers():
-    """Worker threads for one pool_chunks pass: the usable CPUs (the
-    affinity mask) over the BLAS thread count and over the processes that
-    share the CPUs, so that all their workers times BLAS threads stay within
-    the CPUs. With no BLAS variable set at start-up OpenBLAS already runs
-    every product on all CPUs, and more workers would only contend with it,
-    so the count is 1."""
+    """Threads for one whole-set pass: the usable CPUs over the BLAS thread
+    count and over the processes that share the CPUs, so that all their
+    workers times BLAS threads stay within the CPUs. With no BLAS variable
+    set at start-up OpenBLAS already runs every product on all CPUs, and
+    more workers would only contend with it, so the count is 1."""
     if _BLAS_THREADS is None:
         return 1
     try:
@@ -145,34 +144,56 @@ def _runs(chunks, workers):
     return [[rows for block in blocks[lo:hi] for rows in block] for lo, hi in zip(bounds, bounds[1:])]
 
 
-def pool_chunks(n: int, size, work) -> None:
-    """work(rows, scratch) on every slice of row_chunks(n, size), on worker
-    threads; Backbone.extract_batch and Lloyd's sweeps are the passes that
-    run on them, as the ones whose threads repay their start (README). The
-    chunks are split by _runs into contiguous runs, one per worker, and a
-    run's chunks go in order on one thread with the run's own scratch dict,
-    made for this pass; the calling thread takes the first run. numpy
-    releases the GIL in products and elementwise loops, so the runs
-    overlap. The first error raised reaches the caller once every run has
-    ended.
+def pass_threads() -> ThreadPoolExecutor:
+    """Worker threads for pool_chunks that a call with several passes over
+    the same rows (seeding's rounds, Lloyd's sweeps) keeps for all of them,
+    so that they start once, in its first pass; a `with` block ends them.
+    A submit starts a thread only when none is idle, and a single run
+    submits nothing."""
+    return ThreadPoolExecutor(max(1, _pass_workers() - 1))
+
+
+def pool_chunks(n: int, size, work, threads=None, buffers=None) -> None:
+    """work(rows, scratch) on every slice of row_chunks(n, size), the
+    slices split by _runs into contiguous runs, one per worker, on the
+    pass_threads() executor `threads`, or on one of the pass's own that
+    ends with it. A run's chunks go in order on one thread with the run's
+    own scratch dict, made for this pass; the calling thread takes the
+    first run. numpy releases the GIL in products and elementwise loops,
+    so the runs overlap. The first error raised reaches the caller, once
+    every run has ended with the pass's own executor, and with `threads`
+    once the `with` block that holds it has ended.
+
+    `buffers` maps names to the widths of the empty float64 arrays, one
+    chunk's rows by that width, that every scratch dict starts with. They
+    are made here, in the calling thread: memory that a worker thread
+    allocates stays in that thread's malloc arena after the pass, resident,
+    while the calling thread's is reused.
 
     The worker count is _pass_workers(), capped at the number of chunks (a
-    last chunk that overlaps the one before counts with it). A pass makes
-    the same calls on each chunk whatever the worker count, so its results
-    do not depend on it. Work on a worker thread calls nothing that the
-    benchmark's tracer wraps (perfbench/tracer.py), as the tracer's span
-    stack is not thread-safe."""
-    first, *rest = _runs(row_chunks(n, size), _pass_workers())
+    last chunk that overlaps the one before counts with it): the usable
+    CPUs over the BLAS thread count that OPENBLAS_NUM_THREADS,
+    GOTO_NUM_THREADS or OMP_NUM_THREADS gives when the process starts, and
+    over the processes that share_cpus names; with none of the variables
+    set it is 1, as OpenBLAS then already runs each product on every CPU.
+    A pass makes the same calls on each chunk whatever the worker count, so
+    its results do not depend on it. Work on a worker thread calls nothing
+    that the benchmark's tracer wraps (perfbench/tracer.py), as the
+    tracer's span stack is not thread-safe."""
+    chunks = row_chunks(n, size)
+    runs = _runs(chunks, _pass_workers())
+    length = chunks[0].stop if chunks else 0  # rows in every chunk
+    scratch = [{name: np.empty((length, width)) for name, width in (buffers or {}).items()} for _ in runs]
 
-    def walk(run):
-        scratch = {}
+    def walk(run, scratch):
         for rows in run:
             work(rows, scratch)
 
-    # the executor starts a thread per submit, so a single run starts none
-    with ThreadPoolExecutor(max(1, len(rest))) as pool:  # waits for every run, also when one raised
-        futures = [pool.submit(walk, run) for run in rest]
-        walk(first)
+    # shutdown waits for every run, also when one raised
+    with contextlib.nullcontext(threads) if threads is not None else pass_threads() as pool:
+        first, *rest = zip(runs, scratch)
+        futures = [pool.submit(walk, *run) for run in rest]
+        walk(*first)
         for future in futures:
             future.result()
 

@@ -35,7 +35,7 @@ from .clustering import (CentroidBank, assign_batch, assign_pass, lloyd_kmeans, 
 from .dataio import CheckpointError, Dataset, TrainerState
 from .head import LOSS_LIMIT, FeatureHead, init_head, relu_product
 from .metrics import nmi
-from .tensor import ConfigError, SeededRng, label_array, row_chunks
+from .tensor import ConfigError, SeededRng, label_array, pool_chunks
 
 MODES = ("full", "baseline1", "baseline2", "baseline3")
 ROLLBACK_MODES = ("last_step", "snapshot")
@@ -109,9 +109,8 @@ class JointTrainer:
     The trainer holds no whole-set float64 copy of its input: `inputs` is the
     backbone's head_inputs, which for flatten are the samples in their own
     dtype, and _rows converts the rows a step or a pass's chunk needs. A
-    pass over the whole set walks its row_chunks on the calling thread with
-    one chunk of buffers; only seeding (and Lloyd) needs all n x hidden
-    features at once.
+    pass over the whole set runs in row_chunks on tensor.pool_chunks; only
+    seeding (and Lloyd) needs all n x hidden features at once.
     """
 
     def __init__(self, dataset: Dataset, backbone_spec: BackboneSpec, config: TrainerConfig,
@@ -130,6 +129,8 @@ class JointTrainer:
         self.truth = ground_truth
         # the backbone is frozen, so what is not elementwise is extracted once up front
         self.inputs = build_backbone(backbone_spec).head_inputs(dataset.samples)
+        # pool_chunks buffers of every whole-set pass: one chunk of scaled head inputs
+        self._pass_buffers = {} if self.inputs.dtype == np.float64 else {"inputs": self.inputs.shape[1]}
         self.rng = SeededRng(config.seed)
         if resume is not None:
             self._restore(resume)
@@ -217,28 +218,23 @@ class JointTrainer:
         mini-batches, fine-tune pairs and every whole-set pass."""
         return to_float(self.inputs[rows], out)
 
-    def _hidden_pass(self):
-        """The row_chunks of the samples and hidden(rows, out), the hidden
-        features of a chunk's samples under the current head, into out; the
-        chunk's head input goes into one chunk's buffer, made here, when the
-        inputs need scaling."""
-        chunks = row_chunks(self.dataset.n)
-        inputs = None if self.inputs.dtype == np.float64 else np.empty((chunks[0].stop, self.inputs.shape[1]))
-        return chunks, lambda rows, out: relu_product(self._rows(rows, inputs), self.head.w_hidden, out)
+    def _hidden(self, rows, scratch, out) -> np.ndarray:
+        """Hidden features of a chunk's samples under the current head, into out,
+        on a pool run; its head input goes into the run's "inputs" buffer, if any."""
+        return relu_product(self._rows(rows, scratch.get("inputs")), self.head.w_hidden, out)
 
     def _features(self) -> np.ndarray:
         """Hidden features of every sample under the current head."""
-        chunks, hidden = self._hidden_pass()
         out = np.empty((self.dataset.n, self.head.hidden_dim))
-        for rows in chunks:
-            hidden(rows, out[rows])
+        pool_chunks(self.dataset.n, None, lambda rows, scratch: self._hidden(rows, scratch, out[rows]),
+                    buffers=self._pass_buffers)
         return out
 
     def assign_all(self) -> np.ndarray:
         """Nearest-centroid labels of every sample under the current head."""
-        chunks, hidden = self._hidden_pass()
-        features = np.empty((chunks[0].stop, self.head.hidden_dim))  # one chunk's
-        return assign_pass(self.dataset.n, self.bank, lambda rows: hidden(rows, features))[0]
+        return assign_pass(self.dataset.n, self.bank,
+                           lambda rows, scratch: self._hidden(rows, scratch, scratch["hidden"]),
+                           buffers={**self._pass_buffers, "hidden": self.head.hidden_dim})[0]
 
     def run(self, epoch_callback=None) -> RunResult:
         started = time.perf_counter()

@@ -58,13 +58,12 @@ class Sections(dict):
 
 @pytest.fixture
 def pass_workers(monkeypatch):
-    """set_workers(n): backbone extraction and Lloyd's assignment sweeps,
-    the passes that run on worker threads (tensor.pool_chunks), run on n
-    threads, fewer when they have fewer chunk runs, until the test ends;
-    every other whole-set pass runs on the calling thread whatever n is.
-    The count comes from tensor's own rule, for BLAS pinned to 1 thread on
-    n usable CPUs with no sharers; set_workers(None) leaves BLAS unpinned,
-    the CLI default, which runs those two on the calling thread too."""
+    """set_workers(n): every whole-set pass (extraction, features, seeding,
+    assignment, Lloyd) runs its tensor.pool_chunks on n threads, fewer when
+    it has fewer chunk runs, until the test ends. The count comes from
+    tensor's own rule, for BLAS pinned to 1 thread on n usable CPUs with no
+    sharers; set_workers(None) leaves BLAS unpinned, the CLI default, which
+    runs every pass on the calling thread."""
     monkeypatch.setattr(tensor, "_cpu_sharers", 1)
 
     def set_workers(n):

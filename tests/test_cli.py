@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import Sections, blas_pinned_env, cli_digests, mnist_like, write_idx_fixture
-from driftclust import backbone, cli, clustering, dataio, tensor
+from driftclust import cli, clustering, dataio, tensor
 from driftclust.cli import main
 from driftclust.dataio import load_checkpoint, load_labels, save_labels
 from driftclust.metrics import nmi
@@ -510,9 +510,8 @@ def test_sweep_starts_no_more_workers_than_cells(tmp_path, monkeypatch):
 
 
 def _pass_threads():
-    # the threads that run one pooled pass (tensor.pool_chunks) over 4
-    # chunks; each chunk waits for one chunk of every other run, so no
-    # thread can take a second run
+    # the threads that run one whole-set pass over 4 chunks; each chunk waits
+    # for one chunk of every other run, so no thread can take a second run
     threads = set()
     n = 4 * tensor.ROW_CHUNK
     barrier = threading.Barrier(len(tensor._runs(tensor.row_chunks(n), tensor._pass_workers())), timeout=60)
@@ -544,18 +543,14 @@ def test_sweep_workers_share_the_cpus_for_extraction(tmp_path, monkeypatch, pass
 
 
 def test_traced_functions_run_on_the_main_thread_only(tmp_path, monkeypatch, pass_workers):
-    # the benchmark's tracer keeps one span stack, which worker threads must
+    # the benchmark's tracer keeps one span stack, which pool threads must
     # never touch: run baseline3 and full with every function it wraps
-    # recording the threads it runs on. Only extraction and Lloyd's sweeps
-    # run on workers: the seeding rounds, and the nearest-centroid kernel
-    # outside Lloyd, stay on the main thread
+    # recording the threads it runs on, and the pass kernel as well
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    off_main = []
-    threads = {"_nearest": set(), "_nearer": set(), "_transform": set()}
-    per_run = []
+    off_main, pass_threads = [], set()
 
     class MainThreadOnly(tracer.Tracer):
         def _wrap(self, original, span_name, amount, hook):
@@ -565,19 +560,15 @@ def test_traced_functions_run_on_the_main_thread_only(tmp_path, monkeypatch, pas
                 return original(*args, **kwargs)
             return wrapper
 
-    def recording(owner, name):
-        original = getattr(owner, name)
+    nearest = clustering._nearest
 
-        def record(*args):
-            threads[name].add(threading.get_ident())
-            return original(*args)
-        monkeypatch.setattr(owner, name, record)
+    def recording(*args):
+        pass_threads.add(threading.get_ident())
+        nearest(*args)
 
-    for owner, name in ((clustering, "_nearest"), (clustering, "_nearer"),
-                        (backbone.TinyConvBackbone, "_transform")):
-        recording(owner, name)
+    monkeypatch.setattr(clustering, "_nearest", recording)
     pass_workers(2)
-    # 2100 images or blob points: two runs of whole tinyconv or row chunks
+    # 2100 rows: two runs of whole row_chunks
     pixels, truth = mnist_like(2100, seed=6, side=12)
     img, lab = write_idx_fixture(tmp_path, pixels, truth)
     runs = [["--data", "mnist", "--images", img, "--labels", lab, "--mode", "baseline3",
@@ -591,17 +582,10 @@ def test_traced_functions_run_on_the_main_thread_only(tmp_path, monkeypatch, pas
                    "--checkpoint", tmp_path / "run.ckpt"]
         for extra in runs:
             assert main(["cluster", "--k", "10", *map(str, extra + outputs)]) == 0
-            per_run.append({name: set(seen) for name, seen in threads.items()})
-            for seen in threads.values():
-                seen.clear()
     finally:
         guard.restore()
     assert off_main == []
-    main_thread = threading.main_thread().ident
-    lloyd, joint = per_run
-    assert lloyd["_nearer"] == joint["_nearer"] == joint["_nearest"] == {main_thread}
-    for pooled in (lloyd["_nearest"], lloyd["_transform"]):
-        assert main_thread in pooled and len(pooled) >= 2
+    assert threading.main_thread().ident in pass_threads and len(pass_threads) >= 2
 
 
 # 4 blobs of 55 points: k_m=7 with n_m=20 leaves pairs in the fine-tune

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -49,8 +50,8 @@ def test_seed_rejects_insufficient_or_degenerate():
 def test_seeding_runs_a_distance_round_per_seed_after_the_first(monkeypatch, k):
     # the distances after the last seed are never read, so no round computes them
     rounds = []
-    nearer = clustering._nearer
-    monkeypatch.setattr(clustering, "_nearer", lambda *args: rounds.append(args[1]) or nearer(*args))
+    pool_chunks = clustering.pool_chunks
+    monkeypatch.setattr(clustering, "pool_chunks", lambda *args: rounds.append(args) or pool_chunks(*args))
     feats = SeededRng(3).gauss(size=(40, 4))
     bank = seed_kmeanspp(feats, k, SeededRng(5))
     assert len(rounds) == k - 1 and bank.centroids.shape == (k, 4)
@@ -197,19 +198,24 @@ def test_lloyd_memory_stays_bounded():
     assert peak < 64 * 2**20
 
 
-def test_seeding_holds_one_chunk_of_difference_buffer():
-    # 4500 rows of 128 features: the difference buffer is one chunk, 1 MiB;
-    # beside it a round holds the n squared distances, the draw's n
-    # cumulative sums and a few chunk-long rows of distances
+def test_seeding_workers_share_one_chunk_of_difference_buffer(pass_workers):
+    # 4500 rows of 128 features: one worker's difference buffer is a chunk,
+    # 1 MiB; more workers split its rows, and each adds only its thread's
+    # bookkeeping, well under an eighth of that
     feats = np.random.default_rng(3).normal(size=(4500, 128))
-    tracemalloc.start()
-    try:
-        seed_kmeanspp(feats, 10, SeededRng(1))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peaks = {}
+    for workers in (1, 2, 4):
+        pass_workers(workers)
+        tracemalloc.start()
+        try:
+            seed_kmeanspp(feats, 10, SeededRng(1))
+            _, peaks[workers] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
     chunk_bytes = tensor.ROW_CHUNK * 128 * 8
-    assert chunk_bytes < peak < chunk_bytes + 4 * 4500 * 8, peak
+    assert peaks[1] > chunk_bytes
+    for workers in (2, 4):
+        assert peaks[workers] - peaks[1] < (workers - 1) * chunk_bytes / 8, peaks
 
 
 def per_row_update(centroids, counts, labels, feats):
@@ -530,9 +536,9 @@ def test_lloyd_assigns_once_more_only_when_it_stops_short_of_a_fixed_point(monke
     calls = []
     assign_pass = clustering.assign_pass
 
-    def counting(*args, **kwargs):
+    def counting(*args):
         calls.append(1)
-        return assign_pass(*args, **kwargs)
+        return assign_pass(*args)
 
     monkeypatch.setattr(clustering, "assign_pass", counting)
     history = []
@@ -540,6 +546,26 @@ def test_lloyd_assigns_once_more_only_when_it_stops_short_of_a_fixed_point(monke
     assert len(history) < iters or iters == 2
     assert len(calls) == len(history) + extra
     assert labels.tobytes() == assign_batch(bank, feats)[0].tobytes()
+
+
+def test_seeding_rounds_and_lloyd_sweeps_share_their_worker_threads(monkeypatch, pass_workers):
+    # each k-means++ round and each Lloyd sweep is a pass over the same 4500
+    # rows; seeding and Lloyd each keep one executor for all of theirs, so
+    # the 9 rounds and the sweeps run on the calling thread and two workers
+    pass_workers(2)
+    threads, pool_chunks = set(), clustering.pool_chunks
+
+    def recording(n, size, work, *args):
+        def traced(rows, scratch):
+            threads.add(threading.current_thread())
+            work(rows, scratch)
+        pool_chunks(n, size, traced, *args)
+
+    monkeypatch.setattr(clustering, "pool_chunks", recording)
+    history = []
+    lloyd_kmeans(np.random.default_rng(5).normal(size=(4500, 16)), 10, SeededRng(2), max_iters=8,
+                 tol=0.0, history_out=history)
+    assert len(history) > 2 and len(threads) == 3 and threading.main_thread() in threads
 
 
 CHUNKED_ASSIGN = """
@@ -552,15 +578,14 @@ for k in (2, 10, 50):
     rows = rng.choice(5000, k, replace=False)
     bank = CentroidBank(x[rows] + rng.normal(scale=0.1, size=(k, 128)), np.ones(k, dtype=np.int64))
     whole = assign_batch(bank, x)
-    for sq_norms, threads in ((xx, True), (None, False)):
-        chunked = assign_pass(5000, bank, lambda rows: x[rows], sq_norms, threads)
+    for sq_norms in (xx, None):
+        chunked = assign_pass(5000, bank, lambda rows, scratch: x[rows], sq_norms)
         print(k, all(a.tobytes() == b.tobytes() for a, b in zip(whole, chunked)))
 """
 
 
 def test_chunked_assignment_has_the_bits_of_the_whole_set_block():
-    # 5000 rows in row_chunks, on 2 workers under 1 BLAS thread (Lloyd's
-    # form) and on the calling thread, against assign_batch's one block
+    # 5000 rows in row_chunks, against assign_batch's one block of 5000 rows
     for threads in (1, 2):
         out = subprocess.run([sys.executable, "-c", CHUNKED_ASSIGN], env=blas_pinned_env(threads),
                              capture_output=True, text=True, check=True, timeout=120).stdout

@@ -621,41 +621,34 @@ def _pixel_run_peak(n):
     return peak, config
 
 
-def test_trainer_memory_per_sample_follows_hidden_dim_not_pixels():
+def test_trainer_memory_per_sample_follows_hidden_dim_not_pixels(pass_workers):
     # seeding holds n x hidden_dim features (8 * 128 bytes a sample); a
-    # float64 copy of the 28x28 pixels held 6272 bytes a sample more. Each
-    # whole-set pass holds one chunk of buffers whatever n is (the test below)
+    # float64 copy of the 28x28 pixels held 6272 bytes a sample more. One
+    # worker at both sizes: 2000 rows make one run of chunks, 4000 rows
+    # two, and each worker holds its own chunk (the test below)
+    pass_workers(1)
     (small, _), (large, config) = _pixel_run_peak(2000), _pixel_run_peak(4000)
     per_sample = (large - small) / 2000
     assert per_sample < 2 * 8 * config.hidden_dim, per_sample
 
 
-def test_a_whole_set_pass_holds_one_chunk_of_buffers():
-    # assign_all holds one chunk's float64 pixels (784 a row), hidden
-    # features and distances to the k centroids, a few chunk-long
-    # temporaries of the distance kernel and the n labels and distances;
-    # _features holds its n x hidden output and one chunk of pixels
-    samples, _, spec, config = pixel_setup(4000, seed=4, epochs=1)
-    trainer = JointTrainer(Dataset(samples, None, "idx"), spec, config)
-    chunk = tensor.ROW_CHUNK
-    for whole_set_pass, bound in (
-            (trainer.assign_all, chunk * (784 + config.hidden_dim + 2 * config.k) * 8),
-            (trainer._features, (chunk * 784 + 4000 * config.hidden_dim) * 8)):
-        tracemalloc.start()
-        try:
-            whole_set_pass()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert bound < 1.1 * peak and peak <= 1.1 * bound, (whole_set_pass.__name__, peak, bound)
+def test_each_pass_worker_adds_at_most_one_chunk_of_buffers(pass_workers):
+    # a worker holds one chunk's float64 pixels (784 a row), hidden features
+    # and distances to the k centroids, and a few chunk-long temporaries of
+    # the distance kernel; 4000 rows make two runs of chunks
+    peaks = []
+    for workers in (1, 2):
+        pass_workers(workers)
+        peak, config = _pixel_run_peak(4000)
+        peaks.append(peak)
+    chunk_bytes = tensor.ROW_CHUNK * (784 + config.hidden_dim + 2 * config.k) * 8
+    assert peaks[1] - peaks[0] <= 1.1 * chunk_bytes, (peaks, chunk_bytes)
 
 
 @pytest.mark.parametrize("kind", ["randproj", "tinyconv"])
 def test_whole_set_passes_do_not_depend_on_the_worker_count(pass_workers, kind):
-    # extraction and Lloyd's sweeps run on the workers, every other pass on
-    # the calling thread. 4500 rows: row_chunks makes 5 chunks, the last overlapping the
-    # one before, so 4 workers take a run of randproj chunks each; 141
-    # tinyconv chunks
+    # 4500 rows: row_chunks makes 5 chunks, the last overlapping the one
+    # before, so 4 workers take a run of chunks each; 141 tinyconv chunks
     samples = np.random.RandomState(12).randint(0, 256, size=(4500, 8, 8, 1)).astype(np.uint8)
     spec = BackboneSpec(kind, (8, 8, 1), 24, seed=3)
     config = TrainerConfig(k=10, hidden_dim=16, seed=5, epochs=0)
